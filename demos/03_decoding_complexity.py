@@ -4,8 +4,6 @@ Three decoders minimize the same metric; the structured searches visit
 far fewer hypotheses while returning the exact ML answer.
 """
 
-import numpy as np
-
 from stbc import (
     build_rate1_4group,
     complexity_account,
@@ -14,11 +12,9 @@ from stbc import (
     default_encoder,
     extend_full_rate,
     group_decode,
+    draw_trial,
     ml_oracle,
-    sample_channel,
 )
-from stbc.decoder import full_symbol_matrix
-from stbc.designs import codeword
 from stbc.rng import substream
 
 cons = constellation("4qam")
@@ -45,13 +41,7 @@ enc = default_encoder(silver, cons.pam)
 snr = 10.0
 agree = 0
 for t in range(50):
-    rng = substream(3, trial=t)
-    h = sample_channel(2, 2, rng).H
-    noise = np.sqrt(0.5) * (rng.standard_normal((2, 2))
-                            + 1j * rng.standard_normal((2, 2)))
-    levels = rng.integers(0, 2, size=8)
-    s = full_symbol_matrix(silver, enc) @ cons.pam[levels]
-    y = np.sqrt(snr / 2) * (h @ (silver.energy_scale * codeword(silver, s))) + noise
+    y, h, _ = draw_trial(silver, enc, 2, snr, substream(3, trial=t))
     fast = conditional_decode(y, h, silver, cons, snr, enc)
     slow = ml_oracle(y, h, silver, cons, snr, enc)
     agree += fast.level_indices == slow.level_indices
@@ -60,11 +50,7 @@ print(f"\nconditional vs exhaustive on 50 noisy draws: {agree}/50 identical "
 
 d4 = build_rate1_4group(2)
 enc4 = default_encoder(d4, cons.pam)
-rng = substream(4)
-h = sample_channel(4, 1, rng).H
-levels = rng.integers(0, 2, size=8)
-s = full_symbol_matrix(d4, enc4) @ cons.pam[levels]
-y = np.sqrt(snr / 4) * (h @ codeword(d4, s))
+y, h, levels = draw_trial(d4, enc4, 1, snr, substream(4), noise_scale=0.0)
 res = group_decode(y, h, d4, cons, snr, enc4)
 print(f"noiseless group decode at 4 antennas: recovered={res.level_indices == tuple(levels)}, "
       f"metric={res.metric:.2e}, {res.metric_evaluations} hypotheses")

@@ -75,7 +75,6 @@ from .designs import (
     verify_theorem1,
 )
 from .linalg import (
-    fro_norm,
     gram_schmidt_qr,
     kron,
     realify,
@@ -84,6 +83,7 @@ from .linalg import (
 from .sim import (
     SimConfig,
     SimRecord,
+    draw_trial,
     emit_csv,
     run_error_sweep,
     uncoded_siso_sweep,

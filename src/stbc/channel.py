@@ -6,10 +6,11 @@ The complex transmission Y = c H S + N is equivalent to the real model
 
 with G the design's generator matrix.  Whenever two weight matrices
 satisfy A_i A_j^H + A_j A_i^H = 0 the corresponding columns of H_eq are
-orthogonal for every H, which pins structural zeros into the R factor of
-the column-ordered QR.  For the builtin designs (layer-major,
-group-contiguous weight order) each layer's diagonal R block collapses
-to I_4 x V with V upper triangular of size n_t/2.
+orthogonal for every H, whatever their position, which pins structural
+zeros into the R factor of the column-ordered QR.  The zero pattern
+below is stated for the builtin layout (layer-major, group-contiguous
+weight order), in which each layer's diagonal R block collapses to
+I_4 x V with V upper triangular of size n_t/2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import STBCDesign, generator_matrix
+from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
 from .linalg import gram_schmidt_qr, kron, realify
 
@@ -75,8 +76,7 @@ def equivalent_channel(H: np.ndarray, design: STBCDesign) -> np.ndarray:
         raise DimensionMismatchError(
             f"channel shape {H.shape} does not match n_t={design.n_t}"
         )
-    g = generator_matrix(design)
-    return kron(np.eye(design.T), realify(H)) @ g
+    return kron(np.eye(design.T), realify(H)) @ design.G
 
 
 def column_orthogonality_pairs(

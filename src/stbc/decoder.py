@@ -1,29 +1,30 @@
-"""Exact ML decoding: exhaustive oracle, per-group and conditional search.
+"""Exact ML decoding: exhaustive oracle and one partitioned group search.
 
-All decoders minimize the same metric  || Y - sqrt(snr/n_t) H S ||^2
-over the information symbols, where S is the energy-normalized codeword.
-They differ only in how the search space is traversed:
+All decoders minimize || Y - sqrt(snr/n_t) H S ||^2 over the information
+symbols (S the energy-normalized codeword), i.e. || y - phi x ||^2 in the
+real model y = phi x + n.
 
-* ``ml_oracle``         -- full enumeration of all M^k candidates.
-* ``group_decode``      -- for rate-1 4-group designs the equivalent
-  channel's cross-group columns are orthogonal, so the metric splits into
-  four independent per-group terms; each group's n_t/2 real symbols are
-  scanned separately (4 * M^{n_t/4} hypotheses) and the result is still
-  the exact ML answer.
-* ``conditional_decode``-- for an L-layer full-rate design the outer
-  layers' M^{n_t(L-1)} hypotheses are enumerated, their contribution is
-  cancelled from the received vector, and the first layer is group
-  decoded conditionally: M^{n_t(L-1)} * 4 * M^{n_t/4} hypotheses, i.e.
-  order M^{n_t(L-3/4)}.
+* ``ml_oracle`` enumerates all M^k candidates; it is the reference the
+  structured searches are tested against and keeps its own plain loop.
+* ``group_decode`` and ``conditional_decode`` share ``_partitioned_search``:
+  enumerate an "outer" index set exhaustively and, per outer hypothesis,
+  minimize each of the first layer's four groups in closed form.  The
+  cross-group dispersion condition makes columns of phi from different
+  groups orthogonal, so the metric splits into per-group terms and the
+  answer is exact ML.  ``group_decode`` (rate 1) has no outer indices:
+  4 * M^{n_t/4} hypotheses.  ``conditional_decode`` (L layers) takes every
+  index outside those groups as outer: M^{n_t(L-1)} * 4 * M^{n_t/4}, i.e.
+  order M^{n_t(L-3/4)}.  Both first certify the groups (cached per design).
 
-Candidates are enumerated in lexicographic order of their per-real-symbol
-alphabet indices (first symbol most significant), and ties are broken
-toward the lexicographically smallest index vector, so the three
-decoders agree exactly even on degenerate inputs.
+Decoded digits are scattered back by real-symbol index, so only the
+declared groups matter, never whether they are contiguous.  Ties go to
+the lexicographically smallest full index vector (first real symbol most
+significant), which is what the oracle's lexicographic scan returns, so
+all decoders agree exactly even on degenerate inputs.
 
-``metric_evaluations`` counts scanned hypotheses. Group scans evaluate a
-per-group partial metric per hypothesis; those count one evaluation each,
-which is what makes the counters comparable across decoders.
+``metric_evaluations`` counts scanned hypotheses, one per per-group
+partial metric in a group scan, so the counters are comparable across
+decoders and equal ``complexity_account``.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ import numpy as np
 
 from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder
-from .designs import STBCDesign, codeword, verify_group_decodable
+from .designs import STBCDesign, codeword, layer_design, verify_group_decodable
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     NotGroupDecodableError,
     TooLargeError,
 )
-from .linalg import kron, tilde_vec, vec
+from .linalg import tilde_vec, vec
 
 __all__ = [
     "Constellation",
@@ -168,16 +169,16 @@ def complexity_account(
     )
 
 
+@lru_cache(maxsize=64)
 def full_symbol_matrix(design: STBCDesign, encoder: Encoder | None) -> np.ndarray:
-    """2k x 2k map from info levels to stored symbols: the first layer's
-    four groups go through the encoder rotation, outer layers are raw."""
-    n = design.n_real_symbols
-    b = np.eye(n)
+    """2k x 2k map from info levels to stored symbols (read-only): the
+    encoder rotation acts on each of the first layer's declared groups,
+    outer layers are raw."""
+    b = np.eye(design.n_real_symbols)
     if encoder is not None:
-        first = 2 * design.n_t if design.layers > 1 else n
-        b[:first, :first] = kron(
-            np.eye(first // encoder.rotation.shape[0]), encoder.rotation
-        )
+        for g in design.layer_groups(0):
+            b[np.ix_(g, g)] = encoder.rotation
+    b.setflags(write=False)
     return b
 
 
@@ -188,8 +189,8 @@ def _effective_operator(
     cons: Constellation,
     snr: float,
     encoder: Encoder | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Encoder | None, float]:
-    """(y_tilde, phi, b_matrix, encoder, c): the real model y = phi x + n."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y_tilde, phi, b_matrix): the real model y = phi x + n."""
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
     if Y.shape != (H.shape[0], design.T):
@@ -201,7 +202,7 @@ def _effective_operator(
     c = float(np.sqrt(snr / design.n_t)) * design.energy_scale
     b = full_symbol_matrix(design, encoder)
     phi = c * equivalent_channel(H, design) @ b
-    return tilde_vec(vec(Y)), phi, b, encoder, c
+    return tilde_vec(vec(Y)), phi, b
 
 
 def _final_metric(
@@ -254,7 +255,7 @@ def ml_oracle(
     total = len(pam) ** n
     if total > budget:
         raise TooLargeError(f"M^k = {total} exceeds the budget of {budget}")
-    y, phi, b, encoder, _ = _effective_operator(Y, H, design, cons, snr, encoder)
+    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
 
     shape = (len(pam),) * n
     best = np.inf
@@ -273,22 +274,79 @@ def ml_oracle(
 
 
 @lru_cache(maxsize=64)
-def _group_decodable(design: STBCDesign) -> bool:
-    return verify_group_decodable(design, tol=1e-10).passed
+def _certified_groups(design: STBCDesign) -> tuple[tuple[int, ...], ...]:
+    """The first layer's four declared groups, once they pass the
+    cross-group dispersion condition."""
+    first = layer_design(design, 0)
+    if len(first.groups) != 4 or not verify_group_decodable(first, tol=1e-10).passed:
+        raise NotGroupDecodableError(
+            "the first layer is not four groups meeting the cross-group condition"
+        )
+    return first.groups  # layer 0 starts at index 0: no re-basing
 
 
-def _group_tables(phi, pam, groups):
-    """Per group: candidate levels (lex), projected images and their norms."""
+def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(n, len(idx)) base-p digits of idx, most significant first."""
+    return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
+
+
+@lru_cache(maxsize=16)
+def _group_candidates(p: int, n: int) -> np.ndarray:
+    """All p^n digit vectors of one group, as columns in lexicographic order."""
+    digits = _lex_digits(np.arange(p**n), p, n)
+    digits.setflags(write=False)
+    return digits
+
+
+def _partitioned_search(y, phi, pam, outer, groups) -> tuple[tuple[int, ...], int]:
+    """Exact argmin of || y - phi pam[levels] ||^2: (levels, evaluations).
+
+    The indices in ``outer`` are enumerated in lexicographic chunks; for
+    each outer hypothesis every group is minimized in closed form, which
+    is exact because columns of different groups are orthogonal.  Group
+    candidates are enumerated over the group's indices in ascending order,
+    so the first minimum is the lexicographically smallest; tied totals
+    are settled by comparing full index vectors.
+    """
+    p = len(pam)
     tables = []
     for g in groups:
-        cols = phi[:, list(g)]
-        shape = (len(pam),) * len(g)
-        digits = np.array(np.unravel_index(np.arange(len(pam) ** len(g)), shape))
-        xc = pam[digits]  # (gs, n_cand)
-        images = cols @ xc
-        qnorm = np.einsum("ij,ij->j", images, images)
-        tables.append((digits, images, qnorm))
-    return tables
+        cols = sorted(g)
+        digits = _group_candidates(p, len(cols))
+        images = phi[:, cols] @ pam[digits]  # (rows, n_cand)
+        tables.append((cols, digits, images, np.einsum("ij,ij->j", images, images)))
+    phi_out = phi[:, outer]
+    outer_total = p ** len(outer)
+    best_metric = np.inf
+    best: tuple[int, ...] = ()
+    evaluations = 0
+    for start in range(0, outer_total, _CHUNK):
+        out_digits = _lex_digits(
+            np.arange(start, min(start + _CHUNK, outer_total)), p, len(outer)
+        )
+        yp = y[:, None] - phi_out @ pam[out_digits]
+        total = np.einsum("ij,ij->j", yp, yp)
+        columns = np.arange(total.size)
+        picks = []
+        for _, _, images, qnorm in tables:
+            metrics = qnorm[:, None] - 2.0 * (images.T @ yp)  # (n_cand, chunk)
+            pick = np.argmin(metrics, axis=0)  # first occurrence == lex
+            total += metrics[pick, columns]
+            picks.append(pick)
+            evaluations += metrics.size
+        chunk_best = float(total.min())
+        if chunk_best > best_metric:
+            continue
+        for j in np.flatnonzero(total == chunk_best):
+            cand = np.empty(phi.shape[1], dtype=int)
+            cand[outer] = out_digits[:, j]
+            for (cols, digits, _, _), pick in zip(tables, picks):
+                cand[cols] = digits[:, pick[j]]
+            cand_t = tuple(cand.tolist())
+            if chunk_best < best_metric or cand_t < best:
+                best_metric = chunk_best
+                best = cand_t
+    return best, evaluations
 
 
 def group_decode(
@@ -305,24 +363,12 @@ def group_decode(
     || y - phi x ||^2 = ||y||^2 + sum_p ( ||phi_p x_p||^2 - 2 <y, phi_p x_p> )
     decomposes exactly and each group term is minimized independently.
     """
-    if design.layers != 1 or len(design.groups) != 4:
-        raise NotGroupDecodableError(
-            "group decoding needs a rate-1 design with four groups"
-        )
-    if not _group_decodable(design):
-        raise NotGroupDecodableError(
-            "design fails the cross-group dispersion condition"
-        )
-    y, phi, b, encoder, _ = _effective_operator(Y, H, design, cons, snr, encoder)
-    pam = cons.pam
-    levels: list[int] = []
-    evaluations = 0
-    for digits, images, qnorm in _group_tables(phi, pam, design.groups):
-        metrics = qnorm - 2.0 * (y @ images)
-        j = int(np.argmin(metrics))  # first occurrence == lex smallest
-        levels.extend(int(v) for v in digits[:, j])
-        evaluations += metrics.size
-    return _result(Y, H, design, snr, b, pam, levels, evaluations)
+    if design.layers != 1:
+        raise NotGroupDecodableError("group decoding needs a rate-1 design")
+    groups = _certified_groups(design)
+    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
+    levels, evaluations = _partitioned_search(y, phi, cons.pam, [], groups)
+    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
 
 
 def conditional_decode(
@@ -336,65 +382,22 @@ def conditional_decode(
 ) -> DecodeResult:
     """Exact ML decoding of an L-layer design by outer-layer conditioning.
 
-    Enumerates the outer layers' symbols, cancels their contribution and
-    group-decodes the first layer for each hypothesis; the overall
-    minimum (with lexicographic tie-break over the full index vector,
-    first-layer symbols most significant) equals the oracle's answer.
+    Enumerates every symbol outside the first layer's four groups,
+    cancels its contribution and group-decodes the first layer for each
+    hypothesis; the overall minimum equals the oracle's answer.
     """
     if design.layers < 2:
-        raise NotGroupDecodableError(
-            "conditional decoding needs a layered (full-rate) design"
-        )
-    pam = cons.pam
-    n = design.n_real_symbols
-    n_first = 2 * design.n_t
-    n_outer = n - n_first
-    inner_groups = design.groups[:4]
-    outer_total = len(pam) ** n_outer
-    per_inner = sum(len(pam) ** len(g) for g in inner_groups)
-    if outer_total * per_inner > budget:
-        raise BudgetExceededError(
-            f"{outer_total} outer hypotheses x {per_inner} inner scans "
-            f"exceed the budget of {budget}"
-        )
-    y, phi, b, encoder, _ = _effective_operator(Y, H, design, cons, snr, encoder)
-    phi_out = phi[:, n_first:]
-    tables = _group_tables(phi, pam, inner_groups)
-
-    out_shape = (len(pam),) * n_outer
-    best_metric = np.inf
-    best_tuple: tuple[int, ...] | None = None
-    evaluations = 0
-    for start in range(0, outer_total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, outer_total))
-        out_digits = np.array(np.unravel_index(idx, out_shape))  # (n_outer, chunk)
-        yp = y[:, None] - phi_out @ pam[out_digits]
-        base = np.einsum("ij,ij->j", yp, yp)
-        total = base.copy()
-        arg_inner = []
-        for digits, images, qnorm in tables:
-            metrics = qnorm[:, None] - 2.0 * (images.T @ yp)  # (n_cand, chunk)
-            picks = np.argmin(metrics, axis=0)  # first occurrence == lex
-            arg_inner.append((digits, picks))
-            total += metrics[picks, np.arange(picks.size)]
-            evaluations += metrics.size
-        chunk_best = float(total.min())
-        if chunk_best > best_metric:
-            continue
-        for j in np.flatnonzero(total == chunk_best):
-            cand: list[int] = []
-            for digits, picks in arg_inner:
-                cand.extend(int(v) for v in digits[:, picks[j]])
-            cand.extend(int(v) for v in out_digits[:, j])
-            cand_t = tuple(cand)
-            if chunk_best < best_metric or (
-                chunk_best == best_metric
-                and (best_tuple is None or cand_t < best_tuple)
-            ):
-                best_metric = chunk_best
-                best_tuple = cand_t
-    assert best_tuple is not None
-    return _result(Y, H, design, snr, b, pam, best_tuple, evaluations)
+        raise NotGroupDecodableError("conditional decoding needs a layered design")
+    groups = _certified_groups(design)
+    p = len(cons.pam)
+    inner = {i for g in groups for i in g}
+    outer = [i for i in range(design.n_real_symbols) if i not in inner]
+    scans = p ** len(outer) * sum(p ** len(g) for g in groups)
+    if scans > budget:
+        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
+    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
+    levels, evaluations = _partitioned_search(y, phi, cons.pam, outer, groups)
+    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
 
 
 def decode_auto(

@@ -9,10 +9,10 @@ satisfy the cross-group dispersion condition
 
     A_i A_j^H + A_j A_i^H = 0   whenever i and j sit in different groups,
 
-which is what makes per-group ML decoding exact.  Full-rate designs stack
-unitary multiples of the rate-1 layer: the weight list is layer-major and
-group-contiguous inside each layer, the canonical column order that the
-equivalent-channel R-matrix analysis assumes.
+which is what makes per-group ML decoding exact, whatever the weight
+order.  Full-rate designs stack unitary multiples of the rate-1 layer; the
+builtin constructions lay weights out layer-major and group-contiguous
+inside each layer, the order in which the R-matrix analysis is stated.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .clifford import (
 )
 from .errors import (
     DependentExtensionError,
+    DesignFormatError,
     DimensionMismatchError,
+    StructureError,
     UnsupportedSizeError,
 )
 from .linalg import matrix_from_text, matrix_to_text, tilde_vec, vec
@@ -63,8 +65,9 @@ class STBCDesign:
     """Ordered weight matrices with group partition and provenance.
 
     weights   -- 2k complex n_t x T matrices (read-only arrays)
-    groups    -- partition of 0-based weight indices; layer-major,
-                 4 groups per layer for the builtin constructions
+    groups    -- partition of 0-based weight indices; each group lies
+                 inside one layer (4 groups per layer, contiguous, for
+                 the builtin constructions)
     layers    -- number of stacked rate-1 layers (1 for rate-1 designs)
     scalars   -- unit-modulus scalar applied to each layer's weights
     products  -- exact signed-product bookkeeping for constructed
@@ -95,8 +98,11 @@ class STBCDesign:
         flat = sorted(i for g in self.groups for i in g)
         if flat != list(range(len(self.weights))):
             raise ValueError("groups must partition the weight indices exactly once")
-        g = generator_matrix(self)
-        if np.linalg.matrix_rank(g) < len(self.weights):
+        if len(self.scalars) != self.layers:
+            raise DesignFormatError(
+                f"{len(self.scalars)} layer scalars for {self.layers} layers"
+            )
+        if np.linalg.matrix_rank(self.G) < len(self.weights):
             raise DependentExtensionError(
                 "weight matrices are linearly dependent over the reals"
             )
@@ -134,10 +140,32 @@ class STBCDesign:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """Real 2*n_t*T x 2k generator matrix with tilde(vec(S)) = G s."""
+        out = np.column_stack([tilde_vec(vec(w)) for w in self.weights])
+        out.setflags(write=False)
+        return out
+
     def layer_slice(self, layer: int) -> slice:
         """Weight index range of one layer (0-based layer number)."""
         per = self.n_real_symbols // self.layers
         return slice(layer * per, (layer + 1) * per)
+
+    def layer_groups(self, layer: int) -> tuple[tuple[int, ...], ...]:
+        """The declared groups inside one layer's index range, in declared
+        order; raises StructureError when a group straddles the range."""
+        sl = self.layer_slice(layer)
+        inside = []
+        for g in self.groups:
+            hits = sum(sl.start <= i < sl.stop for i in g)
+            if hits and hits < len(g):
+                raise StructureError(
+                    f"group {tuple(i + 1 for i in g)} straddles layer {layer + 1}"
+                )
+            if hits:
+                inside.append(g)
+        return tuple(inside)
 
     def labels(self) -> list[str]:
         if self.products is not None:
@@ -430,17 +458,21 @@ def verify_design(design: STBCDesign, tol: float = 1e-12) -> Report:
 
 
 def layer_design(design: STBCDesign, layer: int) -> STBCDesign:
-    """Extract one layer of an extended design as a standalone design."""
+    """Extract one layer of an extended design as a standalone design.
+
+    The layer keeps its declared groups, re-based to the layer's index
+    range; a group that straddles layers raises StructureError.
+    """
     if not 0 <= layer < design.layers:
         raise ValueError(f"layer must be in 0..{design.layers - 1}")
     sl = design.layer_slice(layer)
-    per = sl.stop - sl.start
-    q = design.group_size
     return STBCDesign(
         n_t=design.n_t,
         T=design.T,
         weights=design.weights[sl],
-        groups=tuple(tuple(range(m * q, (m + 1) * q)) for m in range(per // q)),
+        groups=tuple(
+            tuple(i - sl.start for i in g) for g in design.layer_groups(layer)
+        ),
         layers=1,
         scalars=(design.scalars[layer],),
         provenance=f"layer {layer + 1} of: {design.provenance}",
@@ -465,9 +497,8 @@ def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:
 
 
 def generator_matrix(design: STBCDesign) -> np.ndarray:
-    """Real 2*n_t*T x 2k matrix G with tilde(vec(S)) = G s."""
-    cols = [tilde_vec(vec(w)) for w in design.weights]
-    return np.column_stack(cols)
+    """Real 2*n_t*T x 2k matrix G with tilde(vec(S)) = G s (read-only)."""
+    return design.G
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +558,9 @@ def design_from_text(text: str) -> STBCDesign:
             weights.append(matrix_from_text("\n".join(block)))
         else:
             fields[key] = rest
+    missing = [key for key in ("nt", "T") if key not in fields]
+    if missing:
+        raise DesignFormatError(f"design file lacks the {' and '.join(missing)} field")
     n_t = int(fields["nt"])
     scalars = tuple(
         complex(matrix_from_text(tok)[0, 0]) for tok in fields.get("scalars", "1.0+0.0i").split()

@@ -6,7 +6,7 @@ care about the fine distinctions can catch the built-in bases.
 
 
 class NonSquareError(ValueError):
-    """A square matrix was required (determinant, trace)."""
+    """A square matrix was required (trace)."""
 
 
 class RankDeficientError(ValueError):
@@ -29,8 +29,12 @@ class UnsupportedDimError(ValueError):
     """No builtin rotation is shipped for this dimension."""
 
 
+class DesignFormatError(ValueError):
+    """A design's header fields are missing or disagree with each other."""
+
+
 class StructureError(ValueError):
-    """Design lacks the diagonal first-group structure an operation needs."""
+    """Design lacks the group or first-group structure an operation needs."""
 
 
 class AlphabetError(ValueError):

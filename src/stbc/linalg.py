@@ -25,13 +25,9 @@ __all__ = [
     "kron",
     "realify",
     "tilde_vec",
-    "untilde_vec",
     "vec",
-    "unvec",
     "gram_schmidt_qr",
-    "det",
     "trace",
-    "fro_norm",
     "matrix_to_text",
     "matrix_from_text",
     "real_matrix_from_text",
@@ -83,25 +79,9 @@ def tilde_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def untilde_vec(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`tilde_vec`."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size % 2:
-        raise ValueError("interleaved vector must have even length")
-    return x[0::2] + 1j * x[1::2]
-
-
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(x).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray, rows: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a matrix with ``rows`` rows."""
-    x = np.asarray(x).reshape(-1)
-    if x.size % rows:
-        raise ValueError("vector length is not a multiple of the row count")
-    return x.reshape(rows, -1, order="F")
 
 
 def gram_schmidt_qr(
@@ -144,25 +124,12 @@ def gram_schmidt_qr(
     return q, r
 
 
-def det(a: np.ndarray) -> complex:
-    """Determinant of a square matrix (LU with partial pivoting)."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"determinant needs a square matrix, got {a.shape}")
-    return complex(np.linalg.det(a))
-
-
 def trace(a: np.ndarray) -> complex:
     """Trace of a square matrix."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"trace needs a square matrix, got {a.shape}")
     return complex(np.trace(a))
-
-
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .clifford import (
     verify_generators,
     verify_traceless,
 )
-from .coding_gain import default_encoder, extract_W, min_determinant
+from .coding_gain import Encoder, default_encoder, extract_W, min_determinant
 from .channel import mandated_zero_mask, r_profile, sample_channel, equivalent_channel
 from .decoder import (
     Constellation,
@@ -57,6 +57,7 @@ from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, substream
 __all__ = [
     "SimConfig",
     "SimRecord",
+    "draw_trial",
     "run_error_sweep",
     "uncoded_siso_sweep",
     "run_decode_trials",
@@ -130,6 +131,39 @@ def _predicted_evals(design: STBCDesign, cons: Constellation, decoder: str) -> i
     return account.conditional_evaluations
 
 
+def draw_trial(
+    design: STBCDesign,
+    encoder: Encoder,
+    n_r: int,
+    snr: float,
+    rng: np.random.Generator,
+    noise_scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One transmission Y = sqrt(snr/n_t) H S + noise_scale N: (Y, H, levels).
+
+    Draws the channel H, then the noise N, then the information level
+    indices (into ``encoder.alphabet``) from ``rng``.
+    """
+    h = sample_channel(design.n_t, n_r, rng).H
+    noise = np.sqrt(0.5) * (
+        rng.standard_normal((n_r, design.T))
+        + 1j * rng.standard_normal((n_r, design.T))
+    )
+    pam = encoder.alphabet
+    levels = rng.integers(0, len(pam), size=design.n_real_symbols)
+    s = full_symbol_matrix(design, encoder) @ pam[levels]
+    y = np.sqrt(snr / design.n_t) * (
+        h @ (design.energy_scale * codeword(design, s))
+    ) + noise_scale * noise
+    return y, h, levels
+
+
+def _wrong_symbols(result: DecodeResult, levels: np.ndarray) -> np.ndarray:
+    """Per complex symbol: was either real component decoded wrongly?"""
+    decoded = np.asarray(result.level_indices)
+    return (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
+
+
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     """Monte-Carlo symbol/codeword error rates over the configured sweep."""
     design = cfg.design
@@ -143,35 +177,19 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
         )
     decode = _DECODERS[cfg.decoder]
     encoder = default_encoder(design, cons.pam)
-    b = full_symbol_matrix(design, encoder)
-    scale = design.energy_scale
-    pam = cons.pam
-    n_real = design.n_real_symbols
-    k = design.k
     records = []
     for point, snr_db in enumerate(cfg.snr_db):
         snr = 10.0 ** (snr_db / 10.0)
-        c = np.sqrt(snr / design.n_t)
         t0 = time.perf_counter()
         cw_errors = 0
         sym_errors = 0
         evals = 0
         for trial in range(cfg.trials):
             rng = substream(cfg.seed, CTX_ERROR_SWEEP, point, trial)
-            h = sample_channel(design.n_t, cfg.n_r, rng).H
-            noise = np.sqrt(0.5) * (
-                rng.standard_normal((cfg.n_r, design.T))
-                + 1j * rng.standard_normal((cfg.n_r, design.T))
-            )
-            levels = rng.integers(0, len(pam), size=n_real)
-            s = b @ pam[levels]
-            y = c * (h @ (scale * codeword(design, s))) + cfg.noise_scale * noise
-            result: DecodeResult = decode(y, h, design, cons, snr, encoder)
+            y, h, levels = draw_trial(design, encoder, cfg.n_r, snr, rng, cfg.noise_scale)
+            result = decode(y, h, design, cons, snr, encoder)
             evals += result.metric_evaluations
-            decoded = np.asarray(result.level_indices)
-            wrong = (
-                (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
-            )
+            wrong = _wrong_symbols(result, levels)
             sym_errors += int(wrong.sum())
             cw_errors += int(wrong.any())
         elapsed = time.perf_counter() - t0
@@ -182,7 +200,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
                 codeword_errors=cw_errors,
                 symbol_errors=sym_errors,
                 cer=cw_errors / cfg.trials,
-                ser=sym_errors / (cfg.trials * k),
+                ser=sym_errors / (cfg.trials * design.k),
                 mean_evals=evals / cfg.trials,
                 wall_time_s=elapsed,
             )
@@ -245,29 +263,17 @@ def run_decode_trials(
     cons = constellation(cons_label)
     decode = _DECODERS[decoder]
     encoder = default_encoder(design, cons.pam)
-    b = full_symbol_matrix(design, encoder)
     snr = 10.0 ** (snr_db / 10.0)
-    c = np.sqrt(snr / design.n_t)
-    pam = cons.pam
     rows = []
     for trial in range(trials):
         rng = substream(seed, CTX_ERROR_SWEEP, 0, trial)
-        h = sample_channel(design.n_t, n_r, rng).H
-        noise = np.sqrt(0.5) * (
-            rng.standard_normal((n_r, design.T))
-            + 1j * rng.standard_normal((n_r, design.T))
-        )
-        levels = rng.integers(0, len(pam), size=design.n_real_symbols)
-        s = b @ pam[levels]
-        y = c * (h @ (design.energy_scale * codeword(design, s))) + noise
+        y, h, levels = draw_trial(design, encoder, n_r, snr, rng)
         result = decode(y, h, design, cons, snr, encoder)
-        decoded = np.asarray(result.level_indices)
-        wrong = (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
         rows.append(
             {
                 "trial": trial,
                 "metric": result.metric,
-                "symbol_errors": int(wrong.sum()),
+                "symbol_errors": int(_wrong_symbols(result, levels).sum()),
                 "evaluations": result.metric_evaluations,
             }
         )
@@ -466,21 +472,11 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     )
 
     oracle_total = len(cons.pam) ** base.n_real_symbols
+    snr = 10.0
     if oracle_total <= 1 << 18:
         mismatches = []
         for t in range(8):
-            rng = substream(seed, CTX_PROFILE, 1, t)
-            h = sample_channel(base.n_t, 1, rng).H
-            noise = np.sqrt(0.5) * (
-                rng.standard_normal((1, base.T))
-                + 1j * rng.standard_normal((1, base.T))
-            )
-            levels = rng.integers(0, len(cons.pam), size=base.n_real_symbols)
-            s = full_symbol_matrix(base, encoder) @ cons.pam[levels]
-            snr = 10.0
-            y = np.sqrt(snr / base.n_t) * (
-                h @ (base.energy_scale * codeword(base, s))
-            ) + noise
+            y, h, _ = draw_trial(base, encoder, 1, snr, substream(seed, CTX_PROFILE, 1, t))
             r1 = group_decode(y, h, base, cons, snr, encoder)
             r2 = ml_oracle(y, h, base, cons, snr, encoder)
             if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:
@@ -496,18 +492,10 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         )
 
     silver = extend_full_rate(build_rate1_4group(1), 2)
+    enc2 = default_encoder(silver, cons.pam)
     mismatches = []
     for t in range(25):
-        rng = substream(seed, CTX_PROFILE, 2, t)
-        h = sample_channel(2, 2, rng).H
-        noise = np.sqrt(0.5) * (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        )
-        levels = rng.integers(0, len(cons.pam), size=8)
-        enc2 = default_encoder(silver, cons.pam)
-        s = full_symbol_matrix(silver, enc2) @ cons.pam[levels]
-        snr = 10.0
-        y = np.sqrt(snr / 2.0) * (h @ (silver.energy_scale * codeword(silver, s))) + noise
+        y, h, _ = draw_trial(silver, enc2, 2, snr, substream(seed, CTX_PROFILE, 2, t))
         r1 = conditional_decode(y, h, silver, cons, snr, enc2)
         r2 = ml_oracle(y, h, silver, cons, snr, enc2)
         if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:

@@ -3,10 +3,9 @@ they check wherever that matters)."""
 
 import numpy as np
 
-from stbc.channel import sample_channel
-from stbc.decoder import full_symbol_matrix
-from stbc.designs import codeword
+from stbc.designs import STBCDesign
 from stbc.rng import substream
+from stbc.sim import draw_trial
 
 CTX_TEST = 11
 
@@ -36,18 +35,25 @@ def expected_table_n8(cliff):
     ]
 
 
-def random_trial(design, cons, encoder, n_r, snr, seed, trial,
-                 noise_scale=1.0):
-    """One transmit/receive draw: returns (Y, H, true level indices)."""
+def random_trial(design, encoder, n_r, snr, seed, trial, noise_scale=1.0):
+    """One transmit/receive draw on the test stream: (Y, H, true levels)."""
     rng = substream(seed, CTX_TEST, 0, trial)
-    h = sample_channel(design.n_t, n_r, rng).H
-    noise = np.sqrt(0.5) * (
-        rng.standard_normal((n_r, design.T))
-        + 1j * rng.standard_normal((n_r, design.T))
+    return draw_trial(design, encoder, n_r, snr, rng, noise_scale)
+
+
+def relabel(design, perm, group_order=None):
+    """The same code with weight i moved to index perm[i] (groups carried
+    along) and the group list taken in ``group_order``."""
+    weights = [None] * design.n_real_symbols
+    for old, new in enumerate(perm):
+        weights[new] = design.weights[old]
+    order = range(len(design.groups)) if group_order is None else group_order
+    return STBCDesign(
+        n_t=design.n_t,
+        T=design.T,
+        weights=tuple(weights),
+        groups=tuple(tuple(perm[i] for i in design.groups[g]) for g in order),
+        layers=design.layers,
+        scalars=design.scalars,
+        provenance=f"relabelled {design.provenance}",
     )
-    levels = rng.integers(0, len(cons.pam), size=design.n_real_symbols)
-    s = full_symbol_matrix(design, encoder) @ cons.pam[levels]
-    y = np.sqrt(snr / design.n_t) * (
-        h @ (design.energy_scale * codeword(design, s))
-    ) + noise_scale * noise
-    return y, h, levels

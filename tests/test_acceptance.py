@@ -149,7 +149,7 @@ def test_acceptance_5_decoder_exactness():
     enc_s = default_encoder(silver, CONS.pam)
     acc_s = complexity_account(silver, CONS)
     for t in range(1000):
-        y, h, _ = random_trial(silver, CONS, enc_s, 2, 6.31, seed=501, trial=t)
+        y, h, _ = random_trial(silver, enc_s, 2, 6.31, seed=501, trial=t)
         r_c = conditional_decode(y, h, silver, CONS, 6.31, enc_s)
         r_o = ml_oracle(y, h, silver, CONS, 6.31, enc_s)
         assert r_c.level_indices == r_o.level_indices
@@ -160,7 +160,7 @@ def test_acceptance_5_decoder_exactness():
     enc_4 = default_encoder(d4, CONS.pam)
     acc_4 = complexity_account(d4, CONS)
     for t in range(500):
-        y, h, _ = random_trial(d4, CONS, enc_4, 1, 7.94, seed=502, trial=t)
+        y, h, _ = random_trial(d4, enc_4, 1, 7.94, seed=502, trial=t)
         r_g = group_decode(y, h, d4, CONS, 7.94, enc_4)
         r_o = ml_oracle(y, h, d4, CONS, 7.94, enc_4)
         assert r_g.level_indices == r_o.level_indices
@@ -172,7 +172,7 @@ def test_acceptance_5_decoder_exactness():
     assert acc_big.order_exponent == 10.0
     assert acc_big.conditional_evaluations == 4 * 4**10
     enc_b = default_encoder(big, CONS.pam)
-    y, h, levels = random_trial(big, CONS, enc_b, 2, 25.0, seed=503, trial=0)
+    y, h, levels = random_trial(big, enc_b, 2, 25.0, seed=503, trial=0)
     res = conditional_decode(y, h, big, CONS, 25.0, enc_b, budget=1 << 26)
     assert res.metric_evaluations == acc_big.conditional_evaluations
     assert res.level_indices == tuple(levels)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from stbc.cli import main
+from stbc.errors import DesignFormatError
 from stbc.linalg import matrix_from_text, matrix_to_text
 
 
@@ -48,6 +50,17 @@ class TestDesignCommands:
         assert run("design", "build", "--a", 1, "--layers", 2,
                    "--layer-scalar", "pi/4", "--out", path) == 0
         assert run("design", "verify", "--design", path) == 0
+
+
+    @pytest.mark.parametrize("field", ["scalars", "nt", "T"])
+    def test_verify_names_missing_header_field(self, tmp_path, field):
+        path = tmp_path / "full.txt"
+        run("design", "build", "--a", 1, "--layers", 2, "--out", path)
+        lines = path.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(ln for ln in lines if not ln.startswith(field + " ")))
+        with pytest.raises(DesignFormatError, match=rf"\b{field}\b"):
+            run("design", "verify", "--design", bad)
 
 
 class TestChannelProfile:

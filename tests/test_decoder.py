@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_trial
+from helpers import random_trial, relabel
 from stbc.capacity import random_rotation_baseline
 from stbc.coding_gain import default_encoder
 from stbc.decoder import (
@@ -14,7 +14,13 @@ from stbc.decoder import (
     ml_oracle,
     square_qam,
 )
-from stbc.designs import build_rate1_4group, codeword, extend_full_rate
+from stbc.designs import (
+    STBCDesign,
+    build_rate1_4group,
+    codeword,
+    extend_full_rate,
+    verify_design,
+)
 from stbc.errors import (
     BudgetExceededError,
     NotGroupDecodableError,
@@ -81,7 +87,7 @@ class TestNoiseless:
     def test_group_decode_exact_recovery(self):
         d = build_rate1_4group(2)
         enc = default_encoder(d, CONS.pam)
-        y, h, levels = random_trial(d, CONS, enc, 1, 10.0, seed=1, trial=0,
+        y, h, levels = random_trial(d, enc, 1, 10.0, seed=1, trial=0,
                                     noise_scale=0.0)
         res = group_decode(y, h, d, CONS, 10.0, enc)
         assert res.level_indices == tuple(levels)
@@ -90,7 +96,7 @@ class TestNoiseless:
     def test_conditional_decode_exact_recovery(self):
         d = silver_design()
         enc = default_encoder(d, CONS.pam)
-        y, h, levels = random_trial(d, CONS, enc, 2, 10.0, seed=2, trial=0,
+        y, h, levels = random_trial(d, enc, 2, 10.0, seed=2, trial=0,
                                     noise_scale=0.0)
         res = conditional_decode(y, h, d, CONS, 10.0, enc)
         assert res.level_indices == tuple(levels)
@@ -99,7 +105,7 @@ class TestNoiseless:
     def test_oracle_exact_recovery(self):
         d = build_rate1_4group(1)
         enc = default_encoder(d, CONS.pam)
-        y, h, levels = random_trial(d, CONS, enc, 1, 10.0, seed=3, trial=0,
+        y, h, levels = random_trial(d, enc, 1, 10.0, seed=3, trial=0,
                                     noise_scale=0.0)
         res = ml_oracle(y, h, d, CONS, 10.0, enc)
         assert res.level_indices == tuple(levels)
@@ -111,7 +117,7 @@ class TestOracleEquivalence:
         enc = default_encoder(d, CONS.pam)
         acc = complexity_account(d, CONS)
         for t in range(100):
-            y, h, _ = random_trial(d, CONS, enc, 1, 8.0, seed=11, trial=t)
+            y, h, _ = random_trial(d, enc, 1, 8.0, seed=11, trial=t)
             r1 = group_decode(y, h, d, CONS, 8.0, enc)
             r2 = ml_oracle(y, h, d, CONS, 8.0, enc)
             assert r1.level_indices == r2.level_indices
@@ -124,7 +130,7 @@ class TestOracleEquivalence:
         enc = default_encoder(d, CONS.pam)
         acc = complexity_account(d, CONS)
         for t in range(200):
-            y, h, _ = random_trial(d, CONS, enc, 2, 6.0, seed=12, trial=t)
+            y, h, _ = random_trial(d, enc, 2, 6.0, seed=12, trial=t)
             r1 = conditional_decode(y, h, d, CONS, 6.0, enc)
             r2 = ml_oracle(y, h, d, CONS, 6.0, enc)
             assert r1.level_indices == r2.level_indices
@@ -141,7 +147,7 @@ class TestOracleEquivalence:
         b = full_symbol_matrix(d, enc)
         snr = 5.0
         for trial in (0, 1, 2):
-            y, h, _ = random_trial(d, CONS, enc, 2, snr, seed=13, trial=trial)
+            y, h, _ = random_trial(d, enc, 2, snr, seed=13, trial=trial)
             best, best_lv = np.inf, None
             for lv in iter_product(range(2), repeat=8):
                 info = CONS.pam[list(lv)]
@@ -177,7 +183,7 @@ class TestMetricRecomputation:
         enc = default_encoder(d, CONS.pam)
         b = full_symbol_matrix(d, enc)
         snr = 12.0
-        y, h, _ = random_trial(d, CONS, enc, 2, snr, seed=14, trial=9)
+        y, h, _ = random_trial(d, enc, 2, snr, seed=14, trial=9)
         res = conditional_decode(y, h, d, CONS, snr, enc)
         s_mat = d.energy_scale * codeword(d, b @ res.info)
         direct = np.linalg.norm(y - np.sqrt(snr / 2) * h @ s_mat) ** 2
@@ -232,13 +238,45 @@ class TestAutoDispatch:
     def test_rate1_uses_group(self):
         d = build_rate1_4group(2)
         enc = default_encoder(d, CONS.pam)
-        y, h, _ = random_trial(d, CONS, enc, 1, 10.0, seed=15, trial=0)
+        y, h, _ = random_trial(d, enc, 1, 10.0, seed=15, trial=0)
         res = decode_auto(y, h, d, CONS, 10.0, enc)
         assert res.metric_evaluations == complexity_account(d, CONS).group_evaluations
 
     def test_layered_uses_conditional(self):
         d = silver_design()
         enc = default_encoder(d, CONS.pam)
-        y, h, _ = random_trial(d, CONS, enc, 2, 10.0, seed=16, trial=0)
+        y, h, _ = random_trial(d, enc, 2, 10.0, seed=16, trial=0)
         res = decode_auto(y, h, d, CONS, 10.0, enc)
         assert res.metric_evaluations == complexity_account(d, CONS).conditional_evaluations
+
+
+class TestDeclaredGroups:
+    def test_interleaved_groups_decode_like_the_oracle(self):
+        # groups (1,5),(2,6),(3,7),(4,8): a certified relabelling of the
+        # a=2 rate-1 code whose groups are not contiguous
+        d = relabel(build_rate1_4group(2), [0, 4, 1, 5, 2, 6, 3, 7])
+        assert d.groups == ((0, 4), (1, 5), (2, 6), (3, 7))
+        assert verify_design(d).passed
+        enc = default_encoder(d, CONS.pam)
+        for t in range(50):
+            y, h, _ = random_trial(d, enc, 1, 8.0, seed=17, trial=t)
+            r1 = group_decode(y, h, d, CONS, 8.0, enc)
+            r2 = ml_oracle(y, h, d, CONS, 8.0, enc)
+            assert r1.level_indices == r2.level_indices
+            assert abs(r1.metric - r2.metric) < 1e-9
+
+    def test_uncertified_first_layer_rejected(self):
+        # the two-antenna two-layer code with weights 2 and 6 swapped
+        # across layers fails certification and must not be decoded
+        silver = silver_design()
+        weights = list(silver.weights)
+        weights[1], weights[5] = weights[5], weights[1]
+        d = STBCDesign(n_t=2, T=2, weights=tuple(weights), groups=silver.groups,
+                       layers=2, scalars=silver.scalars)
+        assert not verify_design(d).passed
+        y = np.ones((2, 2), dtype=complex)
+        h = np.eye(2, dtype=complex)
+        enc = default_encoder(silver, CONS.pam)
+        for decode in (conditional_decode, decode_auto):
+            with pytest.raises(NotGroupDecodableError):
+                decode(y, h, d, CONS, 10.0, enc)

@@ -14,12 +14,15 @@ from stbc.designs import (
     layer_design,
     load_design,
     save_design,
+    verify_design,
     verify_group_decodable,
     verify_theorem1,
 )
 from stbc.errors import (
     DependentExtensionError,
+    DesignFormatError,
     DimensionMismatchError,
+    StructureError,
     UnsupportedSizeError,
 )
 from stbc.linalg import tilde_vec, vec
@@ -186,6 +189,31 @@ class TestExtension:
             sub = layer_design(design, layer)
             assert verify_group_decodable(sub).passed
 
+    def test_layer_design_keeps_declared_groups(self):
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        groups = list(d.groups)
+        groups[4] = (9, 8)
+        shuffled = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
+                              layers=2, scalars=d.scalars)
+        assert layer_design(shuffled, 1).groups == ((1, 0), (2, 3), (4, 5), (6, 7))
+
+    def test_group_straddling_layers_rejected(self):
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        groups = list(d.groups)
+        groups[3], groups[4] = (6, 8), (7, 9)
+        bad = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
+                         layers=2, scalars=d.scalars)
+        with pytest.raises(StructureError):
+            layer_design(bad, 0)
+        with pytest.raises(StructureError):
+            verify_design(bad)
+
+    def test_scalar_count_must_match_layers(self):
+        d = extend_full_rate(build_rate1_4group(1), 2)
+        with pytest.raises(DesignFormatError):
+            STBCDesign(n_t=2, T=2, weights=d.weights, groups=d.groups,
+                       layers=2, scalars=(1.0 + 0j,))
+
     def test_dependent_weights_rejected(self):
         w = np.eye(2, dtype=complex)
         with pytest.raises(DependentExtensionError):
@@ -234,6 +262,12 @@ class TestGeneratorMatrix:
         g = generator_matrix(silver)
         assert g.shape == (8, 8)
         assert abs(np.linalg.det(g)) > 1e-6
+
+    def test_cached_and_read_only(self):
+        d = build_rate1_4group(2)
+        assert generator_matrix(d) is d.G
+        with pytest.raises(ValueError):
+            d.G[0, 0] = 1.0
 
     def test_consistency_with_codeword(self):
         d = extend_full_rate(build_rate1_4group(2), 2)

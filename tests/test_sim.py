@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from stbc.cli import main
 from stbc.decoder import complexity_account, constellation, full_symbol_matrix
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
@@ -192,3 +195,38 @@ class TestVerifyAll:
         report = verify_all(1, 1)
         text = report.summary()
         assert "PASS" in text and "FAIL" not in text
+
+
+class TestPinnedOutputs:
+    """Byte-exact outputs pinned across commits, not just across reruns.
+
+    The digests were produced by the implementation that predates the
+    shared transmit model and group-search kernel.  Any change to the
+    draw order, the transmit arithmetic, the decoded indices, the metric
+    or the counters moves them.
+    """
+
+    @pytest.mark.parametrize("design, n_r, digest", [
+        (extend_full_rate(build_rate1_4group(1), 2), 2,
+         "2501dedbe018524a7620f9e70eae678c1fcbbb1d5d222f242350eeb403257934"),
+        (build_rate1_4group(2), 1,
+         "75072e40232f936ef2bfe70cd75a9a2dd05ce7e12646d93790b466e5b6fa3efd"),
+    ])
+    def test_sweep_csv(self, tmp_path, design, n_r, digest):
+        cfg = SimConfig(design=design, n_r=n_r, snr_db=(0.0, 5.0, 10.0),
+                        trials=100, seed=8)
+        out = tmp_path / "sweep.csv"
+        emit_csv(run_error_sweep(cfg), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("design_args, digest", [
+        (("--a", "1", "--layers", "2"),
+         "1906092c9e6a562fb24291535a4a86d7b14a031f8f706ef680593b31d178c484"),
+        (("--a", "2"),
+         "1f8200da0cc6a143bb3f2611c21c3dc7f15f6b23acdb59904ddf9fc93315645b"),
+    ])
+    def test_decode_log(self, tmp_path, design_args, digest):
+        out = tmp_path / "decode.csv"
+        assert main(["decode", *design_args, "--snr-db", "8", "--trials", "100",
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
