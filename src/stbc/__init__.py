@@ -24,6 +24,7 @@ from .channel import (
     profile_over_channels,
     r_profile,
     sample_channel,
+    sample_channels,
 )
 from .clifford import (
     CliffordSet,

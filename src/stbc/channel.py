@@ -4,7 +4,12 @@ The complex transmission Y = c H S + N is equivalent to the real model
 
     tilde(vec(Y)) = c H_eq s + tilde(vec(N)),   H_eq = (I_T x realify(H)) G,
 
-with G the design's generator matrix.  Whenever two weight matrices
+with G the design's generator matrix: column i of H_eq is
+tilde(vec(H A_i)).  It is built that way, from one complex product of H
+with the weights laid side by side (``STBCDesign.weight_rows``) and an
+interleave of real and imaginary parts, for one channel or a stack of
+them; the Kronecker form above, mostly zero blocks, is never formed.
+Whenever two weight matrices
 satisfy A_i A_j^H + A_j A_i^H = 0 the corresponding columns of H_eq are
 orthogonal for every H, whatever their position, which pins structural
 zeros into the R factor of the column-ordered QR.  The zero pattern
@@ -21,13 +26,14 @@ import numpy as np
 
 from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
-from .linalg import gram_schmidt_qr, kron, realify
+from .linalg import gram_schmidt_qr
 
 __all__ = [
     "ChannelRealization",
     "RProfile",
     "LayerBlock",
     "sample_channel",
+    "sample_channels",
     "equivalent_channel",
     "column_orthogonality_pairs",
     "mandated_zero_mask",
@@ -51,32 +57,51 @@ class ChannelRealization:
         return self.H.shape[1]
 
 
+def sample_channels(
+    n_t: int, n_r: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``count`` channels H as one (count, n_r, n_t) array.
+
+    Entries are i.i.d. circularly symmetric with unit variance: real and
+    imaginary parts are independent N(0, 1/2).  Each draw takes its real
+    part, then its imaginary part, from the stream, so the stack equals
+    ``count`` successive :func:`sample_channel` calls bit for bit.
+    """
+    x = rng.standard_normal((count, 2, n_r, n_t))
+    h = x[:, 0] + 1j * x[:, 1]
+    h *= np.sqrt(0.5)
+    return h
+
+
 def sample_channel(
     n_t: int, n_r: int, rng: np.random.Generator, lineage: str = ""
 ) -> ChannelRealization:
-    """Draw H with i.i.d. circularly symmetric unit-variance entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so each complex
-    entry has variance one.
-    """
-    h = rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))
-    h *= np.sqrt(0.5)
+    """Draw one H (see :func:`sample_channels`), read-only."""
+    h = sample_channels(n_t, n_r, 1, rng)[0]
     h.setflags(write=False)
     return ChannelRealization(H=h, lineage=lineage)
 
 
 def equivalent_channel(H: np.ndarray, design: STBCDesign) -> np.ndarray:
-    """Real equivalent channel (I_T x realify(H)) G, shape 2*n_r*T x 2k.
+    """Real equivalent channel, shape 2*n_r*T x 2k, for H of shape
+    (n_r, n_t) or a stack (..., n_r, n_t).
 
-    Satisfies tilde(vec(H S(s))) = H_eq s for the unnormalized codeword
-    map; energy normalization is applied by the caller where needed.
+    Column i is tilde(vec(H A_i)), so tilde(vec(H S(s))) = H_eq s for
+    the unnormalized codeword map; energy normalization is applied by
+    the caller where needed.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[1] != design.n_t:
+    if H.ndim < 2 or H.shape[-1] != design.n_t:
         raise DimensionMismatchError(
             f"channel shape {H.shape} does not match n_t={design.n_t}"
         )
-    return kron(np.eye(design.T), realify(H)) @ design.G
+    *lead, n_r, n_t = H.shape
+    n, T, m = design.n_real_symbols, design.T, len(lead)
+    hw = (H.reshape(-1, n_t) @ design.weight_rows).view(float)
+    # axes [..., r, i, t, re/im] -> [..., t, r, re/im, i], so that row
+    # 2*(t*n_r + r) + re/im of column i is entry (r, t) of H A_i
+    parts = hw.reshape(*lead, n_r, n, T, 2).transpose(*range(m), m + 2, m, m + 3, m + 1)
+    return parts.reshape(*lead, 2 * n_r * T, n)
 
 
 def column_orthogonality_pairs(

@@ -32,6 +32,7 @@ from .designs import STBCDesign
 from .errors import (
     AlphabetError,
     BudgetExceededError,
+    DimensionMismatchError,
     StructureError,
     UnsupportedDimError,
 )
@@ -248,27 +249,44 @@ def _check_alphabet(encoder: Encoder, x: np.ndarray) -> None:
 
 
 def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:
-    """Map 4 groups of n_t/2 info symbols to the stored real symbols.
+    """Map the info vector to the stored real symbols.
 
-    Accepts a flat vector of 2*n_t reals or a (4, n_t/2) array; returns
-    the flat stored-symbol vector s with s_group = rotation @ info_group.
+    ``info`` holds 2*n_t reals indexed like the real symbols (a (4, n_t/2)
+    array is read row by row, one group per row for group-contiguous
+    designs).  Each declared group g is rotated on its own indices,
+    s[g] = rotation @ info[g], which equals ``full_symbol_matrix @ info``.
     """
     design = encoder.design
     if design.layers != 1:
         raise ValueError("encode covers rate-1 designs; layered transmit "
                          "assembly is done by the simulator")
-    gs = design.group_size
-    x = np.asarray(info, dtype=float).reshape(len(design.groups), gs)
+    x = _symbol_vector(design, info)
     _check_alphabet(encoder, x)
-    return (x @ encoder.rotation.T).reshape(-1)
+    return _rotate_groups(design, x, encoder.rotation)
 
 
 def decode_info(encoder: Encoder, s: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`encode` (rotation is orthogonal)."""
     design = encoder.design
-    gs = design.group_size
-    y = np.asarray(s, dtype=float).reshape(len(design.groups), gs)
-    return (y @ encoder.rotation).reshape(-1)
+    return _rotate_groups(design, _symbol_vector(design, s), encoder.rotation.T)
+
+
+def _symbol_vector(design: STBCDesign, v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size != design.n_real_symbols:
+        raise DimensionMismatchError(
+            f"expected {design.n_real_symbols} real symbols, got {v.size}"
+        )
+    return v
+
+
+def _rotate_groups(design: STBCDesign, v: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """out[g] = rot @ v[g] for every declared group g."""
+    out = np.empty_like(v)
+    for g in design.groups:
+        g = list(g)
+        out[g] = rot @ v[g]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

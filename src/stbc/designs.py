@@ -87,17 +87,17 @@ class STBCDesign:
 
     def __post_init__(self):
         if self.n_t < 1 or self.T < 1:
-            raise ValueError("n_t and T must be positive")
+            raise DesignFormatError("n_t and T must be positive")
         for w in self.weights:
             if w.shape != (self.n_t, self.T):
                 raise DimensionMismatchError(
                     f"weight shape {w.shape} != ({self.n_t}, {self.T})"
                 )
             if not np.all(np.isfinite(w.view(float))):
-                raise ValueError("weight matrix contains non-finite entries")
+                raise DesignFormatError("weight matrix contains non-finite entries")
         flat = sorted(i for g in self.groups for i in g)
         if flat != list(range(len(self.weights))):
-            raise ValueError("groups must partition the weight indices exactly once")
+            raise DesignFormatError("groups must partition the weight indices exactly once")
         if len(self.scalars) != self.layers:
             raise DesignFormatError(
                 f"{len(self.scalars)} layer scalars for {self.layers} layers"
@@ -137,6 +137,14 @@ class STBCDesign:
     def weight_stack(self) -> np.ndarray:
         """(2k, n_t, T) stacked weights."""
         out = np.stack(self.weights)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def weight_rows(self) -> np.ndarray:
+        """(n_t, 2k*T) weights side by side: column i*T + t is column t of
+        weight i, so H @ weight_rows holds every H A_i in one product."""
+        out = self.weight_stack.transpose(1, 0, 2).reshape(self.n_t, -1)
         out.setflags(write=False)
         return out
 
@@ -535,7 +543,7 @@ def design_from_text(text: str) -> STBCDesign:
     not stored in files, so loaded designs cannot be extended further."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _MAGIC:
-        raise ValueError(f"not a design file (missing '{_MAGIC}' header)")
+        raise DesignFormatError(f"not a design file (missing '{_MAGIC}' header)")
     fields: dict[str, str] = {}
     groups: list[tuple[int, ...]] = []
     weights: list[np.ndarray] = []
@@ -547,7 +555,10 @@ def design_from_text(text: str) -> STBCDesign:
             continue
         key, _, rest = line.partition(" ")
         if key == "group":
-            groups.append(tuple(int(tok) - 1 for tok in rest.split()))
+            try:
+                groups.append(tuple(int(tok) - 1 for tok in rest.split()))
+            except ValueError as err:
+                raise DesignFormatError(f"bad group line {line!r}") from err
         elif key == "weight":
             block = []
             while i < len(lines) and lines[i].strip() and not lines[i].startswith(
@@ -555,7 +566,10 @@ def design_from_text(text: str) -> STBCDesign:
             ):
                 block.append(lines[i])
                 i += 1
-            weights.append(matrix_from_text("\n".join(block)))
+            try:
+                weights.append(matrix_from_text("\n".join(block)))
+            except ValueError as err:
+                raise DesignFormatError(f"weight {rest}: {err}") from err
         else:
             fields[key] = rest
     missing = [key for key in ("nt", "T") if key not in fields]

@@ -30,7 +30,7 @@ class UnsupportedDimError(ValueError):
 
 
 class DesignFormatError(ValueError):
-    """A design's header fields are missing or disagree with each other."""
+    """A design's fields are missing, malformed or disagree with each other."""
 
 
 class StructureError(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stbc import capacity
 from stbc.capacity import (
     channel_capacity,
     code_capacity,
@@ -15,9 +16,11 @@ from stbc.channel import (
     equivalent_channel,
     profile_over_channels,
     sample_channel,
+    sample_channels,
 )
 from stbc.designs import STBCDesign, build_rate1_4group, extend_full_rate
-from stbc.linalg import gram_schmidt_qr
+from stbc.errors import RankDeficientError
+from stbc.linalg import gram_schmidt_qr, realify
 from stbc.rng import substream
 
 rng = np.random.default_rng(606)
@@ -52,6 +55,127 @@ class TestRDiagonalIdentity:
                 )
                 rhs = float(np.linalg.norm(heq[:, i]) ** 2) - proj
                 assert abs(r[i, i] ** 2 - rhs) < 1e-9
+
+
+def mean_and_error(vals):
+    vals = np.asarray(vals)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+REF_TRIALS = capacity.MIN_TRIALS + 3
+assert REF_TRIALS % capacity._BLOCK, "the last block must be a partial one"
+REF_CODES = {
+    "silver": (extend_full_rate(build_rate1_4group(1), 2), 2),
+    "a2-two-layer": (extend_full_rate(build_rate1_4group(2), 2), 2),
+    "a3-rate1": (build_rate1_4group(3), 2),
+}
+
+
+class TestBatchedMatchesPerTrialLoop:
+    """The stacked estimators against one-draw-at-a-time reference loops
+    on the same stream: Gram-Schmidt log-det and R diagonal."""
+
+    @pytest.mark.parametrize("name", sorted(REF_CODES))
+    def test_code_capacity(self, name):
+        d, n_r = REF_CODES[name]
+        snr = 10.0
+        rng_ref = substream(44)
+        vals = []
+        for _ in range(REF_TRIALS):
+            heq = d.energy_scale * equivalent_channel(
+                sample_channel(d.n_t, n_r, rng_ref).H, d
+            )
+            vals.append(logdet_gram_qr(heq, snr / d.n_t) / (2.0 * d.T))
+        mean, err = mean_and_error(vals)
+        est = code_capacity(d, n_r, snr, REF_TRIALS, rng=substream(44))
+        assert est.trials == REF_TRIALS
+        assert close(est.mean, mean) and close(est.std_error, err)
+
+    @pytest.mark.parametrize("n_t, n_r", [(2, 2), (4, 1), (8, 2)])
+    def test_channel_capacity(self, n_t, n_r):
+        # det(realify(X)) = |det X|^2 gives an independent real route
+        snr = 10.0
+        rng_ref = substream(45)
+        vals = [
+            0.5 * logdet_gram_qr(realify(sample_channel(n_t, n_r, rng_ref).H).T, snr / n_t)
+            for _ in range(REF_TRIALS)
+        ]
+        mean, err = mean_and_error(vals)
+        est = channel_capacity(n_t, n_r, snr, REF_TRIALS, rng=substream(45))
+        assert close(est.mean, mean) and close(est.std_error, err)
+
+    @pytest.mark.parametrize("name", sorted(REF_CODES))
+    def test_high_snr_via_r_matches_gram_schmidt_diagonal(self, name):
+        d, n_r = REF_CODES[name]
+        snr = 1000.0
+        rho = snr / d.n_t
+        rng_ref = substream(46)
+        via_r, exact = [], []
+        for _ in range(REF_TRIALS):
+            heq = d.energy_scale * equivalent_channel(
+                sample_channel(d.n_t, n_r, rng_ref).H, d
+            )
+            _, r = gram_schmidt_qr(heq)
+            via_r.append(n_r * np.log2(rho) + np.sum(np.log2(np.diag(r) ** 2)) / (2.0 * d.T))
+            exact.append(logdet_gram_qr(heq, rho) / (2.0 * d.T))
+        cmp = high_snr_decomposition(d, n_r, snr, REF_TRIALS, rng=substream(46))
+        assert cmp.resampled == 0
+        for est, vals in ((cmp.via_r, via_r), (cmp.via_exact, exact)):
+            mean, err = mean_and_error(vals)
+            assert close(est.mean, mean) and close(est.std_error, err)
+
+
+class TestHighSnrResampling:
+    def test_rejected_draws_are_replaced_in_stream_order(self, monkeypatch):
+        # zero every third channel draw: its H_eq is rank deficient, so the
+        # estimate must equal a per-draw loop that skips exactly those draws
+        d, n_r = REF_CODES["silver"]
+        snr = 1000.0
+        rho = snr / d.n_t
+        drawn = 0
+
+        def zeroing(n_t, n_r, count, rng):
+            nonlocal drawn
+            h = sample_channels(n_t, n_r, count, rng)
+            h[(drawn + np.arange(count)) % 3 == 2] = 0.0
+            drawn += count
+            return h
+
+        monkeypatch.setattr(capacity, "sample_channels", zeroing)
+        cmp = high_snr_decomposition(d, n_r, snr, REF_TRIALS, rng=substream(47))
+        rng_ref = substream(47)
+        via_r = []
+        skipped = 0
+        while len(via_r) < REF_TRIALS:
+            h = sample_channel(d.n_t, n_r, rng_ref).H
+            if (len(via_r) + skipped) % 3 == 2:
+                skipped += 1
+                continue
+            _, r = gram_schmidt_qr(d.energy_scale * equivalent_channel(h, d))
+            via_r.append(n_r * np.log2(rho) + np.sum(np.log2(np.diag(r) ** 2)) / (2.0 * d.T))
+        assert cmp.resampled == skipped
+        mean, err = mean_and_error(via_r)
+        assert close(cmp.via_r.mean, mean) and close(cmp.via_r.std_error, err)
+
+    def test_always_rank_deficient_raises_after_bounded_draws(self, monkeypatch):
+        # two-antenna two-layer code with one receive antenna: H_eq is 4 x 8
+        d = extend_full_rate(build_rate1_4group(1), 2)
+        trials = 100
+        drawn = 0
+
+        def counting(n_t, n_r, count, rng):
+            nonlocal drawn
+            drawn += count
+            return sample_channels(n_t, n_r, count, rng)
+
+        monkeypatch.setattr(capacity, "sample_channels", counting)
+        with pytest.raises(RankDeficientError):
+            high_snr_decomposition(d, 1, 1000.0, trials, rng=substream(48))
+        assert 101 + trials <= drawn < 101 + trials + capacity._BLOCK
 
 
 class TestCapacityEstimates:

@@ -8,6 +8,7 @@ from stbc.channel import (
     profile_over_channels,
     r_profile,
     sample_channel,
+    sample_channels,
 )
 from stbc.designs import (
     STBCDesign,
@@ -16,7 +17,7 @@ from stbc.designs import (
     extend_full_rate,
 )
 from stbc.errors import DimensionMismatchError, RankDeficientError
-from stbc.linalg import tilde_vec, vec
+from stbc.linalg import realify, tilde_vec, vec
 from stbc.rng import substream
 
 
@@ -37,6 +38,13 @@ class TestSampleChannel:
         h1 = sample_channel(4, 2, substream(5)).H
         h2 = sample_channel(4, 2, substream(5)).H
         assert np.array_equal(h1, h2)
+
+    def test_stacked_draws_equal_successive_calls(self):
+        stack = sample_channels(8, 2, 7, substream(40))
+        rng = substream(40)
+        for h in stack:
+            assert np.array_equal(h, sample_channel(8, 2, rng).H)
+        assert np.array_equal(sample_channels(8, 2, 1, substream(40))[0], stack[0])
 
     def test_lineage_carried(self):
         real = sample_channel(2, 1, substream(0), lineage="seed=0")
@@ -62,6 +70,26 @@ class TestEquivalentChannel:
         lhs = tilde_vec(vec(h @ codeword(d, s)))
         assert np.abs(lhs - heq @ s).max() < 1e-10
 
+    @pytest.mark.parametrize("a, layers", [(1, 2), (2, 2), (3, 1)])
+    def test_matches_kronecker_form(self, a, layers):
+        # reference: H_eq = (I_T x realify(H)) G
+        base = build_rate1_4group(a)
+        d = base if layers == 1 else extend_full_rate(base, layers)
+        for t in range(5):
+            h = sample_channel(d.n_t, 2, substream(42, trial=t)).H
+            ref = np.kron(np.eye(d.T), realify(h)) @ d.G
+            assert np.abs(equivalent_channel(h, d) - ref).max() < 1e-13
+
+    def test_stack_equals_per_channel_calls(self):
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        hs = sample_channels(4, 3, 6, substream(43))
+        stack = equivalent_channel(hs, d)
+        assert stack.shape == (6, 2 * 3 * d.T, d.n_real_symbols)
+        for h, heq in zip(hs, stack):
+            assert np.array_equal(heq, equivalent_channel(h, d))
+        nested = equivalent_channel(hs.reshape(2, 3, 3, 4), d)
+        assert np.array_equal(nested.reshape(stack.shape), stack)
+
     def test_alamouti_columns_orthogonal(self):
         rng = np.random.default_rng(8)
         d = build_rate1_4group(1)
@@ -74,6 +102,8 @@ class TestEquivalentChannel:
         d = build_rate1_4group(1)
         with pytest.raises(DimensionMismatchError):
             equivalent_channel(np.eye(3), d)
+        with pytest.raises(DimensionMismatchError):
+            equivalent_channel(np.ones(2), d)
 
 
 class TestOrthogonalityPairs:

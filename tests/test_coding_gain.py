@@ -14,6 +14,8 @@ from stbc.coding_gain import (
     min_product_distance,
     rotation_from_matrix,
 )
+from helpers import relabel
+from stbc.decoder import full_symbol_matrix
 from stbc.designs import STBCDesign, build_rate1_4group
 from stbc.errors import (
     AlphabetError,
@@ -138,6 +140,21 @@ class TestEncoder:
         enc = default_encoder(d, PAM2)  # W and U are both 1x1 identities
         x = rng.choice(PAM2, size=4)
         assert np.abs(encode(enc, x) - x).max() == 0.0
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_matches_symbol_matrix_and_inverts(self, interleaved):
+        # groups (0,4),(1,5),(2,6),(3,7) when interleaved: encode must
+        # rotate each declared group in place, as full_symbol_matrix does
+        d = build_rate1_4group(2)
+        if interleaved:
+            d = relabel(d, [0, 4, 1, 5, 2, 6, 3, 7])
+        enc = default_encoder(d, PAM2)
+        b = full_symbol_matrix(d, enc)
+        for _ in range(10):
+            x = rng.choice(PAM2, size=8)
+            s = encode(enc, x)
+            assert np.abs(s - b @ x).max() < 1e-12
+            assert np.abs(decode_info(enc, s) - x).max() < 1e-12
 
     def test_alphabet_enforced(self):
         d = build_rate1_4group(2)

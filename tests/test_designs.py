@@ -294,6 +294,18 @@ class TestDesignFiles:
         with pytest.raises(ValueError):
             design_from_text("nonsense\n")
 
+    @pytest.mark.parametrize("old, new", [
+        ("stbc-design v1", "stbc-design"),   # header
+        ("group 1 2", "group 1 two"),        # group index
+        ("0.0+1.0i", "0.0+1.0j"),            # weight entry
+        ("group 1 2", "group 1"),            # groups no longer a partition
+    ])
+    def test_malformed_text_raises_design_format_error(self, old, new):
+        text = design_to_text(build_rate1_4group(2))
+        assert old in text
+        with pytest.raises(DesignFormatError):
+            design_from_text(text.replace(old, new, 1))
+
     def test_corrupted_sign_detected(self):
         d = build_rate1_4group(2)
         text = design_to_text(d)

@@ -5,6 +5,10 @@ in the list or in which order the groups are declared, so relabelling a
 certified code must leave every structured decoder equal to the
 exhaustive oracle -- in the decoded indices, the metric and the
 hypothesis counters -- including on the all-tied zero-channel input.
+
+A design file damaged by hand must never give a silently wrong answer:
+it either loads and decodes equal to the oracle, or it is refused with a
+ValueError subclass from ``stbc.errors``.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ from stbc.decoder import (
     group_decode,
     ml_oracle,
 )
-from stbc.designs import build_rate1_4group, extend_full_rate
+from stbc.designs import build_rate1_4group, design_from_text, design_to_text, extend_full_rate
 from stbc.rng import substream
 from stbc.sim import draw_trial
 
@@ -77,3 +81,86 @@ def test_structured_decoders_equal_oracle(code, cons_label, n_r, snr_db, trial,
         assert res.metric_evaluations == predicted
     if zero_channel:
         assert ref.level_indices == (0,) * design.n_real_symbols
+
+
+def _weight_rows(lines):
+    """Line numbers of matrix rows (the lines inside weight blocks)."""
+    rows, inside = [], False
+    for n, line in enumerate(lines):
+        if line.startswith("weight"):
+            inside = True
+        elif line.startswith(("group", "provenance")) or not line.strip():
+            inside = False
+        elif inside:
+            rows.append(n)
+    return rows
+
+
+def _flip_sign(tok):
+    return tok[1:] if tok.startswith("-") else "-" + tok
+
+
+@st.composite
+def mutated_design_texts(draw):
+    """design_to_text output of a base code with 1-3 random mutations:
+    a sign flip of one weight entry, a dropped or duplicated group entry,
+    or a weight block truncated by an entry, a row or all its rows."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    lines = design_to_text(base).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        rows = _weight_rows(lines)
+        groups = [n for n, line in enumerate(lines) if line.startswith("group ")]
+        kind = draw(st.sampled_from(["sign", "drop", "duplicate", "truncate"]))
+        if kind == "sign" and rows:
+            n = draw(st.sampled_from(rows))
+            toks = lines[n].split()
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[j] = _flip_sign(toks[j])
+            lines[n] = " ".join(toks)
+        elif kind == "drop" and groups:
+            n = draw(st.sampled_from(groups))
+            toks = lines[n].split()
+            if len(toks) > 1:
+                del toks[draw(st.integers(1, len(toks) - 1))]
+            lines[n] = " ".join(toks)
+        elif kind == "duplicate" and groups:
+            source = lines[draw(st.sampled_from(groups))].split()[1:]
+            if source:
+                n = draw(st.sampled_from(groups))
+                lines[n] += " " + draw(st.sampled_from(source))
+        elif kind == "truncate" and rows:
+            lo = hi = draw(st.sampled_from(rows))
+            cut = draw(st.sampled_from(["entry", "row", "block"]))
+            if cut == "entry":
+                lines[lo] = lines[lo].rsplit(" ", 1)[0]
+                continue
+            if cut == "block":
+                while lo - 1 in rows:
+                    lo -= 1
+                while hi + 1 in rows:
+                    hi += 1
+            del lines[lo : hi + 1]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    text=mutated_design_texts(),
+    n_r=st.integers(1, 2),
+    snr_db=st.floats(0.0, 20.0),
+    trial=st.integers(0, 1 << 20),
+)
+def test_mutated_design_file_decodes_exactly_or_is_refused(text, n_r, snr_db, trial):
+    cons = constellation("4qam")
+    snr = 10.0 ** (snr_db / 10.0)
+    try:
+        design = design_from_text(text)
+        enc = default_encoder(design, cons.pam)
+        y, h, _ = draw_trial(design, enc, n_r, snr, substream(trial, 13))
+        ref = ml_oracle(y, h, design, cons, snr, enc)
+        res = decode_auto(y, h, design, cons, snr, enc)
+    except ValueError as err:
+        assert type(err).__module__ == "stbc.errors", repr(err)
+        return
+    assert res.level_indices == ref.level_indices
+    assert abs(res.metric - ref.metric) <= 1e-9
