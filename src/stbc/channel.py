@@ -27,6 +27,7 @@ import numpy as np
 from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
 from .linalg import gram_schmidt_qr
+from .rng import CTX_PROFILE, substream
 
 __all__ = [
     "ChannelRealization",
@@ -192,8 +193,6 @@ def profile_over_channels(
     entry is in the always-zero mask when it stays below tol for every
     sampled channel realization.
     """
-    from .rng import CTX_PROFILE, substream  # local import avoids a cycle
-
     profiles = []
     for s in range(n_seeds):
         h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H

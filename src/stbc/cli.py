@@ -44,6 +44,7 @@ from .designs import (
     verify_design,
 )
 from .linalg import matrix_to_text, real_matrix_from_text
+from .rng import CTX_CAPACITY, substream
 from .sim import (
     SimConfig,
     emit_csv,
@@ -77,18 +78,23 @@ def _design_from_args(args) -> "STBCDesign":
     raise SystemExit("need --design FILE or --a A")
 
 
+def _write_output(text: str, out) -> None:
+    """Write ``text`` to the file ``out`` and say so, or to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_clifford_dump(args) -> int:
     cliff = build_generators(args.a, args.sign)
     blocks = []
     for i, g in enumerate(cliff.generators):
         blocks.append(f"generator {i + 1}")
         blocks.append(matrix_to_text(g))
-    text = "\n".join(blocks) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(blocks) + "\n", args.out)
     return 0
 
 
@@ -129,9 +135,7 @@ def cmd_channel_profile(args) -> int:
                     f"{i + 1},{j + 1},{float(mean_abs[i, j])!r},"
                     f"{float(max_abs[i, j])!r},{int(always_zero[i, j])}"
                 )
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
+        _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -147,13 +151,7 @@ def cmd_decode(args) -> int:
         f"{r['trial']},{r['metric']!r},{r['symbol_errors']},{r['evaluations']}"
         for r in rows
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -163,22 +161,10 @@ def cmd_capacity_sweep(args) -> int:
     lines = ["snr_db,mean_bits,std_err,trials"]
     for i, db in enumerate(snrs):
         est = code_capacity(design, args.nr, 10.0 ** (db / 10.0), args.trials,
-                            rng=_capacity_stream(args.seed, i))
+                            rng=substream(args.seed, CTX_CAPACITY, i, 0))
         lines.append(f"{float(db)!r},{est.mean!r},{est.std_error!r},{est.trials}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _capacity_stream(seed: int, point: int):
-    from .rng import CTX_CAPACITY, substream
-
-    return substream(seed, CTX_CAPACITY, point, 0)
 
 
 def cmd_sim_sweep(args) -> int:
@@ -313,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--nr", type=int, default=0)
-    p.add_argument("--decoder", default="auto",
-                   choices=("auto", "oracle", "group", "conditional"))
+    p.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_decode)
 
@@ -344,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--snr-db", dest="snr_db")
     ps.add_argument("--trials", type=int)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--decoder", choices=("auto", "oracle", "group", "conditional"))
+    ps.add_argument("--decoder", choices=("auto", "oracle"))
     ps.add_argument("--out")
     ps.add_argument("--noise-scale", dest="noise_scale", type=float)
     ps.add_argument("--timing", action="store_true",

@@ -1,20 +1,19 @@
-"""Exact ML decoding: exhaustive oracle and one partitioned group search.
+"""Exact ML decoding: exhaustive oracle and one structured search.
 
 All decoders minimize || Y - sqrt(snr/n_t) H S ||^2 over the information
 symbols (S the energy-normalized codeword), i.e. || y - phi x ||^2 in the
 real model y = phi x + n.
 
 * ``ml_oracle`` enumerates all M^k candidates; it is the reference the
-  structured searches are tested against and keeps its own plain loop.
-* ``group_decode`` and ``conditional_decode`` share ``_partitioned_search``:
-  enumerate an "outer" index set exhaustively and, per outer hypothesis,
-  minimize each of the first layer's four groups in closed form.  The
-  cross-group dispersion condition makes columns of phi from different
-  groups orthogonal, so the metric splits into per-group terms and the
-  answer is exact ML.  ``group_decode`` (rate 1) has no outer indices:
-  4 * M^{n_t/4} hypotheses.  ``conditional_decode`` (L layers) takes every
-  index outside those groups as outer: M^{n_t(L-1)} * 4 * M^{n_t/4}, i.e.
-  order M^{n_t(L-3/4)}.  Both first certify the groups (cached per design).
+  structured search is tested against and keeps its own plain loop.
+* ``decode_auto`` runs the one structured body; ``group_decode`` (rate 1)
+  and ``conditional_decode`` (layered) are guards around it.  The body
+  enumerates every index outside the first layer's four certified groups
+  and, per outer hypothesis, minimizes each group in closed form:
+  4 * M^{n_t/4} hypotheses at rate 1, M^{n_t(L-1)} * 4 * M^{n_t/4}
+  (order M^{n_t(L-3/4)}) for L layers.  One budget covers every structured
+  search: more than 1 << 26 hypotheses raise ``BudgetExceededError``
+  before any candidate table is built.
 
 Decoded digits are scattered back by real-symbol index, so only the
 declared groups matter, never whether they are contiguous.  Ties go to
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +109,13 @@ def constellation(label: str) -> Constellation:
 class DecodeResult:
     """Decoded info symbols plus bookkeeping.
 
-    level_indices  -- per real symbol, index into the PAM component set
-    symbol_indices -- per complex symbol, index into the constellation
-    info           -- the decoded info levels (pre-rotation), length 2k
-    metric         -- || Y - sqrt(snr/n_t) H S ||^2 recomputed from scratch
+    level_indices      -- per real symbol, index into the PAM component set
+    info               -- the decoded info levels (pre-rotation), length 2k
+    metric             -- || Y - sqrt(snr/n_t) H S ||^2 recomputed from scratch
+    metric_evaluations -- hypotheses scanned (see ``complexity_account``)
     """
 
     level_indices: tuple[int, ...]
-    symbol_indices: tuple[int, ...]
     info: np.ndarray
     metric: float
     metric_evaluations: int
@@ -224,14 +223,9 @@ def _final_metric(
 def _result(
     Y, H, design, snr, b, pam, level_indices, evaluations
 ) -> DecodeResult:
-    levels = np.asarray(level_indices, dtype=int)
-    info = pam[levels]
-    root = len(pam)
-    symbols = tuple(int(levels[2 * i] * root + levels[2 * i + 1])
-                    for i in range(levels.size // 2))
+    info = pam[np.asarray(level_indices, dtype=int)]
     return DecodeResult(
-        level_indices=tuple(int(v) for v in levels),
-        symbol_indices=symbols,
+        level_indices=tuple(int(v) for v in level_indices),
         info=info,
         metric=_final_metric(Y, H, design, snr, b, info),
         metric_evaluations=int(evaluations),
@@ -274,15 +268,19 @@ def ml_oracle(
 
 
 @lru_cache(maxsize=64)
-def _certified_groups(design: STBCDesign) -> tuple[tuple[int, ...], ...]:
-    """The first layer's four declared groups, once they pass the
-    cross-group dispersion condition."""
+def _certified_split(design: STBCDesign) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """(groups, outer): the first layer's four declared groups, once they
+    pass the cross-group dispersion condition, and every other index in
+    ascending order (read-only)."""
     first = layer_design(design, 0)
     if len(first.groups) != 4 or not verify_group_decodable(first, tol=1e-10).passed:
         raise NotGroupDecodableError(
             "the first layer is not four groups meeting the cross-group condition"
         )
-    return first.groups  # layer 0 starts at index 0: no re-basing
+    inner = {i for g in first.groups for i in g}
+    outer = np.array([i for i in range(design.n_real_symbols) if i not in inner], dtype=int)
+    outer.setflags(write=False)
+    return first.groups, outer  # layer 0 starts at index 0: no re-basing
 
 
 def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -349,6 +347,21 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[tuple[int, ...], in
     return best, evaluations
 
 
+def _structured_decode(Y, H, design, cons, snr, encoder, budget) -> DecodeResult:
+    """Cross-group columns of phi are orthogonal, so for each outer
+    hypothesis with residual y', || y' - sum_p phi_p x_p ||^2 = ||y'||^2
+    + sum_p (||phi_p x_p||^2 - 2 <y', phi_p x_p>): each group term is
+    minimized on its own and the overall minimum is exact ML."""
+    groups, outer = _certified_split(design)
+    p = len(cons.pam)
+    scans = p ** len(outer) * sum(p ** len(g) for g in groups)
+    if scans > budget:
+        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
+    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
+    levels, evaluations = _partitioned_search(y, phi, cons.pam, outer, groups)
+    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
+
+
 def group_decode(
     Y: np.ndarray,
     H: np.ndarray,
@@ -357,18 +370,10 @@ def group_decode(
     snr: float,
     encoder: Encoder | None = None,
 ) -> DecodeResult:
-    """Exact ML decoding of a rate-1 4-group design, one group at a time.
-
-    Cross-group columns of the equivalent channel are orthogonal, so
-    || y - phi x ||^2 = ||y||^2 + sum_p ( ||phi_p x_p||^2 - 2 <y, phi_p x_p> )
-    decomposes exactly and each group term is minimized independently.
-    """
+    """Exact ML decoding of a rate-1 4-group design, one group at a time."""
     if design.layers != 1:
         raise NotGroupDecodableError("group decoding needs a rate-1 design")
-    groups = _certified_groups(design)
-    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
-    levels, evaluations = _partitioned_search(y, phi, cons.pam, [], groups)
-    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
+    return _structured_decode(Y, H, design, cons, snr, encoder, _BUDGET)
 
 
 def conditional_decode(
@@ -378,26 +383,12 @@ def conditional_decode(
     cons: Constellation,
     snr: float,
     encoder: Encoder | None = None,
-    budget: int = 1 << 26,
+    budget: int = _BUDGET,
 ) -> DecodeResult:
-    """Exact ML decoding of an L-layer design by outer-layer conditioning.
-
-    Enumerates every symbol outside the first layer's four groups,
-    cancels its contribution and group-decodes the first layer for each
-    hypothesis; the overall minimum equals the oracle's answer.
-    """
+    """Exact ML decoding of an L-layer design by outer-layer conditioning."""
     if design.layers < 2:
         raise NotGroupDecodableError("conditional decoding needs a layered design")
-    groups = _certified_groups(design)
-    p = len(cons.pam)
-    inner = {i for g in groups for i in g}
-    outer = [i for i in range(design.n_real_symbols) if i not in inner]
-    scans = p ** len(outer) * sum(p ** len(g) for g in groups)
-    if scans > budget:
-        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
-    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
-    levels, evaluations = _partitioned_search(y, phi, cons.pam, outer, groups)
-    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
+    return _structured_decode(Y, H, design, cons, snr, encoder, budget)
 
 
 def decode_auto(
@@ -408,7 +399,6 @@ def decode_auto(
     snr: float,
     encoder: Encoder | None = None,
 ) -> DecodeResult:
-    """Group decoding for rate-1 designs, conditional otherwise."""
-    if design.layers == 1:
-        return group_decode(Y, H, design, cons, snr, encoder)
-    return conditional_decode(Y, H, design, cons, snr, encoder)
+    """Exact ML decoding of any design whose first layer is four certified
+    groups: group search at rate 1, outer-layer conditioning otherwise."""
+    return _structured_decode(Y, H, design, cons, snr, encoder, _BUDGET)

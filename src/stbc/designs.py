@@ -98,6 +98,10 @@ class STBCDesign:
         flat = sorted(i for g in self.groups for i in g)
         if flat != list(range(len(self.weights))):
             raise DesignFormatError("groups must partition the weight indices exactly once")
+        if self.layers < 1 or len(self.weights) % self.layers:
+            raise DesignFormatError(
+                f"{self.layers} layers do not split {len(self.weights)} weights evenly"
+            )
         if len(self.scalars) != self.layers:
             raise DesignFormatError(
                 f"{len(self.scalars)} layer scalars for {self.layers} layers"
@@ -575,16 +579,19 @@ def design_from_text(text: str) -> STBCDesign:
     missing = [key for key in ("nt", "T") if key not in fields]
     if missing:
         raise DesignFormatError(f"design file lacks the {' and '.join(missing)} field")
-    n_t = int(fields["nt"])
-    scalars = tuple(
-        complex(matrix_from_text(tok)[0, 0]) for tok in fields.get("scalars", "1.0+0.0i").split()
-    )
+    try:
+        n_t, T = int(fields["nt"]), int(fields["T"])
+        layers = int(fields.get("layers", "1"))
+        scalars = tuple(complex(matrix_from_text(tok)[0, 0])
+                        for tok in fields.get("scalars", "1.0+0.0i").split())
+    except ValueError as err:
+        raise DesignFormatError(f"malformed header value: {err}") from err
     return STBCDesign(
         n_t=n_t,
-        T=int(fields["T"]),
+        T=T,
         weights=tuple(_freeze(w) for w in weights),
         groups=tuple(groups),
-        layers=int(fields.get("layers", "1")),
+        layers=layers,
         scalars=scalars,
         provenance=fields.get("provenance", ""),
     )

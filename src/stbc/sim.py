@@ -33,7 +33,6 @@ from .coding_gain import Encoder, default_encoder, extract_W, min_determinant
 from .channel import mandated_zero_mask, r_profile, sample_channel, equivalent_channel
 from .decoder import (
     Constellation,
-    DecodeResult,
     complexity_account,
     conditional_decode,
     constellation,
@@ -74,12 +73,7 @@ CSV_COLUMNS = ("snr_db", "trials", "cer", "ser", "mean_evals", "wall_time_s")
 #: refuse sweeps whose total hypothesis count would exceed this
 EVALUATION_BUDGET = int(2e9)
 
-_DECODERS = {
-    "auto": decode_auto,
-    "oracle": ml_oracle,
-    "group": group_decode,
-    "conditional": conditional_decode,
-}
+_DECODERS = {"auto", "oracle"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +120,7 @@ def _predicted_evals(design: STBCDesign, cons: Constellation, decoder: str) -> i
     account = complexity_account(design, cons)
     if decoder == "oracle":
         return account.oracle_evaluations
-    if decoder == "group" or (decoder == "auto" and design.layers == 1):
-        return account.group_evaluations
-    return account.conditional_evaluations
+    return account.group_evaluations or account.conditional_evaluations
 
 
 def draw_trial(
@@ -158,10 +150,20 @@ def draw_trial(
     return y, h, levels
 
 
-def _wrong_symbols(result: DecodeResult, levels: np.ndarray) -> np.ndarray:
-    """Per complex symbol: was either real component decoded wrongly?"""
-    decoded = np.asarray(result.level_indices)
-    return (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
+def _decoded_trials(design, cons, encoder, decoder, n_r, snr, seed, point, trials,
+                    noise_scale=1.0):
+    """Per trial at one SNR point, drawn from its own substream:
+    (result, wrong) with wrong[i] true when either real component of
+    complex symbol i was decoded wrongly."""
+    if decoder not in _DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    decode = ml_oracle if decoder == "oracle" else decode_auto
+    for trial in range(trials):
+        rng = substream(seed, CTX_ERROR_SWEEP, point, trial)
+        y, h, levels = draw_trial(design, encoder, n_r, snr, rng, noise_scale)
+        result = decode(y, h, design, cons, snr, encoder)
+        decoded = np.asarray(result.level_indices)
+        yield result, (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
 
 
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
@@ -175,7 +177,6 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
             f"sweep needs ~{total:.3g} hypothesis evaluations "
             f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}"
         )
-    decode = _DECODERS[cfg.decoder]
     encoder = default_encoder(design, cons.pam)
     records = []
     for point, snr_db in enumerate(cfg.snr_db):
@@ -184,12 +185,10 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
         cw_errors = 0
         sym_errors = 0
         evals = 0
-        for trial in range(cfg.trials):
-            rng = substream(cfg.seed, CTX_ERROR_SWEEP, point, trial)
-            y, h, levels = draw_trial(design, encoder, cfg.n_r, snr, rng, cfg.noise_scale)
-            result = decode(y, h, design, cons, snr, encoder)
+        for result, wrong in _decoded_trials(design, cons, encoder, cfg.decoder, cfg.n_r,
+                                             snr, cfg.seed, point, cfg.trials,
+                                             cfg.noise_scale):
             evals += result.metric_evaluations
-            wrong = _wrong_symbols(result, levels)
             sym_errors += int(wrong.sum())
             cw_errors += int(wrong.any())
         elapsed = time.perf_counter() - t0
@@ -261,23 +260,18 @@ def run_decode_trials(
 ) -> list[dict]:
     """Per-trial decode log (metric, symbol errors, evaluations)."""
     cons = constellation(cons_label)
-    decode = _DECODERS[decoder]
     encoder = default_encoder(design, cons.pam)
     snr = 10.0 ** (snr_db / 10.0)
-    rows = []
-    for trial in range(trials):
-        rng = substream(seed, CTX_ERROR_SWEEP, 0, trial)
-        y, h, levels = draw_trial(design, encoder, n_r, snr, rng)
-        result = decode(y, h, design, cons, snr, encoder)
-        rows.append(
-            {
-                "trial": trial,
-                "metric": result.metric,
-                "symbol_errors": int(_wrong_symbols(result, levels).sum()),
-                "evaluations": result.metric_evaluations,
-            }
-        )
-    return rows
+    trials_out = _decoded_trials(design, cons, encoder, decoder, n_r, snr, seed, 0, trials)
+    return [
+        {
+            "trial": trial,
+            "metric": result.metric,
+            "symbol_errors": int(wrong.sum()),
+            "evaluations": result.metric_evaluations,
+        }
+        for trial, (result, wrong) in enumerate(trials_out)
+    ]
 
 
 # ---------------------------------------------------------------------------

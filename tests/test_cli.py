@@ -62,6 +62,15 @@ class TestDesignCommands:
         with pytest.raises(DesignFormatError, match=rf"\b{field}\b"):
             run("design", "verify", "--design", bad)
 
+    def test_verify_refuses_layers_not_dividing_weights(self, tmp_path):
+        path = tmp_path / "d.txt"
+        run("design", "build", "--a", 1, "--out", path)
+        text = path.read_text().replace("layers 1", "layers 3", 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace("scalars 1.0+0.0i", "scalars 1 1 1", 1))
+        with pytest.raises(DesignFormatError, match="3 layers"):
+            run("design", "verify", "--design", bad)
+
 
 class TestChannelProfile:
     def test_profile_writes_stats(self, tmp_path, capsys):

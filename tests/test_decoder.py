@@ -212,6 +212,16 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             conditional_decode(y, h, d, CONS, 1.0, budget=10)
 
+    @pytest.mark.parametrize("decode", [group_decode, decode_auto])
+    def test_rate1_budget_guard(self, decode):
+        # 4 * 4^16 = 2^34 scans: refused before any candidate table is
+        # built (one table would need 4^16 digit columns)
+        d = build_rate1_4group(5)
+        y = np.zeros((1, d.T), dtype=complex)
+        h = np.zeros((1, d.n_t), dtype=complex)
+        with pytest.raises(BudgetExceededError):
+            decode(y, h, d, constellation("16qam"), 1.0)
+
     def test_group_decode_rejects_layered_design(self):
         d = silver_design()
         y = np.zeros((2, 2), dtype=complex)

@@ -299,12 +299,27 @@ class TestDesignFiles:
         ("group 1 2", "group 1 two"),        # group index
         ("0.0+1.0i", "0.0+1.0j"),            # weight entry
         ("group 1 2", "group 1"),            # groups no longer a partition
+        ("nt 4", "nt abc"),                  # header values
+        ("T 4", "T x"),
+        ("layers 1", "layers two"),
+        ("scalars 1.0+0.0i", "scalars 1.0+x"),
     ])
     def test_malformed_text_raises_design_format_error(self, old, new):
         text = design_to_text(build_rate1_4group(2))
         assert old in text
         with pytest.raises(DesignFormatError):
             design_from_text(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("layers, scalars", [
+        ("3", "1 1 1"),   # weight 4 would belong to no layer
+        ("0", ""),
+    ])
+    def test_layer_count_must_divide_weight_count(self, layers, scalars):
+        text = design_to_text(build_rate1_4group(1))
+        text = text.replace("layers 1", f"layers {layers}", 1)
+        text = text.replace("scalars 1.0+0.0i", f"scalars {scalars}", 1)
+        with pytest.raises(DesignFormatError, match="layers"):
+            design_from_text(text)
 
     def test_corrupted_sign_detected(self):
         d = build_rate1_4group(2)

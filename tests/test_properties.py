@@ -100,17 +100,28 @@ def _flip_sign(tok):
     return tok[1:] if tok.startswith("-") else "-" + tok
 
 
+HEADER_KEYS = ("nt ", "T ", "layers ", "scalars ")
+# another small integer, another unit scalar, or not a number at all
+HEADER_VALUES = st.one_of(
+    st.integers(-1, 8).map(str),
+    st.sampled_from(["0.0+1.0i", "-1.0+0.0i", "0.0-1.0i"]),
+    st.sampled_from(["abc", "two", "1.5", "1+", "x"]),
+)
+
+
 @st.composite
 def mutated_design_texts(draw):
     """design_to_text output of a base code with 1-3 random mutations:
     a sign flip of one weight entry, a dropped or duplicated group entry,
-    or a weight block truncated by an entry, a row or all its rows."""
+    a weight block truncated by an entry, a row or all its rows, or an
+    nt, T or layers value or a scalars token replaced."""
     base = BASES[draw(st.sampled_from(sorted(BASES)))]
     lines = design_to_text(base).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         rows = _weight_rows(lines)
         groups = [n for n, line in enumerate(lines) if line.startswith("group ")]
-        kind = draw(st.sampled_from(["sign", "drop", "duplicate", "truncate"]))
+        headers = [n for n, line in enumerate(lines) if line.startswith(HEADER_KEYS)]
+        kind = draw(st.sampled_from(["sign", "drop", "duplicate", "truncate", "header"]))
         if kind == "sign" and rows:
             n = draw(st.sampled_from(rows))
             toks = lines[n].split()
@@ -140,6 +151,11 @@ def mutated_design_texts(draw):
                 while hi + 1 in rows:
                     hi += 1
             del lines[lo : hi + 1]
+        elif kind == "header" and headers:
+            n = draw(st.sampled_from(headers))
+            key, *values = lines[n].split()
+            values[draw(st.integers(0, len(values) - 1))] = draw(HEADER_VALUES)
+            lines[n] = " ".join([key, *values])
     return "\n".join(lines) + "\n"
 
 

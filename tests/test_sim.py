@@ -16,6 +16,7 @@ from stbc.sim import (
     parse_layer_scalar,
     parse_records_csv,
     parse_snr_spec,
+    run_decode_trials,
     run_error_sweep,
     uncoded_siso_sweep,
     verify_all,
@@ -71,6 +72,13 @@ class TestErrorSweep:
         cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**6)
         with pytest.raises(IntractableError):
             run_error_sweep(cfg)
+
+    @pytest.mark.parametrize("name", ["group", "conditional", "sphere"])
+    def test_unknown_decoder_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown decoder"):
+            silver_cfg(decoder=name)
+        with pytest.raises(ValueError, match="unknown decoder"):
+            run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
 
     def test_oracle_decoder_choice(self):
         cfg = silver_cfg(decoder="oracle", trials=20)
