@@ -44,10 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One i.i.d. CN(0,1) channel draw plus its stream annotation."""
+    """One i.i.d. CN(0,1) channel draw."""
 
     H: np.ndarray
-    lineage: str = ""
 
     @property
     def n_r(self) -> int:
@@ -74,13 +73,11 @@ def sample_channels(
     return h
 
 
-def sample_channel(
-    n_t: int, n_r: int, rng: np.random.Generator, lineage: str = ""
-) -> ChannelRealization:
+def sample_channel(n_t: int, n_r: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw one H (see :func:`sample_channels`), read-only."""
     h = sample_channels(n_t, n_r, 1, rng)[0]
     h.setflags(write=False)
-    return ChannelRealization(H=h, lineage=lineage)
+    return ChannelRealization(H=h)
 
 
 def equivalent_channel(H: np.ndarray, design: STBCDesign) -> np.ndarray:
@@ -143,10 +140,8 @@ def mandated_zero_mask(design: STBCDesign) -> np.ndarray:
             for q in range(per_layer // gs):
                 rs = slice(lo + p * gs, lo + (p + 1) * gs)
                 cs = slice(lo + q * gs, lo + (q + 1) * gs)
-                if p != q:
+                if p != q:  # a diagonal group block's lower part is already set
                     mask[rs, cs] = True
-                else:
-                    mask[rs, cs] = ~np.triu(np.ones((gs, gs), dtype=bool))
     return mask
 
 
@@ -169,9 +164,6 @@ class RProfile:
     zero_mask: np.ndarray
     layer_blocks: tuple[LayerBlock, ...]
     tol: float
-
-    def zero_count(self) -> int:
-        return int(self.zero_mask.sum())
 
     def mask_text(self) -> str:
         """Text grid: '.' for a zero entry, 'x' otherwise."""

@@ -57,6 +57,11 @@ from .sim import (
 )
 
 
+#: ``sim sweep --config`` keys, each the destination of the flag it stands for
+_CONFIG_KEYS = ("design", "a", "layers", "layer_scalar", "sign", "nr", "constellation",
+                "snr_db", "trials", "seed", "decoder", "out", "noise_scale")
+
+
 def _default_seed() -> int:
     return int(os.environ.get("STBC_SEED", "0"))
 
@@ -69,12 +74,11 @@ def _build_design(a: int, layers: int, layer_scalar: str, sign: int):
 
 
 def _design_from_args(args) -> "STBCDesign":
-    if getattr(args, "design", None):
+    """The design of a command declared with ``add_design_source``."""
+    if args.design:
         return load_design(args.design)
-    if getattr(args, "a", None):
-        return _build_design(args.a, getattr(args, "layers", 1) or 1,
-                             getattr(args, "layer_scalar", "1") or "1",
-                             getattr(args, "sign", 1) or 1)
+    if args.a:
+        return _build_design(args.a, args.layers, args.layer_scalar, args.sign)
     raise SystemExit("need --design FILE or --a A")
 
 
@@ -168,38 +172,17 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_sim_sweep(args) -> int:
-    cfg_file = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in cfg_file:
-            return cfg_file[key]
-        return fallback
-
-    design_path = pick(args.design, "design", None)
-    if design_path:
-        design = load_design(design_path)
-    else:
-        a = int(pick(args.a, "a", 0))
-        if not a:
-            raise SystemExit("need --design FILE, --a A, or a config with one")
-        design = _build_design(
-            a,
-            int(pick(args.layers, "layers", 1)),
-            str(pick(args.layer_scalar, "layer_scalar", "1")),
-            int(pick(args.sign, "sign", 1)),
-        )
+    design = _design_from_args(args)
     cfg = SimConfig(
         design=design,
-        n_r=int(pick(args.nr, "nr", max(design.layers, 1))),
-        constellation=str(pick(args.constellation, "constellation", "4qam")),
-        snr_db=parse_snr_spec(str(pick(args.snr_db, "snr_db", "10"))),
-        trials=int(pick(args.trials, "trials", 1000)),
-        seed=int(pick(args.seed, "seed", _default_seed())),
-        decoder=str(pick(args.decoder, "decoder", "auto")),
-        out=pick(args.out, "out", None),
-        noise_scale=float(pick(args.noise_scale, "noise_scale", 1.0)),
+        n_r=design.layers if args.nr is None else args.nr,
+        constellation=args.constellation,
+        snr_db=parse_snr_spec(args.snr_db),
+        trials=args.trials,
+        seed=args.seed,
+        decoder=args.decoder,
+        out=args.out,
+        noise_scale=args.noise_scale,
     )
     records = run_error_sweep(cfg)
     for rec in records:
@@ -239,7 +222,9 @@ def cmd_verify_all(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The ``stbc`` parser; ``sweep_defaults`` replace the ``sim sweep``
+    defaults, and argparse runs each string through its flag's type."""
     parser = argparse.ArgumentParser(
         prog="stbc",
         description="Space-time block codes for 2^a transmit antennas: "
@@ -319,23 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="subcommand", required=True)
     ps = ssub.add_parser("sweep", help="SER/CER sweep, CSV out")
     ps.add_argument("--config", help="key=value config file (flags win)")
-    ps.add_argument("--design")
-    ps.add_argument("--a", type=int)
-    ps.add_argument("--layers", type=int)
-    ps.add_argument("--layer-scalar", dest="layer_scalar")
-    ps.add_argument("--sign", type=int, choices=(1, -1))
-    ps.add_argument("--nr", type=int)
-    ps.add_argument("--constellation")
-    ps.add_argument("--snr-db", dest="snr_db")
-    ps.add_argument("--trials", type=int)
+    add_design_source(ps)
+    ps.add_argument("--nr", type=int, help="receive antennas (default: layers)")
+    ps.add_argument("--constellation", default="4qam")
+    ps.add_argument("--snr-db", dest="snr_db", default="10")
+    ps.add_argument("--trials", type=int, default=1000)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--decoder", choices=("auto", "oracle"))
+    ps.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
     ps.add_argument("--out")
-    ps.add_argument("--noise-scale", dest="noise_scale", type=float)
+    ps.add_argument("--noise-scale", dest="noise_scale", type=float, default=1.0)
     ps.add_argument("--timing", action="store_true",
                     help="write measured wall time into the CSV "
                          "(breaks byte-identical re-runs)")
-    ps.set_defaults(func=cmd_sim_sweep)
+    ps.set_defaults(func=cmd_sim_sweep, **(sweep_defaults or {}))
 
     p = sub.add_parser("gain", help="coding gain")
     gsub = p.add_subparsers(dest="subcommand", required=True)
@@ -357,10 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # resolve the master seed late so config files can still supply it
-    if getattr(args, "seed", None) is None and args.func is not cmd_sim_sweep:
+    args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):  # config entries: below flags, above defaults
+        entries = parse_config_file(args.config)
+        unknown = sorted(set(entries) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        args = build_parser(entries).parse_args(argv)
+    if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
     return args.func(args)
 

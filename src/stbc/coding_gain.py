@@ -19,11 +19,15 @@ minimum determinant proportional to min |prod_j (U dx)_j|^4 > 0.  The
 shipped rotations are certified candidates: their product distance is
 checked by brute-force enumeration over a bounded difference set at
 build time, never assumed.
+
+:func:`full_symbol_matrix` is the one map from info levels to stored
+real symbols; encoding, decoding and the simulator all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 
 import numpy as np
@@ -45,6 +49,7 @@ __all__ = [
     "builtin_rotation",
     "rotation_from_matrix",
     "default_encoder",
+    "full_symbol_matrix",
     "encode",
     "decode_info",
     "min_determinant",
@@ -95,11 +100,15 @@ def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
 
     Row i holds the odd-position diagonal signs of the i-th first-group
     weight; the first row is all +sqrt(2/n_t) (the identity weight).
-    Raises StructureError when the first group is not made of +-1
+    Raises StructureError when the first group is not n_t/2 +-1
     diagonal matrices with paired diagonal entries.
     """
     g1 = [design.weights[i] for i in design.groups[0]]
     n = design.n_t
+    if 2 * len(g1) != n:
+        raise StructureError(
+            f"first group holds {len(g1)} weights, the sign basis needs {n // 2}"
+        )
     rows = []
     for pos, w in enumerate(g1):
         off = np.abs(w - np.diag(np.diag(w))).max()
@@ -248,13 +257,26 @@ def _check_alphabet(encoder: Encoder, x: np.ndarray) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def full_symbol_matrix(design: STBCDesign, encoder: Encoder | None) -> np.ndarray:
+    """2k x 2k map from info levels to stored symbols (read-only): the
+    encoder rotation acts on each of the first layer's declared groups,
+    outer layers are raw."""
+    b = np.eye(design.n_real_symbols)
+    if encoder is not None:
+        for g in design.layer_groups(0):
+            b[np.ix_(g, g)] = encoder.rotation
+    b.setflags(write=False)
+    return b
+
+
 def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:
-    """Map the info vector to the stored real symbols.
+    """Map the info vector to the stored real symbols, ``full_symbol_matrix
+    @ info``.
 
     ``info`` holds 2*n_t reals indexed like the real symbols (a (4, n_t/2)
     array is read row by row, one group per row for group-contiguous
-    designs).  Each declared group g is rotated on its own indices,
-    s[g] = rotation @ info[g], which equals ``full_symbol_matrix @ info``.
+    designs).
     """
     design = encoder.design
     if design.layers != 1:
@@ -262,13 +284,14 @@ def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:
                          "assembly is done by the simulator")
     x = _symbol_vector(design, info)
     _check_alphabet(encoder, x)
-    return _rotate_groups(design, x, encoder.rotation)
+    return full_symbol_matrix(design, encoder) @ x
 
 
 def decode_info(encoder: Encoder, s: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`encode` (rotation is orthogonal)."""
+    """Exact inverse of the symbol map (the rotation is orthogonal), also
+    for the stored symbols of a layered design."""
     design = encoder.design
-    return _rotate_groups(design, _symbol_vector(design, s), encoder.rotation.T)
+    return full_symbol_matrix(design, encoder).T @ _symbol_vector(design, s)
 
 
 def _symbol_vector(design: STBCDesign, v: np.ndarray) -> np.ndarray:
@@ -278,15 +301,6 @@ def _symbol_vector(design: STBCDesign, v: np.ndarray) -> np.ndarray:
             f"expected {design.n_real_symbols} real symbols, got {v.size}"
         )
     return v
-
-
-def _rotate_groups(design: STBCDesign, v: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """out[g] = rot @ v[g] for every declared group g."""
-    out = np.empty_like(v)
-    for g in design.groups:
-        g = list(g)
-        out[g] = rot @ v[g]
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,9 @@ all decoders agree exactly even on degenerate inputs.
 
 ``metric_evaluations`` counts scanned hypotheses, one per per-group
 partial metric in a group scan, so the counters are comparable across
-decoders and equal ``complexity_account``.
+decoders.  ``complexity_account`` and the budget check share one count
+over the first layer's declared groups, so the account equals the counter
+on every certified design, builtin or loaded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import isqrt
 import numpy as np
 
 from .channel import equivalent_channel
-from .coding_gain import Encoder, default_encoder
+from .coding_gain import Encoder, default_encoder, full_symbol_matrix
 from .designs import STBCDesign, codeword, layer_design, verify_group_decodable
 from .errors import (
     BudgetExceededError,
@@ -56,7 +58,6 @@ __all__ = [
     "conditional_decode",
     "decode_auto",
     "complexity_account",
-    "full_symbol_matrix",
 ]
 
 _CHUNK = 1 << 14
@@ -142,43 +143,28 @@ class ComplexityAccount:
         return "; ".join(parts)
 
 
+def _hypotheses(p: int, groups, n_outer: int) -> int:
+    """Scans of the structured search: every outer hypothesis, times one
+    closed-form scan of each group."""
+    return p**n_outer * sum(p ** len(g) for g in groups)
+
+
 def complexity_account(
     design: STBCDesign, constellation: Constellation
 ) -> ComplexityAccount:
-    """Exact hypothesis counts for each decoder on this design."""
+    """Exact hypothesis counts for each decoder on this design, from the
+    first layer's declared groups (StructureError if one straddles it)."""
     p = len(constellation.pam)
-    m = constellation.size
-    gs = design.group_size
-    oracle = p ** design.n_real_symbols  # == m ** design.k
-    if design.layers == 1:
-        group = len(design.groups) * p**gs
-        conditional = None
-        exponent = design.n_t / 4.0
-    else:
-        group = None
-        outer = p ** (design.n_real_symbols - 2 * design.n_t)
-        conditional = outer * 4 * p**gs
-        exponent = design.n_t * (design.layers - 0.75)
+    groups = design.layer_groups(0)
+    n_outer = design.n_real_symbols - sum(len(g) for g in groups)
+    structured = _hypotheses(p, groups, n_outer)
     return ComplexityAccount(
-        constellation_size=m,
-        oracle_evaluations=oracle,
-        group_evaluations=group,
-        conditional_evaluations=conditional,
-        order_exponent=exponent,
+        constellation_size=constellation.size,
+        oracle_evaluations=p**design.n_real_symbols,  # == M ** design.k
+        group_evaluations=structured if design.layers == 1 else None,
+        conditional_evaluations=None if design.layers == 1 else structured,
+        order_exponent=(n_outer + max(len(g) for g in groups)) / 2.0,
     )
-
-
-@lru_cache(maxsize=64)
-def full_symbol_matrix(design: STBCDesign, encoder: Encoder | None) -> np.ndarray:
-    """2k x 2k map from info levels to stored symbols (read-only): the
-    encoder rotation acts on each of the first layer's declared groups,
-    outer layers are raw."""
-    b = np.eye(design.n_real_symbols)
-    if encoder is not None:
-        for g in design.layer_groups(0):
-            b[np.ix_(g, g)] = encoder.rotation
-    b.setflags(write=False)
-    return b
 
 
 def _effective_operator(
@@ -353,8 +339,7 @@ def _structured_decode(Y, H, design, cons, snr, encoder, budget) -> DecodeResult
     + sum_p (||phi_p x_p||^2 - 2 <y', phi_p x_p>): each group term is
     minimized on its own and the overall minimum is exact ML."""
     groups, outer = _certified_split(design)
-    p = len(cons.pam)
-    scans = p ** len(outer) * sum(p ** len(g) for g in groups)
+    scans = _hypotheses(len(cons.pam), groups, len(outer))
     if scans > budget:
         raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)

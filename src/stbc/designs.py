@@ -26,7 +26,6 @@ from .clifford import (
     CliffordSet,
     SignedProduct,
     build_generators,
-    mul_index_products,
     mul_signed,
     power_set_products,
     product_of,
@@ -106,6 +105,8 @@ class STBCDesign:
             raise DesignFormatError(
                 f"{len(self.scalars)} layer scalars for {self.layers} layers"
             )
+        if any(abs(abs(z) - 1.0) > 1e-12 for z in self.scalars):
+            raise DesignFormatError("layer scalars must have unit modulus")
         if np.linalg.matrix_rank(self.G) < len(self.weights):
             raise DependentExtensionError(
                 "weight matrices are linearly dependent over the reals"

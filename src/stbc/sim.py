@@ -29,18 +29,9 @@ from .clifford import (
     verify_generators,
     verify_traceless,
 )
-from .coding_gain import Encoder, default_encoder, extract_W, min_determinant
+from .coding_gain import Encoder, default_encoder, extract_W, full_symbol_matrix, min_determinant
 from .channel import mandated_zero_mask, r_profile, sample_channel, equivalent_channel
-from .decoder import (
-    Constellation,
-    complexity_account,
-    conditional_decode,
-    constellation,
-    decode_auto,
-    full_symbol_matrix,
-    group_decode,
-    ml_oracle,
-)
+from .decoder import Constellation, complexity_account, constellation, decode_auto, ml_oracle
 from .designs import (
     STBCDesign,
     build_rate1_4group,
@@ -465,40 +456,31 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         detail=account.describe(),
     )
 
-    oracle_total = len(cons.pam) ** base.n_real_symbols
-    snr = 10.0
-    if oracle_total <= 1 << 18:
-        mismatches = []
-        for t in range(8):
-            y, h, _ = draw_trial(base, encoder, 1, snr, substream(seed, CTX_PROFILE, 1, t))
-            r1 = group_decode(y, h, base, cons, snr, encoder)
-            r2 = ml_oracle(y, h, base, cons, snr, encoder)
-            if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:
-                mismatches.append(f"trial {t}")
-            if r1.metric_evaluations != complexity_account(base, cons).group_evaluations:
-                mismatches.append(f"trial {t}: counter")
-        report.add("group decoder == exhaustive oracle", not mismatches, mismatches)
+    # (code, n_r, CTX_PROFILE point, trials, check name)
+    silver = extend_full_rate(build_rate1_4group(1), 2)
+    checks = [(silver, 2, 2, 25,
+               "conditional decoder == exhaustive oracle (two antennas, two layers)")]
+    if len(cons.pam) ** base.n_real_symbols <= 1 << 18:
+        checks.insert(0, (base, 1, 1, 8, "group decoder == exhaustive oracle"))
     else:
         report.add(
             "group decoder == exhaustive oracle",
             True,
             detail="oracle intractable at this size; covered at smaller a",
         )
-
-    silver = extend_full_rate(build_rate1_4group(1), 2)
-    enc2 = default_encoder(silver, cons.pam)
-    mismatches = []
-    for t in range(25):
-        y, h, _ = draw_trial(silver, enc2, 2, snr, substream(seed, CTX_PROFILE, 2, t))
-        r1 = conditional_decode(y, h, silver, cons, snr, enc2)
-        r2 = ml_oracle(y, h, silver, cons, snr, enc2)
-        if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:
-            mismatches.append(f"trial {t}")
-    report.add(
-        "conditional decoder == exhaustive oracle (two antennas, two layers)",
-        not mismatches,
-        mismatches,
-    )
+    snr = 10.0
+    for code, n_r, point, trials, name in checks:
+        enc = default_encoder(code, cons.pam)
+        mismatches = []
+        for t in range(trials):
+            y, h, _ = draw_trial(code, enc, n_r, snr, substream(seed, CTX_PROFILE, point, t))
+            r1 = decode_auto(y, h, code, cons, snr, enc)
+            r2 = ml_oracle(y, h, code, cons, snr, enc)
+            if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:
+                mismatches.append(f"trial {t}")
+            if r1.metric_evaluations != _predicted_evals(code, cons, "auto"):
+                mismatches.append(f"trial {t}: counter")
+        report.add(name, not mismatches, mismatches)
 
     rng = substream(seed, CTX_PROFILE, 3, 0)
     b = full_symbol_matrix(design, default_encoder(design, cons.pam))

@@ -57,3 +57,22 @@ def relabel(design, perm, group_order=None):
         scalars=design.scalars,
         provenance=f"relabelled {design.provenance}",
     )
+
+
+def one_weight_per_group_design():
+    """A certified two-layer n_t = 4 code with one weight per group: the
+    first weight of each group of the a=2 rate-1 code, plus the same four
+    positions in the second layer of its two-layer extension."""
+    from stbc.designs import build_rate1_4group, extend_full_rate
+
+    full = extend_full_rate(build_rate1_4group(2), 2)
+    picks = (0, 2, 4, 6, 8, 10, 12, 14)
+    return STBCDesign(
+        n_t=4,
+        T=4,
+        weights=tuple(full.weights[i] for i in picks),
+        groups=tuple((i,) for i in range(len(picks))),
+        layers=2,
+        scalars=(1.0 + 0j, 1.0 + 0j),
+        provenance="one weight per group of the a=2 two-layer code",
+    )

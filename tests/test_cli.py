@@ -130,6 +130,13 @@ class TestSimSweep:
                    "--out", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_config_file_with_unknown_key_refused(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("a = 1\nlayers = 2\ntrails = 40\n")
+        with pytest.raises(ValueError, match="trails"):
+            run("sim", "sweep", "--config", cfg, "--out", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         out1 = tmp_path / "env.csv"
         out2 = tmp_path / "flag.csv"

@@ -14,9 +14,9 @@ from stbc.coding_gain import (
     min_product_distance,
     rotation_from_matrix,
 )
-from helpers import relabel
-from stbc.decoder import full_symbol_matrix
-from stbc.designs import STBCDesign, build_rate1_4group
+from helpers import one_weight_per_group_design, relabel
+from stbc.coding_gain import full_symbol_matrix
+from stbc.designs import STBCDesign, build_rate1_4group, extend_full_rate
 from stbc.errors import (
     AlphabetError,
     BudgetExceededError,
@@ -78,6 +78,14 @@ class TestExtractW:
         shuffled = STBCDesign(n_t=4, T=4, weights=tuple(weights), groups=d.groups)
         with pytest.raises(StructureError):
             extract_W(shuffled)
+
+
+    def test_structure_error_on_wrong_first_group_size(self):
+        d = one_weight_per_group_design()  # n_t = 4, one weight per group
+        with pytest.raises(StructureError, match="first group"):
+            extract_W(d)
+        with pytest.raises(StructureError):
+            default_encoder(d, PAM2)
 
 
 class TestBuiltinRotations:
@@ -155,6 +163,15 @@ class TestEncoder:
             s = encode(enc, x)
             assert np.abs(s - b @ x).max() < 1e-12
             assert np.abs(decode_info(enc, s) - x).max() < 1e-12
+
+    def test_decode_info_inverts_the_layered_symbol_map(self):
+        # only the first layer is rotated; the outer layer is sent raw
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        enc = default_encoder(d, PAM2)
+        b = full_symbol_matrix(d, enc)
+        for _ in range(10):
+            x = rng.choice(PAM2, size=16)
+            assert np.abs(decode_info(enc, b @ x) - x).max() < 1e-12
 
     def test_alphabet_enforced(self):
         d = build_rate1_4group(2)

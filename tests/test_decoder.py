@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_trial, relabel
+from helpers import one_weight_per_group_design, random_trial, relabel
 from stbc.capacity import random_rotation_baseline
-from stbc.coding_gain import default_encoder
+from stbc.coding_gain import default_encoder, identity_encoder
 from stbc.decoder import (
     complexity_account,
     conditional_decode,
@@ -24,6 +24,7 @@ from stbc.designs import (
 from stbc.errors import (
     BudgetExceededError,
     NotGroupDecodableError,
+    StructureError,
     TooLargeError,
 )
 
@@ -81,6 +82,46 @@ class TestComplexityAccount:
         acc = complexity_account(silver_design(), CONS)
         assert acc.conditional_evaluations == 128
         assert acc.order_exponent == 2.5
+
+    @pytest.mark.parametrize("a, layers", [(1, 1), (2, 1), (3, 1), (4, 1),
+                                           (1, 2), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("label", ["4qam", "16qam", "64qam"])
+    def test_builtin_codes_match_the_paper(self, a, layers, label):
+        # 4 * M^{n_t/4} at rate 1, M^{n_t(L-1)} * 4 * M^{n_t/4} for L layers
+        base = build_rate1_4group(a)
+        d = base if layers == 1 else extend_full_rate(base, layers)
+        cons = constellation(label)
+        m, n_t = cons.size, d.n_t
+        acc = complexity_account(d, cons)
+        count = round(m ** (n_t * (layers - 1)) * 4 * m ** (n_t / 4))
+        assert acc.oracle_evaluations == m**d.k
+        assert acc.order_exponent == n_t * (layers - 0.75)
+        if layers == 1:
+            assert (acc.group_evaluations, acc.conditional_evaluations) == (count, None)
+        else:
+            assert (acc.group_evaluations, acc.conditional_evaluations) == (None, count)
+
+    def test_one_weight_per_group_design_counts_what_the_decoder_scans(self):
+        d = one_weight_per_group_design()
+        assert verify_design(d).passed
+        acc = complexity_account(d, CONS)
+        assert acc.conditional_evaluations == 128  # 2^4 outer x 4 groups x 2
+        assert acc.order_exponent == 2.5
+        enc = identity_encoder(d, CONS.pam)
+        for t in range(6):
+            y, h, _ = random_trial(d, enc, 2, 10.0, seed=31, trial=t)
+            r = decode_auto(y, h, d, CONS, 10.0, enc)
+            assert r.metric_evaluations == acc.conditional_evaluations
+            assert r.level_indices == ml_oracle(y, h, d, CONS, 10.0, enc).level_indices
+
+    def test_group_straddling_the_first_layer_rejected(self):
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        groups = list(d.groups)
+        groups[3], groups[4] = (6, 8), (7, 9)
+        bad = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
+                         layers=2, scalars=d.scalars)
+        with pytest.raises(StructureError):
+            complexity_account(bad, CONS)
 
 
 class TestNoiseless:

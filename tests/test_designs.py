@@ -303,6 +303,7 @@ class TestDesignFiles:
         ("T 4", "T x"),
         ("layers 1", "layers two"),
         ("scalars 1.0+0.0i", "scalars 1.0+x"),
+        ("scalars 1.0+0.0i", "scalars 2"),   # not unit modulus
     ])
     def test_malformed_text_raises_design_format_error(self, old, new):
         text = design_to_text(build_rate1_4group(2))
