@@ -67,10 +67,15 @@ def sample_channels(
     part, then its imaginary part, from the stream, so the stack equals
     ``count`` successive :func:`sample_channel` calls bit for bit.
     """
-    x = rng.standard_normal((count, 2, n_r, n_t))
-    h = x[:, 0] + 1j * x[:, 1]
-    h *= np.sqrt(0.5)
-    return h
+    return _complex_normal(rng.standard_normal((count, 2, n_r, n_t)))
+
+
+def _complex_normal(parts: np.ndarray) -> np.ndarray:
+    """CN(0, 1) entries from standard normals laid out (..., 2, rows,
+    cols): the real parts, then the imaginary parts."""
+    z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    z *= np.sqrt(0.5)
+    return z
 
 
 def sample_channel(n_t: int, n_r: int, rng: np.random.Generator) -> ChannelRealization:

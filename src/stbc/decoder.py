@@ -12,8 +12,18 @@ real model y = phi x + n.
   and, per outer hypothesis, minimizes each group in closed form:
   4 * M^{n_t/4} hypotheses at rate 1, M^{n_t(L-1)} * 4 * M^{n_t/4}
   (order M^{n_t(L-3/4)}) for L layers.  One budget covers every structured
-  search: more than 1 << 26 hypotheses raise ``BudgetExceededError``
-  before any candidate table is built.
+  search: more than 1 << 26 hypotheses, or search tables of more than
+  1 GiB for one trial, raise ``BudgetExceededError`` before any candidate
+  table is built.
+
+The body works on stacks of trials (``_decode_stack``): the front end
+turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
+SNR each, into stacked y and phi, and the search scans every trial of the
+stack in the same outer chunks with one stacked product per step.  Every
+product is made per trial with a single trial's shapes, so a stacked
+trial decodes exactly as it does alone; ``decode_auto`` is the stack of
+one, and the simulator decodes sweeps in blocks sized by
+``_block_trials``.
 
 Decoded digits are scattered back by real-symbol index, so only the
 declared groups matter, never whether they are contiguous.  Ties go to
@@ -45,7 +55,6 @@ from .errors import (
     NotGroupDecodableError,
     TooLargeError,
 )
-from .linalg import tilde_vec, vec
 
 __all__ = [
     "Constellation",
@@ -62,6 +71,12 @@ __all__ = [
 
 _CHUNK = 1 << 14
 _BUDGET = 1 << 26
+#: a block of trials is cut so that the largest array of one search step
+#: stays within this many bytes (a full outer chunk of one trial on a
+#: 32-row code is 4 MiB, so such searches run one trial at a time)
+_STEP_BYTES = 1 << 17
+#: one trial whose search tables would need more bytes is refused
+_TABLE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +187,26 @@ def _effective_operator(
     H: np.ndarray,
     design: STBCDesign,
     cons: Constellation,
-    snr: float,
+    snr,
     encoder: Encoder | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y_tilde, phi, b_matrix): the real model y = phi x + n."""
+    """(y_tilde, phi, b_matrix): the real model y = phi x + n, for one
+    trial (Y (n_r, T), H (n_r, n_t), a scalar snr) or a stack of them
+    (Y (..., n_r, T), H (..., n_r, n_t), one snr per trial)."""
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    if Y.shape != (H.shape[0], design.T):
+    if Y.shape != H.shape[:-1] + (design.T,):
         raise DimensionMismatchError(
-            f"received matrix shape {Y.shape} != ({H.shape[0]}, {design.T})"
+            f"received matrix shape {Y.shape} != {H.shape[:-1] + (design.T,)}"
         )
     if encoder is None:
         encoder = default_encoder(design, cons.pam)
-    c = float(np.sqrt(snr / design.n_t)) * design.energy_scale
+    c = np.sqrt(np.asarray(snr, dtype=float) / design.n_t) * design.energy_scale
     b = full_symbol_matrix(design, encoder)
-    phi = c * equivalent_channel(H, design) @ b
-    return tilde_vec(vec(Y)), phi, b
+    phi = c[..., None, None] * equivalent_channel(H, design) @ b
+    # tilde(vec(Y)) per trial: columns stacked, then re/im interleaved
+    y = np.ascontiguousarray(Y.swapaxes(-1, -2)).view(float)
+    return y.reshape(*Y.shape[:-2], -1), phi, b
 
 
 def _final_metric(
@@ -282,69 +301,127 @@ def _group_candidates(p: int, n: int) -> np.ndarray:
     return digits
 
 
-def _partitioned_search(y, phi, pam, outer, groups) -> tuple[tuple[int, ...], int]:
-    """Exact argmin of || y - phi pam[levels] ||^2: (levels, evaluations).
+def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
+    """(table bytes, step bytes) of one trial's search: its group tables
+    (candidate digits, images, norms, per-step metrics) plus one outer
+    chunk's digits and residuals, and the largest array one trial holds
+    in a search step."""
+    chunk = min(_CHUNK, p**n_outer)
+    widest = max(p ** len(g) for g in groups)
+    tables = sum((len(g) + rows + 1 + chunk) * p ** len(g) for g in groups)
+    tables += (n_outer + rows) * chunk
+    n = n_outer + sum(len(g) for g in groups)
+    return 8 * tables, 8 * max(rows * n, rows * widest, rows * chunk, widest * chunk)
+
+
+def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
+    """Trials decoded together: as many as keep the largest array of one
+    search step within ``_STEP_BYTES`` (at least one)."""
+    groups, outer = _certified_split(design)
+    _, step = _search_sizes(len(cons.pam), groups, len(outer), 2 * n_r * design.T)
+    return max(1, _STEP_BYTES // step)
+
+
+def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, int]:
+    """Exact argmin of || y - phi pam[levels] ||^2 for every trial of a
+    stack y (B, rows), phi (B, rows, n): (levels (B, n), evaluations per
+    trial).
 
     The indices in ``outer`` are enumerated in lexicographic chunks; for
     each outer hypothesis every group is minimized in closed form, which
     is exact because columns of different groups are orthogonal.  Group
     candidates are enumerated over the group's indices in ascending order,
-    so the first minimum is the lexicographically smallest; tied totals
-    are settled by comparing full index vectors.
+    so the first minimum is the lexicographically smallest.  A trial whose
+    chunk minimum is unique and below its best so far takes the winner by
+    array indexing; tied totals, within a chunk or with an earlier chunk's
+    best, are settled per trial by comparing full index vectors.
     """
     p = len(pam)
+    trials, _, n = phi.shape
     tables = []
     for g in groups:
         cols = sorted(g)
         digits = _group_candidates(p, len(cols))
-        images = phi[:, cols] @ pam[digits]  # (rows, n_cand)
-        tables.append((cols, digits, images, np.einsum("ij,ij->j", images, images)))
-    phi_out = phi[:, outer]
+        images = phi[:, :, cols] @ pam[digits]  # (B, rows, n_cand)
+        qnorm = np.einsum("bij,bij->bj", images, images)
+        tables.append((cols, digits, images.transpose(0, 2, 1), qnorm[:, :, None]))
+    phi_out = phi[:, :, outer]
     outer_total = p ** len(outer)
-    best_metric = np.inf
-    best: tuple[int, ...] = ()
+    every = np.arange(trials)
+    best_metric = np.full(trials, np.inf)
+    best = np.zeros((trials, n), dtype=int)
     evaluations = 0
     for start in range(0, outer_total, _CHUNK):
         out_digits = _lex_digits(
             np.arange(start, min(start + _CHUNK, outer_total)), p, len(outer)
         )
-        yp = y[:, None] - phi_out @ pam[out_digits]
-        total = np.einsum("ij,ij->j", yp, yp)
-        columns = np.arange(total.size)
+        yp = y[:, :, None] - phi_out @ pam[out_digits]
+        total = np.einsum("bij,bij->bj", yp, yp)  # (B, chunk)
         picks = []
-        for _, _, images, qnorm in tables:
-            metrics = qnorm[:, None] - 2.0 * (images.T @ yp)  # (n_cand, chunk)
-            pick = np.argmin(metrics, axis=0)  # first occurrence == lex
-            total += metrics[pick, columns]
-            picks.append(pick)
-            evaluations += metrics.size
-        chunk_best = float(total.min())
-        if chunk_best > best_metric:
-            continue
-        for j in np.flatnonzero(total == chunk_best):
-            cand = np.empty(phi.shape[1], dtype=int)
-            cand[outer] = out_digits[:, j]
-            for (cols, digits, _, _), pick in zip(tables, picks):
-                cand[cols] = digits[:, pick[j]]
-            cand_t = tuple(cand.tolist())
-            if chunk_best < best_metric or cand_t < best:
-                best_metric = chunk_best
-                best = cand_t
+        for _, _, images_t, qnorm in tables:
+            metrics = images_t @ yp  # (B, n_cand, chunk)
+            metrics *= 2.0
+            np.subtract(qnorm, metrics, out=metrics)
+            least = metrics.min(axis=1)
+            # the first minimum is the lexicographically smallest candidate
+            # (argmax of a boolean finds it faster than argmin over axis 1)
+            picks.append(np.argmax(metrics == least[:, None], axis=1))
+            total += least
+            evaluations += metrics.shape[1] * metrics.shape[2]
+        first = np.argmin(total, axis=1)
+        chunk_best = total[every, first]
+        tied = np.count_nonzero(total == chunk_best[:, None], axis=1) > 1
+        clean = (chunk_best < best_metric) & ~tied
+        settle = np.flatnonzero((chunk_best <= best_metric) & ~clean)
+        winners = np.empty((trials, n), dtype=int)
+        winners[:, outer] = out_digits[:, first].T
+        for (cols, digits, _, _), pick in zip(tables, picks):
+            winners[:, cols] = digits[:, pick[every, first]].T
+        best[clean] = winners[clean]
+        best_metric[clean] = chunk_best[clean]
+        for t in settle:
+            for j in np.flatnonzero(total[t] == chunk_best[t]):
+                cand = np.empty(n, dtype=int)
+                cand[outer] = out_digits[:, j]
+                for (cols, digits, _, _), pick in zip(tables, picks):
+                    cand[cols] = digits[:, pick[t, j]]
+                if chunk_best[t] < best_metric[t] or cand.tolist() < best[t].tolist():
+                    best_metric[t] = chunk_best[t]
+                    best[t] = cand
     return best, evaluations
 
 
-def _structured_decode(Y, H, design, cons, snr, encoder, budget) -> DecodeResult:
-    """Cross-group columns of phi are orthogonal, so for each outer
+def _decode_stack(Y, H, design, cons, snr, encoder, budget=_BUDGET):
+    """The one structured body, for a stack of trials (see
+    ``_effective_operator``): (levels (B, n), evaluations per trial, b).
+
+    Cross-group columns of phi are orthogonal, so for each outer
     hypothesis with residual y', || y' - sum_p phi_p x_p ||^2 = ||y'||^2
     + sum_p (||phi_p x_p||^2 - 2 <y', phi_p x_p>): each group term is
-    minimized on its own and the overall minimum is exact ML."""
+    minimized on its own and the overall minimum is exact ML.  The scan
+    count and one trial's table bytes are checked before any table is
+    built."""
     groups, outer = _certified_split(design)
-    scans = _hypotheses(len(cons.pam), groups, len(outer))
+    p = len(cons.pam)
+    scans = _hypotheses(p, groups, len(outer))
     if scans > budget:
         raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
+    rows = 2 * np.shape(H)[-2] * design.T
+    tables, _ = _search_sizes(p, groups, len(outer), rows)
+    if tables > _TABLE_BYTES:
+        raise BudgetExceededError(
+            f"search tables of {tables} bytes exceed the limit of {_TABLE_BYTES}"
+        )
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
     levels, evaluations = _partitioned_search(y, phi, cons.pam, outer, groups)
-    return _result(Y, H, design, snr, b, cons.pam, levels, evaluations)
+    return levels, evaluations, b
+
+
+def _structured_decode(Y, H, design, cons, snr, encoder, budget) -> DecodeResult:
+    """One trial as a stack of one."""
+    stack = np.asarray(Y, dtype=complex)[None], np.asarray(H, dtype=complex)[None]
+    levels, evaluations, b = _decode_stack(*stack, design, cons, snr, encoder, budget)
+    return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations)
 
 
 def group_decode(

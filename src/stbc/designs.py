@@ -496,17 +496,21 @@ def layer_design(design: STBCDesign, layer: int) -> STBCDesign:
 
 
 def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:
-    """S = sum_i s_i A_i for a real symbol vector s of length 2k.
+    """S = sum_i s_i A_i for a real symbol vector s of length 2k, or one
+    S per row of a stack s (..., 2k).
 
-    No energy normalization is applied here; the transmit convention
-    scales by ``design.energy_scale`` at simulation time.
+    Each codeword is its own vector-matrix product, so a stack equals
+    the codewords of its rows bit for bit.  No energy normalization is
+    applied here; the transmit convention scales by
+    ``design.energy_scale`` at simulation time.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if s.size != design.n_real_symbols:
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0 or s.shape[-1] != design.n_real_symbols:
         raise DimensionMismatchError(
-            f"expected {design.n_real_symbols} real symbols, got {s.size}"
+            f"expected {design.n_real_symbols} real symbols, got shape {s.shape}"
         )
-    return np.tensordot(s, design.weight_stack, axes=1)
+    flat = design.weight_stack.reshape(design.n_real_symbols, -1)
+    return (s[..., None, :] @ flat).reshape(*s.shape[:-1], design.n_t, design.T)
 
 
 def generator_matrix(design: STBCDesign) -> np.ndarray:
@@ -587,7 +591,7 @@ def design_from_text(text: str) -> STBCDesign:
                         for tok in fields.get("scalars", "1.0+0.0i").split())
     except ValueError as err:
         raise DesignFormatError(f"malformed header value: {err}") from err
-    return STBCDesign(
+    design = STBCDesign(
         n_t=n_t,
         T=T,
         weights=tuple(_freeze(w) for w in weights),
@@ -596,6 +600,15 @@ def design_from_text(text: str) -> STBCDesign:
         scalars=scalars,
         provenance=fields.get("provenance", ""),
     )
+    # the transmit model's energy_scale assumes E||S||^2 = n_t T, i.e. a
+    # mean squared weight norm of n_t; single weights may spread around it
+    energy = float(np.mean([np.linalg.norm(w) ** 2 for w in design.weights]))
+    if abs(energy - n_t) > 1e-9 * n_t:
+        raise DesignFormatError(
+            f"mean squared weight norm {energy:.12g} != n_t = {n_t}: the design "
+            "would not carry the stated codeword energy"
+        )
+    return design
 
 
 def save_design(design: STBCDesign, path) -> None:

@@ -4,20 +4,30 @@ Transmission follows Y = sqrt(snr/n_t) H S + N with E||S||^2 = n_t T
 (unit-power information symbols, energy-normalized weights).  Every trial
 draws from its own counter-based substream keyed by (master seed, snr
 point index, trial index), so a sweep is bit-reproducible regardless of
-how trials are scheduled; per-trial draws are ordered channel, noise,
-information symbols.
+how trials are scheduled; per-trial draws are ordered channel, noise
+(one standard_normal call), information symbols (one integers call).
+
+Draws stay per trial; transmission and decoding are batched.  A sweep
+runs its trials point-major in blocks, which may span SNR points, and
+each block is transmitted and decoded as stacked arrays (one SNR per
+trial).  Every stacked product is made per trial with the shapes a
+single trial uses, so a block decodes exactly as its trials would one at
+a time: the block size, chosen from bytes by the decoder, never changes
+a result.  The exhaustive oracle decodes one trial at a time.
 
 The CSV schema is (snr_db, trials, cer, ser, mean_evals, wall_time_s).
 To keep re-runs byte-identical -- the reproducibility contract -- the
 wall_time_s column is written as 0.0 unless measured timing is opted in,
 in which case byte-identity across runs no longer holds; measured wall
-time is always available on the in-memory records.
+time is always available on the in-memory records.  A block's time is
+charged to the point of its first trial.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -30,8 +40,23 @@ from .clifford import (
     verify_traceless,
 )
 from .coding_gain import Encoder, default_encoder, extract_W, full_symbol_matrix, min_determinant
-from .channel import mandated_zero_mask, r_profile, sample_channel, equivalent_channel
-from .decoder import Constellation, complexity_account, constellation, decode_auto, ml_oracle
+from .channel import (
+    _complex_normal,
+    equivalent_channel,
+    mandated_zero_mask,
+    r_profile,
+    sample_channel,
+)
+from .decoder import (
+    Constellation,
+    _block_trials,
+    _decode_stack,
+    _final_metric,
+    complexity_account,
+    constellation,
+    decode_auto,
+    ml_oracle,
+)
 from .designs import (
     STBCDesign,
     build_rate1_4group,
@@ -90,9 +115,10 @@ class SimConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimRecord:
-    """Tallies for one SNR point."""
+    """Tallies for one SNR point (slotted: sweeps that keep many records
+    hold no per-record dict)."""
 
     snr_db: float
     trials: int
@@ -114,6 +140,33 @@ def _predicted_evals(design: STBCDesign, cons: Constellation, decoder: str) -> i
     return account.group_evaluations or account.conditional_evaluations
 
 
+def _draw(rng: np.random.Generator, n_r: int, n_t: int, T: int, p: int, n: int):
+    """One trial's draws: (normals, levels).  One standard_normal call
+    gives the channel's real and imaginary parts, then the noise's; one
+    integers call gives the n information level indices below p.  The
+    values equal the separate calls of the same shapes in that order."""
+    normals = rng.standard_normal(2 * n_r * (n_t + T))
+    return normals, rng.integers(0, p, size=n)
+
+
+def _channel_and_noise(normals: np.ndarray, n_r: int, n_t: int, T: int):
+    """Split stacked draws (B, 2 n_r (n_t + T)) into H (B, n_r, n_t) and
+    the unit-variance noise N (B, n_r, T)."""
+    h = _complex_normal(normals[:, : 2 * n_r * n_t].reshape(-1, 2, n_r, n_t))
+    return h, _complex_normal(normals[:, 2 * n_r * n_t :].reshape(-1, 2, n_r, T))
+
+
+def _transmit(design, encoder, n_r, snr, normals, levels, noise_scale):
+    """Y = sqrt(snr/n_t) H S + noise_scale N for stacked draws, one snr
+    per trial: (Y, H), each (B, n_r, .)."""
+    h, noise = _channel_and_noise(normals, n_r, design.n_t, design.T)
+    s = (full_symbol_matrix(design, encoder) @ encoder.alphabet[levels][..., None])[..., 0]
+    y = np.sqrt(snr / design.n_t)[:, None, None] * (
+        h @ (design.energy_scale * codeword(design, s))
+    ) + noise_scale * noise
+    return y, h
+
+
 def draw_trial(
     design: STBCDesign,
     encoder: Encoder,
@@ -127,34 +180,41 @@ def draw_trial(
     Draws the channel H, then the noise N, then the information level
     indices (into ``encoder.alphabet``) from ``rng``.
     """
-    h = sample_channel(design.n_t, n_r, rng).H
-    noise = np.sqrt(0.5) * (
-        rng.standard_normal((n_r, design.T))
-        + 1j * rng.standard_normal((n_r, design.T))
-    )
-    pam = encoder.alphabet
-    levels = rng.integers(0, len(pam), size=design.n_real_symbols)
-    s = full_symbol_matrix(design, encoder) @ pam[levels]
-    y = np.sqrt(snr / design.n_t) * (
-        h @ (design.energy_scale * codeword(design, s))
-    ) + noise_scale * noise
-    return y, h, levels
+    normals, levels = _draw(rng, n_r, design.n_t, design.T, len(encoder.alphabet),
+                            design.n_real_symbols)
+    y, h = _transmit(design, encoder, n_r, np.array([snr]), normals[None],
+                     levels[None], noise_scale)
+    return y[0], h[0], levels
 
 
-def _decoded_trials(design, cons, encoder, decoder, n_r, snr, seed, point, trials,
+def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
                     noise_scale=1.0):
-    """Per trial at one SNR point, drawn from its own substream:
-    (result, wrong) with wrong[i] true when either real component of
-    complex symbol i was decoded wrongly."""
+    """Every trial of every SNR point, point-major, each drawn from its own
+    substream (seed, CTX_ERROR_SWEEP, point, trial) and decoded in blocks
+    that may span points: (point, Y, H, decoded levels, evaluations, wrong)
+    with wrong[i] true when either real component of complex symbol i was
+    decoded wrongly.  The oracle decodes one trial at a time."""
     if decoder not in _DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    decode = ml_oracle if decoder == "oracle" else decode_auto
-    for trial in range(trials):
-        rng = substream(seed, CTX_ERROR_SWEEP, point, trial)
-        y, h, levels = draw_trial(design, encoder, n_r, snr, rng, noise_scale)
-        result = decode(y, h, design, cons, snr, encoder)
-        decoded = np.asarray(result.level_indices)
-        yield result, (decoded[0::2] != levels[0::2]) | (decoded[1::2] != levels[1::2])
+    block = 1 if decoder == "oracle" else _block_trials(design, cons, n_r)
+    schedule = ((point, trial) for point in range(len(snrs)) for trial in range(trials))
+    sizes = (n_r, design.n_t, design.T, len(encoder.alphabet), design.n_real_symbols)
+    while part := list(islice(schedule, block)):
+        normals = np.empty((len(part), 2 * n_r * (design.n_t + design.T)))
+        levels = np.empty((len(part), design.n_real_symbols), dtype=int)
+        for i, (point, trial) in enumerate(part):
+            normals[i], levels[i] = _draw(substream(seed, CTX_ERROR_SWEEP, point, trial),
+                                          *sizes)
+        snr = np.array([snrs[point] for point, _ in part])
+        y, h = _transmit(design, encoder, n_r, snr, normals, levels, noise_scale)
+        if decoder == "oracle":
+            result = ml_oracle(y[0], h[0], design, cons, snr[0], encoder)
+            decoded, evaluations = np.array([result.level_indices]), result.metric_evaluations
+        else:
+            decoded, evaluations, _ = _decode_stack(y, h, design, cons, snr, encoder)
+        wrong = (decoded[:, 0::2] != levels[:, 0::2]) | (decoded[:, 1::2] != levels[:, 1::2])
+        for i, (point, _) in enumerate(part):
+            yield point, y[i], h[i], decoded[i], evaluations, wrong[i]
 
 
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
@@ -169,33 +229,33 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
             f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}"
         )
     encoder = default_encoder(design, cons.pam)
-    records = []
-    for point, snr_db in enumerate(cfg.snr_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        t0 = time.perf_counter()
-        cw_errors = 0
-        sym_errors = 0
-        evals = 0
-        for result, wrong in _decoded_trials(design, cons, encoder, cfg.decoder, cfg.n_r,
-                                             snr, cfg.seed, point, cfg.trials,
-                                             cfg.noise_scale):
-            evals += result.metric_evaluations
-            sym_errors += int(wrong.sum())
-            cw_errors += int(wrong.any())
-        elapsed = time.perf_counter() - t0
-        records.append(
-            SimRecord(
-                snr_db=float(snr_db),
-                trials=cfg.trials,
-                codeword_errors=cw_errors,
-                symbol_errors=sym_errors,
-                cer=cw_errors / cfg.trials,
-                ser=sym_errors / (cfg.trials * design.k),
-                mean_evals=evals / cfg.trials,
-                wall_time_s=elapsed,
-            )
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
+    n = len(snrs)
+    cw_errors, sym_errors, evals, elapsed = [0] * n, [0] * n, [0] * n, [0.0] * n
+    t0 = time.perf_counter()
+    for point, _, _, _, evaluations, wrong in _decoded_trials(
+        design, cons, encoder, cfg.decoder, cfg.n_r, snrs, cfg.trials, cfg.seed,
+        cfg.noise_scale,
+    ):
+        evals[point] += evaluations
+        sym_errors[point] += int(wrong.sum())
+        cw_errors[point] += int(wrong.any())
+        now = time.perf_counter()
+        elapsed[point] += now - t0
+        t0 = now
+    return [
+        SimRecord(
+            snr_db=float(snr_db),
+            trials=cfg.trials,
+            codeword_errors=cw_errors[point],
+            symbol_errors=sym_errors[point],
+            cer=cw_errors[point] / cfg.trials,
+            ser=sym_errors[point] / (cfg.trials * design.k),
+            mean_evals=evals[point] / cfg.trials,
+            wall_time_s=elapsed[point],
         )
-    return records
+        for point, snr_db in enumerate(cfg.snr_db)
+    ]
 
 
 def uncoded_siso_sweep(
@@ -205,7 +265,10 @@ def uncoded_siso_sweep(
     seed: int,
     noise_scale: float = 1.0,
 ) -> list[SimRecord]:
-    """Single-antenna uncoded ML baseline on the same fading model."""
+    """Single-antenna uncoded ML baseline on the same fading model.
+
+    Each trial draws from its own substream; the ML decision
+    argmin |y - c h x|^2 is made over the stacked trials of a point."""
     cons = constellation(cons_label)
     points = cons.points
     records = []
@@ -213,17 +276,20 @@ def uncoded_siso_sweep(
         snr = 10.0 ** (db / 10.0)
         c = np.sqrt(snr)
         t0 = time.perf_counter()
-        errors = 0
+        normals = np.empty((trials, 4))
+        idx = np.empty(trials, dtype=int)
         for trial in range(trials):
             rng = substream(seed, CTX_ERROR_SWEEP, point_i, trial)
-            h = sample_channel(1, 1, rng).H[0, 0]
-            noise = np.sqrt(0.5) * complex(
-                rng.standard_normal(), rng.standard_normal()
-            )
-            idx = int(rng.integers(0, cons.size))
-            y = c * h * points[idx] + noise_scale * noise
-            guess = int(np.argmin(np.abs(y - c * h * points) ** 2))
-            errors += guess != idx
+            normals[trial], level = _draw(rng, 1, 1, 1, cons.size, 1)
+            idx[trial] = level[0]
+        h, noise = _channel_and_noise(normals, 1, 1, 1)
+        ch = c * h[:, 0, 0]
+        # the received value keeps its per-trial scalar arithmetic: numpy's
+        # scalar and array complex products may differ in the last bit
+        y = np.array([ch[t] * points[idx[t]] + noise_scale * noise[t, 0, 0]
+                      for t in range(trials)])
+        guess = np.argmin(np.abs(y[:, None] - ch[:, None] * points) ** 2, axis=1)
+        errors = int(np.count_nonzero(guess != idx))
         elapsed = time.perf_counter() - t0
         records.append(
             SimRecord(
@@ -249,19 +315,22 @@ def run_decode_trials(
     seed: int,
     decoder: str = "auto",
 ) -> list[dict]:
-    """Per-trial decode log (metric, symbol errors, evaluations)."""
+    """Per-trial decode log (metric, symbol errors, evaluations).  The
+    metric is recomputed per trial from the decoded levels, as every
+    decoder's ``DecodeResult.metric`` is."""
     cons = constellation(cons_label)
     encoder = default_encoder(design, cons.pam)
     snr = 10.0 ** (snr_db / 10.0)
-    trials_out = _decoded_trials(design, cons, encoder, decoder, n_r, snr, seed, 0, trials)
+    b = full_symbol_matrix(design, encoder)
+    trials_out = _decoded_trials(design, cons, encoder, decoder, n_r, [snr], trials, seed)
     return [
         {
             "trial": trial,
-            "metric": result.metric,
+            "metric": _final_metric(y, h, design, snr, b, cons.pam[levels]),
             "symbol_errors": int(wrong.sum()),
-            "evaluations": result.metric_evaluations,
+            "evaluations": evaluations,
         }
-        for trial, (result, wrong) in enumerate(trials_out)
+        for trial, (_, y, h, levels, evaluations, wrong) in enumerate(trials_out)
     ]
 
 

@@ -1,6 +1,8 @@
 """Shared oracles for the test suite (independent of the library paths
 they check wherever that matters)."""
 
+from itertools import product
+
 import numpy as np
 
 from stbc.designs import STBCDesign
@@ -76,3 +78,34 @@ def one_weight_per_group_design():
         scalars=(1.0 + 0j, 1.0 + 0j),
         provenance="one weight per group of the a=2 two-layer code",
     )
+
+
+def structured_reference(y, phi, pam, outer, groups):
+    """Exact ML indices by the structured search's arithmetic, for one
+    trial of the real model y = phi x + n: every outer hypothesis in one
+    array, each group minimized in closed form, then the lexicographically
+    smallest full index vector among the exact minima.  Unlike the oracle
+    it breaks ties the way the structured search computes them."""
+    p = len(pam)
+    n_out = len(outer)
+    out_digits = np.array(list(product(range(p), repeat=n_out)), dtype=int)
+    out_digits = out_digits.T.reshape(n_out, p**n_out)
+    yp = y[:, None] - phi[:, outer] @ pam[out_digits]
+    total = np.einsum("ij,ij->j", yp, yp)
+    chosen = []
+    for g in groups:
+        cols = sorted(g)
+        cand = np.array(list(product(range(p), repeat=len(cols))), dtype=int).T
+        images = phi[:, cols] @ pam[cand]
+        metrics = np.einsum("ij,ij->j", images, images)[:, None] - 2.0 * (images.T @ yp)
+        pick = metrics.argmin(axis=0)
+        total = total + metrics[pick, np.arange(total.size)]
+        chosen.append((cols, cand[:, pick]))
+    vectors = []
+    for j in np.flatnonzero(total == total.min()):
+        full = np.empty(phi.shape[1], dtype=int)
+        full[outer] = out_digits[:, j]
+        for cols, digits in chosen:
+            full[cols] = digits[:, j]
+        vectors.append(tuple(full.tolist()))
+    return min(vectors)

@@ -263,6 +263,36 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             decode(y, h, d, constellation("16qam"), 1.0)
 
+    @pytest.mark.parametrize("decode", [group_decode, decode_auto])
+    def test_table_bytes_guard(self, decode):
+        # a=4 64-QAM passes the scan budget at exactly 1 << 26 scans, but
+        # its tables (8 x 2^24 digits, 32 n_r x 2^24 images per group)
+        # need over 5 GiB: refused before any of them is allocated
+        import tracemalloc
+
+        d = build_rate1_4group(4)
+        cons = constellation("64qam")
+        assert complexity_account(d, cons).group_evaluations == 1 << 26
+        y = np.zeros((1, d.T), dtype=complex)
+        h = np.zeros((1, d.n_t), dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="bytes"):
+                decode(y, h, d, cons, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
+
+    @pytest.mark.parametrize("a, label", [(4, "16qam"), (3, "64qam")])
+    def test_far_smaller_tables_allowed(self, a, label):
+        d = build_rate1_4group(a)
+        cons = constellation(label)
+        enc = default_encoder(d, cons.pam)
+        y, h, levels = random_trial(d, enc, 1, 10.0, seed=17, trial=0, noise_scale=0.0)
+        res = decode_auto(y, h, d, cons, 10.0, enc)
+        assert res.level_indices == tuple(levels)
+
     def test_group_decode_rejects_layered_design(self):
         d = silver_design()
         y = np.zeros((2, 2), dtype=complex)

@@ -322,6 +322,26 @@ class TestDesignFiles:
         with pytest.raises(DesignFormatError, match="layers"):
             design_from_text(text)
 
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-6])
+    def test_weights_off_the_stated_energy_refused(self, scale):
+        # every weight scaled by 2 would run silently at 4x the SNR
+        d = build_rate1_4group(2)
+        scaled = STBCDesign(n_t=d.n_t, T=d.T, weights=tuple(scale * w for w in d.weights),
+                            groups=d.groups, provenance="scaled")
+        with pytest.raises(DesignFormatError, match="weight norm"):
+            design_from_text(design_to_text(scaled))
+
+    def test_energy_checked_on_the_mean_not_per_weight(self):
+        from stbc.capacity import random_rotation_baseline
+
+        silver_pi4 = extend_full_rate(build_rate1_4group(1), 2,
+                                      layer_scalar=np.exp(1j * np.pi / 4))
+        d = random_rotation_baseline(silver_pi4)
+        norms = [np.linalg.norm(w) ** 2 for w in d.weights]
+        assert max(norms) - min(norms) > 0.5  # single weights spread around n_t
+        loaded = design_from_text(design_to_text(d))
+        assert loaded.n_real_symbols == d.n_real_symbols
+
     def test_corrupted_sign_detected(self):
         d = build_rate1_4group(2)
         text = design_to_text(d)

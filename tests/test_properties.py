@@ -11,10 +11,13 @@ it either loads and decodes equal to the oracle, or it is refused with a
 ValueError subclass from ``stbc.errors``.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import relabel
+from helpers import relabel, structured_reference
+from stbc import decoder
 from stbc.coding_gain import default_encoder
 from stbc.decoder import (
     complexity_account,
@@ -81,6 +84,53 @@ def test_structured_decoders_equal_oracle(code, cons_label, n_r, snr_db, trial,
         assert res.metric_evaluations == predicted
     if zero_channel:
         assert ref.level_indices == (0,) * design.n_real_symbols
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    code=relabelled_codes(),
+    cons_label=st.sampled_from(["4qam", "16qam"]),
+    n_r=st.integers(1, 2),
+    trials=st.lists(
+        st.tuples(st.floats(0.0, 20.0), st.integers(0, 1 << 20),
+                  st.sampled_from(["drawn", "zero channel", "zero received"])),
+        min_size=1, max_size=6,
+    ),
+    # outer counts are even powers (16, 256), so no chunk is one column
+    # wide: einsum sums a one-column chunk in another order
+    chunk=st.sampled_from([2, 6, 1 << 14]),
+)
+def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials, chunk):
+    """One stack of trials at mixed SNRs decodes to what each trial
+    decodes to alone, to the structured reference and, where the minimum
+    is unique or all-tied, to the oracle.  A zero channel ties every
+    hypothesis.  A zero received matrix ties x with -x exactly (the PAM
+    levels are symmetric), and often more sign patterns, so tied outer
+    hypotheses carry different group picks; the oracle's own arithmetic
+    breaks those ties by rounding, so it is not compared there.  Small
+    outer chunks put ties across chunks as well as inside one."""
+    base, design = code
+    cons = constellation(cons_label)
+    enc = default_encoder(base, cons.pam)
+    ys, hs, snrs = [], [], []
+    for snr_db, trial, kind in trials:
+        snr = 10.0 ** (snr_db / 10.0)
+        y, h, _ = draw_trial(design, enc, n_r, snr, substream(trial, 13))
+        ys.append(np.zeros_like(y) if kind == "zero received" else y)
+        hs.append(np.zeros_like(h) if kind == "zero channel" else h)
+        snrs.append(snr)
+    with patch.object(decoder, "_CHUNK", chunk):
+        levels, evaluations, _ = decoder._decode_stack(
+            np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
+        alone = [decode_auto(*args, design, cons, snr, enc) for *args, snr in zip(ys, hs, snrs)]
+    groups, outer = decoder._certified_split(design)
+    for i, (y, h, snr) in enumerate(zip(ys, hs, snrs)):
+        y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
+        reference = structured_reference(y_real, phi, cons.pam, outer, groups)
+        assert tuple(levels[i].tolist()) == alone[i].level_indices == reference
+        assert evaluations == alone[i].metric_evaluations
+        if trials[i][2] != "zero received":
+            assert reference == ml_oracle(y, h, design, cons, snr, enc).level_indices
 
 
 def _weight_rows(lines):

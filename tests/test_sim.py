@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from stbc.cli import main
-from stbc.decoder import complexity_account, constellation, full_symbol_matrix
+from stbc.decoder import (
+    _block_trials,
+    complexity_account,
+    constellation,
+    decode_auto,
+    full_symbol_matrix,
+)
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
 from stbc.errors import IntractableError
+from stbc.rng import CTX_ERROR_SWEEP, substream
 from stbc.sim import (
     SimConfig,
     SimRecord,
+    draw_trial,
     emit_csv,
     parse_config_file,
     parse_layer_scalar,
@@ -79,6 +87,38 @@ class TestErrorSweep:
             silver_cfg(decoder=name)
         with pytest.raises(ValueError, match="unknown decoder"):
             run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
+
+    @pytest.mark.parametrize("a, layers, n_r, trials", [
+        (2, 2, 2, 7),    # 4 trials a block: 21 trials end on a block of one
+        (1, 2, 2, 50),   # 128 trials a block: the first block spans points
+    ])
+    def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials):
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        cons = constellation("4qam")
+        assert trials * 3 % _block_trials(design, cons, n_r) != 0
+        enc = default_encoder(design, cons.pam)
+        snr_db = (2.0, 9.0, 16.0)
+        want = []
+        for point, db in enumerate(snr_db):
+            snr = 10.0 ** (db / 10.0)
+            cw = sym = evals = 0
+            for trial in range(trials):
+                rng = substream(5, CTX_ERROR_SWEEP, point, trial)
+                y, h, levels = draw_trial(design, enc, n_r, snr, rng)
+                res = decode_auto(y, h, design, cons, snr, enc)
+                wrong = np.reshape(np.asarray(res.level_indices) != levels, (-1, 2)).any(axis=1)
+                cw, sym = cw + int(wrong.any()), sym + int(wrong.sum())
+                evals += res.metric_evaluations
+            want.append((cw, sym, evals / trials))
+        cfg = SimConfig(design=design, n_r=n_r, snr_db=snr_db, trials=trials, seed=5)
+        got = [(r.codeword_errors, r.symbol_errors, r.mean_evals) for r in run_error_sweep(cfg)]
+        assert got == want
+
+        rows = run_decode_trials(design, n_r, "4qam", snr_db[1], trials, 5)
+        snr = 10.0 ** (snr_db[1] / 10.0)
+        for trial, row in enumerate(rows):
+            y, h, _ = draw_trial(design, enc, n_r, snr, substream(5, CTX_ERROR_SWEEP, 0, trial))
+            assert row["metric"] == decode_auto(y, h, design, cons, snr, enc).metric
 
     def test_oracle_decoder_choice(self):
         cfg = silver_cfg(decoder="oracle", trials=20)
@@ -214,6 +254,14 @@ class TestPinnedOutputs:
     or the counters moves them.
     """
 
+    @staticmethod
+    def _sweep_digest(tmp_path, design, n_r, **options):
+        cfg = SimConfig(design=design, n_r=n_r, snr_db=(0.0, 5.0, 10.0),
+                        trials=100, seed=8, **options)
+        out = tmp_path / "sweep.csv"
+        emit_csv(run_error_sweep(cfg), out)
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize("design, n_r, digest", [
         (extend_full_rate(build_rate1_4group(1), 2), 2,
          "2501dedbe018524a7620f9e70eae678c1fcbbb1d5d222f242350eeb403257934"),
@@ -221,17 +269,34 @@ class TestPinnedOutputs:
          "75072e40232f936ef2bfe70cd75a9a2dd05ce7e12646d93790b466e5b6fa3efd"),
     ])
     def test_sweep_csv(self, tmp_path, design, n_r, digest):
-        cfg = SimConfig(design=design, n_r=n_r, snr_db=(0.0, 5.0, 10.0),
-                        trials=100, seed=8)
-        out = tmp_path / "sweep.csv"
-        emit_csv(run_error_sweep(cfg), out)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert self._sweep_digest(tmp_path, design, n_r) == digest
+
+    @pytest.mark.parametrize("design, n_r, options, digest", [
+        (extend_full_rate(build_rate1_4group(2), 2), 2, {},
+         "d445e0a762b50fe4d884069c9735bca83be5c3e53f1dc34cb94d3ef37ce3ece2"),
+        (extend_full_rate(build_rate1_4group(1), 2), 2, {"constellation": "16qam"},
+         "d0a6f9c5e3ff4b0d18aa44171ac76774d73e3253a49d82ecd46ff25b542df3f6"),
+        (extend_full_rate(build_rate1_4group(1), 2), 2, {"decoder": "oracle"},
+         "bbc3917aa01758184fc402b9c8173eedaa384c8e58f9b5253296d475f00c4c1d"),
+        (build_rate1_4group(2), 1, {"noise_scale": 0.0},
+         "352bf50d35f1897469d822e1b206dc9f079182e52ceb09834809c83643b897d1"),
+    ])
+    def test_sweep_csv_variants(self, tmp_path, design, n_r, options, digest):
+        assert self._sweep_digest(tmp_path, design, n_r, **options) == digest
+
+    def test_siso_csv(self, tmp_path):
+        out = tmp_path / "siso.csv"
+        emit_csv(uncoded_siso_sweep("16qam", (0.0, 5.0, 10.0), 300, 7), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "346a90372b0d3494f97ec141c5865fb6fb59b51e7a5dcf0a088e70172d1fada7")
 
     @pytest.mark.parametrize("design_args, digest", [
         (("--a", "1", "--layers", "2"),
          "1906092c9e6a562fb24291535a4a86d7b14a031f8f706ef680593b31d178c484"),
         (("--a", "2"),
          "1f8200da0cc6a143bb3f2611c21c3dc7f15f6b23acdb59904ddf9fc93315645b"),
+        (("--a", "3", "--nr", "2"),
+         "6dc3495ae462d62a90357458b63d223fd41961b74b9c3e443c330facaae0d512"),
     ])
     def test_decode_log(self, tmp_path, design_args, digest):
         out = tmp_path / "decode.csv"
