@@ -175,15 +175,13 @@ def low_snr_condition(
     channel draws).
     """
     report = Report(f"low-snr capacity condition (n_r={n_r})")
-    scale2 = design.energy_scale**2
-    constants = []
-    witnesses = []
-    for i, w in enumerate(design.weights):
-        gram = scale2 * (w @ w.conj().T)
-        c = float(np.trace(gram).real / design.n_t)
-        constants.append(c)
-        if np.abs(gram - c * np.eye(design.n_t)).max() > tol:
-            witnesses.append(f"weight {i + 1}: A A^H is not proportional to I")
+    ws = design.weight_stack
+    grams = design.energy_scale**2 * (ws @ ws.conj().swapaxes(-1, -2))
+    c = np.trace(grams, axis1=1, axis2=2).real / design.n_t
+    resid = np.abs(grams - c[:, None, None] * np.eye(design.n_t)).max(axis=(1, 2))
+    witnesses = [f"weight {i + 1}: A A^H is not proportional to I"
+                 for i in np.flatnonzero(resid > tol)]
+    constants = c.tolist()
     proportional = not witnesses
     report.add(
         "normalized A_i A_i^H proportional to I",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
-from .linalg import gram_schmidt_qr
+from .linalg import gram_schmidt_qr, pairwise_residual
 from .rng import CTX_PROFILE, substream
 
 __all__ = [
@@ -115,17 +115,8 @@ def column_orthogonality_pairs(
     For every such pair the i-th and j-th columns of H_eq are orthogonal
     for every channel realization.
     """
-    ws = design.weight_stack
-    n = len(design.weights)
-    pairs = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            resid = np.abs(
-                ws[i] @ ws[j].conj().T + ws[j] @ ws[i].conj().T
-            ).max()
-            if resid <= tol:
-                pairs.add((i, j))
-    return pairs
+    resid = pairwise_residual(design.weight_stack, design.weight_stack, adjoint=True)
+    return set(map(tuple, np.argwhere(np.triu(resid <= tol, 1)).tolist()))
 
 
 def mandated_zero_mask(design: STBCDesign) -> np.ndarray:
@@ -136,18 +127,18 @@ def mandated_zero_mask(design: STBCDesign) -> np.ndarray:
     pattern.  Off-diagonal layer blocks carry no guaranteed zeros.
     """
     n = design.n_real_symbols
-    gs = design.group_size
-    per_layer = n // design.layers
-    mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    for layer in range(design.layers):
-        lo = layer * per_layer
-        for p in range(per_layer // gs):
-            for q in range(per_layer // gs):
-                rs = slice(lo + p * gs, lo + (p + 1) * gs)
-                cs = slice(lo + q * gs, lo + (q + 1) * gs)
-                if p != q:  # a diagonal group block's lower part is already set
-                    mask[rs, cs] = True
-    return mask
+    off = _cross_group_blocks(n // design.layers, design.group_size)
+    return np.tril(np.ones((n, n), dtype=bool), k=-1) | np.kron(
+        np.eye(design.layers, dtype=bool), off)
+
+
+def _cross_group_blocks(per_layer: int, gs: int) -> np.ndarray:
+    """(per_layer, per_layer) mask of the blocks of one layer's diagonal R
+    block that pair two different groups of gs symbols."""
+    k = per_layer // gs
+    out = np.zeros((per_layer, per_layer), dtype=bool)
+    out[: k * gs, : k * gs] = np.kron(~np.eye(k, dtype=bool), np.ones((gs, gs), dtype=bool))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,20 +218,15 @@ def r_profile(
             )
         gs = design.group_size
         per_layer = n // design.layers
-        n_groups = per_layer // gs
+        k = per_layer // gs
+        off = _cross_group_blocks(per_layer, gs)
         for layer in range(design.layers):
             lo = layer * per_layer
             block = r[lo : lo + per_layer, lo : lo + per_layer]
             v = block[:gs, :gs]
-            cross = 0.0
-            mismatch = 0.0
-            for p in range(n_groups):
-                for q in range(n_groups):
-                    sub = block[p * gs : (p + 1) * gs, q * gs : (q + 1) * gs]
-                    if p != q:
-                        cross = max(cross, float(np.abs(sub).max()))
-                    else:
-                        mismatch = max(mismatch, float(np.abs(sub - v).max()))
+            cross = float(np.abs(block[off]).max(initial=0.0))
+            same = block[: k * gs, : k * gs].reshape(k, gs, k, gs)[range(k), :, range(k)]
+            mismatch = float(np.abs(same - v).max())
             upper_ok = bool(np.abs(np.tril(v, k=-1)).max() <= tol) if gs > 1 else True
             blocks.append(
                 LayerBlock(

@@ -181,7 +181,6 @@ def cmd_sim_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         decoder=args.decoder,
-        out=args.out,
         noise_scale=args.noise_scale,
     )
     records = run_error_sweep(cfg)
@@ -191,9 +190,9 @@ def cmd_sim_sweep(args) -> int:
             f"({rec.trials} trials, {rec.mean_evals:.0f} evals/codeword, "
             f"{rec.wall_time_s:.2f} s)"
         )
-    if cfg.out:
-        emit_csv(records, cfg.out, timing=args.timing)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        emit_csv(records, args.out, timing=args.timing)
+        print(f"wrote {args.out}")
     return 0
 
 

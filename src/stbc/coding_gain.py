@@ -26,9 +26,9 @@ real symbols; encoding, decoding and the simulator all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product as iter_product
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -94,6 +94,17 @@ class Encoder:
         if self.alphabet.ndim != 1 or self.alphabet.size < 2:
             raise ValueError("alphabet must be a 1-D array of >= 2 levels")
 
+    @cached_property
+    def _symbol_matrix(self) -> np.ndarray:
+        b = np.eye(self.design.n_real_symbols)
+        for g in self.design.layer_groups(0):
+            if len(g) != len(self.rotation):
+                raise StructureError(f"a {len(self.rotation)}-symbol rotation cannot "
+                                     f"encode the group {tuple(i + 1 for i in g)}")
+            b[np.ix_(g, g)] = self.rotation
+        b.setflags(write=False)
+        return b
+
 
 def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
     """Sign basis of the first group's diagonals, scaled by sqrt(2/n_t).
@@ -103,27 +114,22 @@ def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
     Raises StructureError when the first group is not n_t/2 +-1
     diagonal matrices with paired diagonal entries.
     """
-    g1 = [design.weights[i] for i in design.groups[0]]
+    g1 = design.weight_stack[list(design.groups[0])]
     n = design.n_t
     if 2 * len(g1) != n:
         raise StructureError(
             f"first group holds {len(g1)} weights, the sign basis needs {n // 2}"
         )
-    rows = []
-    for pos, w in enumerate(g1):
-        off = np.abs(w - np.diag(np.diag(w))).max()
-        d = np.diag(w)
-        if off > tol or np.abs(d.imag).max() > tol or np.abs(np.abs(d) - 1).max() > tol:
-            raise StructureError(
-                f"first-group weight {pos + 1} is not a +-1 diagonal matrix"
-            )
-        dr = d.real
-        if np.abs(dr[0::2] - dr[1::2]).max() > tol:
-            raise StructureError(
-                f"first-group weight {pos + 1} lacks paired diagonal entries"
-            )
-        rows.append(dr[0::2])
-    w_mat = np.sqrt(2.0 / n) * np.array(rows)
+    d = np.diagonal(g1, axis1=1, axis2=2)
+    off = np.abs(g1 - d[:, :, None] * np.eye(n)).max(axis=(1, 2))
+    not_signs = (off > tol) | (np.abs(d.imag).max(1) > tol) | (np.abs(np.abs(d) - 1).max(1) > tol)
+    unpaired = np.abs(d.real[:, 0::2] - d.real[:, 1::2]).max(1) > tol
+    failing = np.flatnonzero(not_signs | unpaired)
+    if failing.size:
+        pos = failing[0]
+        raise StructureError(f"first-group weight {pos + 1} " + (
+            "is not a +-1 diagonal matrix" if not_signs[pos] else "lacks paired diagonal entries"))
+    w_mat = np.sqrt(2.0 / n) * d.real[:, 0::2]
     if np.any(w_mat[0] <= 0):
         raise StructureError("first group must lead with the identity weight")
     return w_mat
@@ -143,21 +149,12 @@ def _bounded_difference_set(dim: int) -> tuple[np.ndarray, str]:
         )
         grids = grids[np.any(grids != 0.0, axis=1)]
         return grids, f"{{-2,0,2}}^{dim} \\ {{0}} ({len(grids)} vectors)"
-    # dim 16: all vectors of support <= 2 with entries in {+-2, +-4}
-    vecs = []
-    levels = (-4.0, -2.0, 2.0, 4.0)
-    for i in range(dim):
-        for a in levels:
-            v = np.zeros(dim)
-            v[i] = a
-            vecs.append(v)
-    for i, j in combinations(range(dim), 2):
-        for a in levels:
-            for b in levels:
-                v = np.zeros(dim)
-                v[i], v[j] = a, b
-                vecs.append(v)
-    arr = np.array(vecs)
+    # dim 16: all vectors of support <= 2 with entries in {+-2, +-4}:
+    # level a at i, then levels (a, b) at i < j, pairs in combinations order
+    singles = np.einsum("ik,a->iak", np.eye(dim), np.array([-4.0, -2.0, 2.0, 4.0]))
+    i, j = np.triu_indices(dim, 1)
+    pairs = singles[i][:, :, None] + singles[j][:, None, :]
+    arr = np.concatenate([singles.reshape(-1, dim), pairs.reshape(-1, dim)])
     return arr, f"support<=2 vectors with entries {{+-2,+-4}} ({len(arr)} vectors)"
 
 
@@ -257,17 +254,15 @@ def _check_alphabet(encoder: Encoder, x: np.ndarray) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def full_symbol_matrix(design: STBCDesign, encoder: Encoder | None) -> np.ndarray:
+def full_symbol_matrix(design: STBCDesign, encoder: Encoder) -> np.ndarray:
     """2k x 2k map from info levels to stored symbols (read-only): the
     encoder rotation acts on each of the first layer's declared groups,
-    outer layers are raw."""
-    b = np.eye(design.n_real_symbols)
-    if encoder is not None:
-        for g in design.layer_groups(0):
-            b[np.ix_(g, g)] = encoder.rotation
-    b.setflags(write=False)
-    return b
+    outer layers are raw.  The encoder keeps the matrix of its own design;
+    another design (a relabelling, say) gets a fresh one, or StructureError
+    when the rotation does not fit one of its groups."""
+    if design is not encoder.design:
+        encoder = replace(encoder, design=design)
+    return encoder._symbol_matrix
 
 
 def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:

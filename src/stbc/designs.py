@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     StructureError,
     UnsupportedSizeError,
 )
-from .linalg import matrix_from_text, matrix_to_text, tilde_vec, vec
+from .linalg import matrix_from_text, matrix_to_text, pairwise_residual, tilde_vec, vec
 from .reports import Report
 
 __all__ = [
@@ -249,20 +250,16 @@ def build_rate1_4group(a: int, sign: int = 1) -> STBCDesign:
 def verify_group_decodable(design: STBCDesign, tol: float = 1e-12) -> Report:
     """Check the cross-group condition A_i A_j^H + A_j A_i^H = 0."""
     report = Report("cross-group dispersion condition")
+    ws = design.weight_stack
     witnesses = []
-    ws = design.weights
-    for gi in range(len(design.groups)):
-        for gj in range(gi + 1, len(design.groups)):
-            for i in design.groups[gi]:
-                for j in design.groups[gj]:
-                    resid = np.abs(
-                        ws[i] @ ws[j].conj().T + ws[j] @ ws[i].conj().T
-                    ).max()
-                    if resid > tol:
-                        witnesses.append(
-                            f"groups ({gi + 1},{gj + 1}) weights "
-                            f"({i + 1},{j + 1}): residual {resid:.2e}"
-                        )
+    for gi, gj in combinations(range(len(design.groups)), 2):
+        rows, cols = design.groups[gi], design.groups[gj]
+        resid = pairwise_residual(ws[list(rows)], ws[list(cols)], adjoint=True)
+        witnesses += [
+            f"groups ({gi + 1},{gj + 1}) weights ({rows[x] + 1},{cols[y] + 1}): "
+            f"residual {resid[x, y]:.2e}"
+            for x, y in np.argwhere(resid > tol)  # row-major: the nested-loop order
+        ]
     report.add("all cross-group pairs", not witnesses, witnesses)
     return report
 
@@ -282,60 +279,43 @@ def verify_theorem1(design: STBCDesign, tol: float = 1e-12) -> Report:
     unitary multiples and satisfy only the dispersion condition.
     """
     report = Report("group-decodable normal form")
-    ws = design.weights
+    ws = design.weight_stack
     eye = np.eye(design.n_t)
-    g1 = design.groups[0]
-    headers = [g[0] for g in design.groups[1:]]
+    g1 = np.array(design.groups[0])
+    headers = np.array([g[0] for g in design.groups[1:]], dtype=int)
 
-    bad = [
-        f"weight {i + 1}: max |A^2 - I| = {np.abs(ws[i] @ ws[i] - eye).max():.2e}"
-        for i in g1
-        if np.abs(ws[i] @ ws[i] - eye).max() > tol
-    ]
+    resid = np.abs(ws[g1] @ ws[g1] - eye).max(axis=(1, 2))
+    bad = [f"weight {i + 1}: max |A^2 - I| = {r:.2e}" for i, r in zip(g1, resid) if r > tol]
     report.add("1: first group squares to +I", not bad, bad)
 
-    bad = [
-        f"weight {j + 1}: max |A^2 + I| = {np.abs(ws[j] @ ws[j] + eye).max():.2e}"
-        for j in headers
-        if np.abs(ws[j] @ ws[j] + eye).max() > tol
-    ]
+    resid = np.abs(ws[headers] @ ws[headers] + eye).max(axis=(1, 2))
+    bad = [f"weight {j + 1}: max |A^2 + I| = {r:.2e}" for j, r in zip(headers, resid) if r > tol]
     report.add("2: group headers square to -I", not bad, bad)
 
-    bad = []
-    for x, i in enumerate(g1):
-        for j in g1[x + 1 :]:
-            resid = np.abs(ws[i] @ ws[j] - ws[j] @ ws[i]).max()
-            if resid > tol:
-                bad.append(f"({i + 1},{j + 1}): commutator residual {resid:.2e}")
+    resid = pairwise_residual(ws[g1], ws[g1], sign=-1)
+    bad = [f"({g1[x] + 1},{g1[y] + 1}): commutator residual {resid[x, y]:.2e}"
+           for x, y in np.argwhere(np.triu(resid > tol, 1))]
     report.add("3: first group commutes pairwise", not bad, bad)
 
-    bad = []
-    for i in g1:
-        for j in headers:
-            resid = np.abs(ws[i] @ ws[j] - ws[j] @ ws[i]).max()
-            if resid > tol:
-                bad.append(f"({i + 1},{j + 1}): commutator residual {resid:.2e}")
+    resid = pairwise_residual(ws[g1], ws[headers], sign=-1)
+    bad = [f"({g1[x] + 1},{headers[y] + 1}): commutator residual {resid[x, y]:.2e}"
+           for x, y in np.argwhere(resid > tol)]
     report.add("4: first group commutes with headers", not bad, bad)
 
-    bad = []
-    for x, i in enumerate(headers):
-        for j in headers[x + 1 :]:
-            resid = np.abs(ws[i] @ ws[j] + ws[j] @ ws[i]).max()
-            if resid > tol:
-                bad.append(f"({i + 1},{j + 1}): anticommutator residual {resid:.2e}")
+    resid = pairwise_residual(ws[headers], ws[headers])
+    bad = [f"({headers[x] + 1},{headers[y] + 1}): anticommutator residual {resid[x, y]:.2e}"
+           for x, y in np.argwhere(np.triu(resid > tol, 1))]
     report.add("5: headers anticommute pairwise", not bad, bad)
 
     bad = []
     for m, group in enumerate(design.groups[1:], start=1):
-        header = group[0]
-        for pos, j in enumerate(group):
-            expect = ws[g1[pos]] @ ws[header]
-            resid = np.abs(ws[j] - expect).max()
-            if resid > tol:
-                bad.append(
-                    f"group {m + 1} entry {pos + 1} (weight {j + 1}): "
-                    f"deviates from row rule by {resid:.2e}"
-                )
+        if len(group) > len(g1):
+            bad.append(f"group {m + 1} has more entries than the first group")
+            continue
+        resid = np.abs(ws[list(group)] - ws[g1[: len(group)]] @ ws[group[0]]).max(axis=(1, 2))
+        bad += [f"group {m + 1} entry {pos + 1} (weight {j + 1}): "
+                f"deviates from row rule by {r:.2e}"
+                for pos, (j, r) in enumerate(zip(group, resid)) if r > tol]
     report.add("6: row-generation rule", not bad, bad)
 
     report.extend(verify_group_decodable(design, tol))

@@ -124,6 +124,23 @@ def gram_schmidt_qr(
     return q, r
 
 
+def pairwise_residual(
+    left: np.ndarray, right: np.ndarray, sign: int = 1, adjoint: bool = False
+) -> np.ndarray:
+    """max |L_i R_j + sign R_j L_i| over all pairs of two n x n stacks, as
+    a (p, q) array; with ``adjoint``, of L_i R_j^H + sign R_j L_i^H (the
+    dispersion condition; n x T matrices allowed).  One left matrix at a
+    time, so a step holds (q, n, n) products, never (p, q, n, n)."""
+    left, right = np.asarray(left), np.asarray(right)
+    right_h = right.conj().swapaxes(-1, -2) if adjoint else right
+    out = np.empty((len(left), len(right)))
+    for i, a in enumerate(left):
+        resid = a @ right_h
+        resid += sign * (right @ (a.conj().T if adjoint else a))
+        out[i] = np.abs(resid).max(axis=(1, 2))
+    return out
+
+
 def trace(a: np.ndarray) -> complex:
     """Trace of a square matrix."""
     a = np.asarray(a)

@@ -13,12 +13,30 @@ sweeps, capacity sweeps, channel profiling).
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 CTX_ERROR_SWEEP = 1
 CTX_CAPACITY = 2
 CTX_PROFILE = 3
 CTX_GENERIC = 7
+
+
+@cache
+def _key_sequence() -> type:
+    """The seed-sequence type that hands Philox its key as is (made on first
+    use: numpy.random loads lazily).  ``Philox(key=...)`` gives the same
+    stream but also seeds a ``SeedSequence()`` from OS entropy."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
 
 
 def substream(
@@ -32,8 +50,8 @@ def substream(
     if not 0 <= trial < 1 << 32:
         raise ValueError("trial index out of range")
     path = (context << 48) | (point << 32) | trial
-    key = np.array([np.uint64(seed & (1 << 64) - 1), np.uint64(path)])
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed & (1 << 64) - 1, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 def as_generator(rng) -> np.random.Generator:

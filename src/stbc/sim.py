@@ -40,13 +40,7 @@ from .clifford import (
     verify_traceless,
 )
 from .coding_gain import Encoder, default_encoder, extract_W, full_symbol_matrix, min_determinant
-from .channel import (
-    _complex_normal,
-    equivalent_channel,
-    mandated_zero_mask,
-    r_profile,
-    sample_channel,
-)
+from .channel import _complex_normal, mandated_zero_mask, profile_over_channels
 from .decoder import (
     Constellation,
     _block_trials,
@@ -65,7 +59,7 @@ from .designs import (
     verify_theorem1,
 )
 from .errors import IntractableError
-from .linalg import matrix_from_text
+from .linalg import matrix_from_text, pairwise_residual
 from .reports import Report
 from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, substream
 
@@ -103,7 +97,6 @@ class SimConfig:
     trials: int = 1000
     seed: int = 0
     decoder: str = "auto"
-    out: str | None = None
     noise_scale: float = 1.0
 
     def __post_init__(self):
@@ -449,28 +442,21 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     if a <= 3:
         report.extend(verify_traceless(cliff))
-        products = all_lambda_products(cliff)
-        bad_sq = []
-        for prod in products:
-            if not prod.indices:
-                continue
-            square = (prod.matrix @ prod.matrix) / (prod.scalar**2)
-            want = subset_square_sign(len(prod.indices)) * np.eye(cliff.n)
-            if np.abs(square - want).max() > 1e-12:
-                bad_sq.append(prod.label())
+        products = all_lambda_products(cliff)[1:]  # the identity leads
+        mats = np.stack([prod.matrix for prod in products])
+        scalars = np.array([prod.scalar for prod in products])[:, None, None]
+        # member[i, g]: generator g + 1 is a factor of product i
+        member = np.array([[g + 1 in prod.indices for g in range(cliff.n_generators)]
+                           for prod in products], dtype=int)
+        sizes = member.sum(axis=1)
+        want = np.array([subset_square_sign(k) for k in sizes])[:, None, None] * np.eye(cliff.n)
+        resid = np.abs((mats @ mats) / scalars**2 - want).max(axis=(1, 2))
+        bad_sq = [products[i].label() for i in np.flatnonzero(resid > 1e-12)]
         report.add("subset squares match the sign rule", not bad_sq, bad_sq)
-        bad_comm = []
-        for p1 in products:
-            for p2 in products:
-                if not p1.indices or not p2.indices:
-                    continue
-                overlap = len(set(p1.indices) & set(p2.indices))
-                want = products_commute(len(p1.indices), len(p2.indices), overlap)
-                lhs = p1.matrix @ p2.matrix
-                rhs = p2.matrix @ p1.matrix
-                got = np.abs(lhs - rhs).max() < 1e-12
-                if got != want:
-                    bad_comm.append(f"{p1.label()} vs {p2.label()}")
+        want = np.vectorize(products_commute)(sizes[:, None], sizes, member @ member.T)
+        got = pairwise_residual(mats, mats, sign=-1) < 1e-12
+        bad_comm = [f"{products[i].label()} vs {products[j].label()}"
+                    for i, j in np.argwhere(got != want)]
         report.add(
             "commutation predicate matches literal products",
             not bad_comm,
@@ -496,15 +482,9 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     )
 
     design = base if layers == 1 else extend_full_rate(base, layers)
-    mask = mandated_zero_mask(design)
-    n_r = max(layers, 1)
-    worst = 0.0
-    kron_ok = True
-    for s in range(3):
-        h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H
-        prof = r_profile(equivalent_channel(h, design), tol=1e-9, design=design)
-        worst = max(worst, float(np.abs(prof.R[mask]).max()))
-        kron_ok &= all(blk.kron_identity for blk in prof.layer_blocks)
+    _, largest, _, profiles = profile_over_channels(design, max(layers, 1), 3, 1e-9, seed)
+    worst = float(largest[mandated_zero_mask(design)].max())
+    kron_ok = all(blk.kron_identity for prof in profiles for blk in prof.layer_blocks)
     report.add(
         "R-matrix structural zeros and I4-block structure",
         worst < 1e-9 and kron_ok,
@@ -512,16 +492,11 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     )
 
     account = complexity_account(design, cons)
-    if design.layers == 1:
-        formula = len(design.groups) * len(cons.pam) ** design.group_size
-        ok = account.group_evaluations == formula
-    else:
-        outer = len(cons.pam) ** (design.n_real_symbols - 2 * design.n_t)
-        formula = outer * 4 * len(cons.pam) ** design.group_size
-        ok = account.conditional_evaluations == formula
+    p = len(cons.pam)
+    formula = p ** (design.n_real_symbols - 2 * design.n_t) * 4 * p**design.group_size
     report.add(
         "complexity account matches the closed-form count",
-        ok,
+        (account.group_evaluations or account.conditional_evaluations) == formula,
         detail=account.describe(),
     )
 
@@ -553,13 +528,9 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     rng = substream(seed, CTX_PROFILE, 3, 0)
     b = full_symbol_matrix(design, default_encoder(design, cons.pam))
-    energies = []
-    for _ in range(1000):
-        levels = rng.integers(0, len(cons.pam), size=design.n_real_symbols)
-        s = b @ cons.pam[levels]
-        energies.append(
-            np.linalg.norm(design.energy_scale * codeword(design, s)) ** 2
-        )
+    levels = np.array([rng.integers(0, p, size=design.n_real_symbols) for _ in range(1000)])
+    s = (b @ cons.pam[levels][..., None])[..., 0]
+    energies = np.linalg.norm(design.energy_scale * codeword(design, s), axis=(1, 2)) ** 2
     mean_energy = float(np.mean(energies))
     target = design.n_t * design.T
     report.add(

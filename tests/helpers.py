@@ -1,6 +1,7 @@
 """Shared oracles for the test suite (independent of the library paths
 they check wherever that matters)."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,11 @@ from stbc.rng import substream
 from stbc.sim import draw_trial
 
 CTX_TEST = 11
+
+
+def digest(text):
+    """sha256 of text; reports are pinned through ``digest(r.summary())``."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def literal_product(cliff, *indices, scalar=1.0):

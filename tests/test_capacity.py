@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import digest
 from stbc import capacity
 from stbc.capacity import (
     channel_capacity,
@@ -264,6 +265,8 @@ class TestLowSnrCondition:
         first = report.checks[0]
         assert not first.passed
         assert first.witnesses
+        assert digest(report.summary()) == (
+            "8a69bc0206ef6d249266e3c427a4cb8d5009ce0a3b7904f71544ab58f293d163")
 
 
 class TestHighSnr:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import digest, relabel
 from stbc.channel import (
     column_orthogonality_pairs,
     equivalent_channel,
@@ -110,6 +111,10 @@ class TestOrthogonalityPairs:
                 for i in d.groups[gi]:
                     for j in d.groups[gj]:
                         assert (i, j) in pairs
+        # the same code with its groups interleaved: (0,4), (1,5), ...
+        moved = column_orthogonality_pairs(relabel(d, [0, 4, 1, 5, 2, 6, 3, 7]))
+        assert digest(repr(sorted(moved))) == (
+            "877fca1cd9e571ce46c8791b92f9d6ac60f9a72ff40b9c512648fe2c5f4b6e7e")
 
     def test_scaled_identity_pair_is_returned(self):
         # j I against I: A1 A2^H + A2 A1^H = -j I + j I = 0

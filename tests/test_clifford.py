@@ -14,6 +14,7 @@ from stbc.clifford import (
     verify_generators,
     verify_traceless,
 )
+from helpers import digest
 from stbc.errors import BadIndexOrderError, UnsupportedSizeError
 from stbc.linalg import vec
 
@@ -43,9 +44,17 @@ class TestBuildGenerators:
         for g_p, g_m in zip(plus.generators[1:], minus.generators[1:]):
             assert np.array_equal(g_p, g_m)
 
-    @pytest.mark.parametrize("a", [1, 2, 3, 4])
-    def test_certification(self, a):
-        assert verify_generators(build_generators(a)).passed
+    @pytest.mark.parametrize("a, pinned", [
+        pytest.param(1, "18686ef41d3bc17f9e1ccd92f9a63fface42c15cf260ef1c1e0576994046432b", id="1"),
+        pytest.param(2, "6d5a3f7d88b46ea895a47344204e49fa4beced4d69fd1a60bad0f7fe4f7ba82e", id="2"),
+        pytest.param(3, "873e30705879b26d9fa2954b5d31713dbe45de36f367843348314826c777fbfb", id="3"),
+        pytest.param(4, "c586e66cd051ceb969ee25228235268b80129fde0890cfa9e04b24a315417a68", id="4"),
+        pytest.param(5, "5daad0ea986be26bbe12d9a968b808bd2a00a107eba0e0cba8da9b9b593a8291", id="5"),
+    ])
+    def test_certification(self, a, pinned):
+        report = verify_generators(build_generators(a))
+        assert report.passed
+        assert digest(report.summary()) == pinned
 
     def test_pairwise_anticommutation_literal(self):
         for a in (1, 2, 3):
@@ -189,9 +198,15 @@ class TestPowerSetProducts:
 
 
 class TestTraceless:
-    @pytest.mark.parametrize("a", [1, 2, 3])
-    def test_all_products_traceless(self, a):
-        assert verify_traceless(build_generators(a)).passed
+    @pytest.mark.parametrize("a, pinned", [
+        pytest.param(1, "4e17059957346fc8298f6cf7b7c54c8975900d9aba09573ac3d180186653f1a0", id="1"),
+        pytest.param(2, "c5403673a538f8d3b3c6c133adc28d89b0f815a592198052309cc2c6d9795b26", id="2"),
+        pytest.param(3, "e65f419bfd581719566c1fccd52ad62379514d2e4ec6942d6d255b62a78dd777", id="3"),
+    ])
+    def test_all_products_traceless(self, a, pinned):
+        report = verify_traceless(build_generators(a))
+        assert report.passed
+        assert digest(report.summary()) == pinned
 
     def test_identity_exception(self):
         cliff = build_generators(3)

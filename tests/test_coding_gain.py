@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product as iter_product
 
 import numpy as np
@@ -15,8 +17,11 @@ from stbc.coding_gain import (
     rotation_from_matrix,
 )
 from helpers import one_weight_per_group_design, relabel
-from stbc.coding_gain import full_symbol_matrix
+from stbc import decoder, sim
+from stbc.coding_gain import _bounded_difference_set, full_symbol_matrix
 from stbc.designs import STBCDesign, build_rate1_4group, extend_full_rate
+from stbc.rng import substream
+from stbc.sim import draw_trial
 from stbc.errors import (
     AlphabetError,
     BudgetExceededError,
@@ -93,6 +98,14 @@ class TestBuiltinRotations:
     def test_orthogonal(self, dim):
         spec = builtin_rotation(dim)
         assert np.abs(spec.U.T @ spec.U - np.eye(dim)).max() < 1e-12
+
+    def test_dim16_set_is_every_vector_of_support_two(self):
+        # entries in {+-2, +-4} on one or two of the 16 positions
+        diffs, text = _bounded_difference_set(16)
+        assert len(np.unique(diffs, axis=0)) == len(diffs) == 16 * 4 + 120 * 16
+        assert set(np.abs(diffs[diffs != 0]).tolist()) == {2.0, 4.0}
+        assert set(np.count_nonzero(diffs, axis=1).tolist()) == {1, 2}
+        assert text.endswith("(1984 vectors)")
 
     def test_dim2_eight_case_oracle(self):
         # independent enumeration of the 8 nonzero {-2,0,2}^2 differences
@@ -178,6 +191,32 @@ class TestEncoder:
         enc = default_encoder(d, PAM2)
         with pytest.raises(AlphabetError):
             encode(enc, np.full(8, 0.3))
+
+    def test_symbol_matrix_kept_on_the_encoder_only(self, monkeypatch):
+        # a sweep's encoder, and the one decode_auto makes when given none,
+        # die with the call: nothing caches the matrix beyond its encoder
+        refs = []
+
+        def recording(design, alphabet, rotation=None):
+            enc = default_encoder(design, alphabet, rotation)
+            refs.append(weakref.ref(enc))
+            return enc
+
+        monkeypatch.setattr(sim, "default_encoder", recording)
+        monkeypatch.setattr(decoder, "default_encoder", recording)
+        d = build_rate1_4group(2)
+        sim.run_error_sweep(sim.SimConfig(design=d, n_r=1, trials=3))
+        y, h, _ = draw_trial(d, default_encoder(d, PAM2), 1, 10.0, substream(3))
+        decoder.decode_auto(y, h, d, decoder.constellation("4qam"), 10.0)
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        enc = default_encoder(d, PAM2)
+        assert full_symbol_matrix(d, enc) is full_symbol_matrix(d, enc)
+
+    def test_rotation_must_fit_the_design_groups(self):
+        enc = default_encoder(build_rate1_4group(2), PAM2)
+        with pytest.raises(StructureError):
+            full_symbol_matrix(build_rate1_4group(3), enc)
 
     def test_non_orthogonal_rotation_rejected(self):
         d = build_rate1_4group(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import expected_table_n8, literal_product
+from helpers import digest, expected_table_n8, literal_product
 from stbc.clifford import build_generators
 from stbc.designs import (
     STBCDesign,
@@ -97,11 +97,26 @@ class TestRate1Construction:
             build_rate1_4group(0)
 
 
+#: ``verify_design`` summaries of the builtin codes by layer count (their
+#: text names no antenna count, so every a shares them)
+VERIFY_DESIGN_DIGESTS = {
+    1: "10b5bd3f78432dd49b4193c5a343d87c45d215244f097cb7bb0e0d80748333e8",
+    2: "f8cb7e58d9995913b364e6b79eade29e1256e118840523a92b84039342d8cb6e",
+    3: "34d787479338cbf5376f5cbc95ce970d34e42977efed6c1b3a48e8a82c54c98d",
+    4: "848f9d72db459b339a71f7476e7ed5dc93037093f56f3d3410ecb4194d669020",
+}
+
+
 class TestTheorem1:
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_builtin_designs_pass(self, a):
-        report = verify_theorem1(build_rate1_4group(a))
-        assert report.passed, report.summary()
+        base = build_rate1_4group(a)
+        assert verify_theorem1(base).summary() == verify_design(base).summary()
+        for layers in range(1, min(base.n_t, 4) + 1):
+            d = base if layers == 1 else extend_full_rate(base, layers)
+            report = verify_design(d)
+            assert report.passed, report.summary()
+            assert digest(report.summary()) == VERIFY_DESIGN_DIGESTS[layers]
 
     def test_commuting_headers_fail_with_witness(self):
         # g1 and g1g2g3 commute, so placing them as headers of different
@@ -124,6 +139,8 @@ class TestTheorem1:
         cond5 = next(c for c in report.checks if c.name.startswith("5"))
         assert not cond5.passed
         assert cond5.witnesses
+        assert digest(report.summary()) == (
+            "213157f0368a6f88ef9fef78416d54b7a8a8d196311b5cf31e55d791fe607b12")
 
     def test_flipped_sign_fails(self):
         d = build_rate1_4group(2)
@@ -134,6 +151,16 @@ class TestTheorem1:
         )
         report = verify_theorem1(corrupted)
         assert not report.passed
+        assert digest(report.summary()) == (
+            "bb9e9ba0c877a7f9fca3f34902a62b51aacfbcbfba0b97792a49c574c698408f")
+
+    def test_group_longer_than_the_first_fails_the_row_rule(self):
+        d = build_rate1_4group(2)
+        uneven = STBCDesign(n_t=4, T=4, weights=d.weights,
+                            groups=((0, 1), (2, 3, 4), (5,), (6, 7)))
+        report = verify_theorem1(uneven)
+        row_rule = next(c for c in report.checks if c.name.startswith("6"))
+        assert row_rule.witnesses == ["group 2 has more entries than the first group"]
 
 
 class TestExtension:

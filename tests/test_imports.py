@@ -1,17 +1,24 @@
-"""Every name the demos and the benchmark import from ``stbc`` resolves.
+"""Every name the demos and the benchmark import from ``stbc`` resolves,
+and the algebra demos run.
 
 Neither is imported by the test suite, so a moved or renamed function
-would otherwise break them unseen.  The files are parsed, never run.
+would otherwise break them unseen.  The files are parsed; demos 01-04,
+which print the certification reports, also run in-process (well under
+a second together).  The Monte-Carlo demos 05-06 are only parsed.
 """
 
 import ast
 import importlib
+import runpy
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+ALGEBRA_DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
 
 
 def stbc_imports(path):
@@ -27,7 +34,7 @@ def stbc_imports(path):
 
 
 def test_scripts_found():
-    assert len(SCRIPTS) >= 6
+    assert len(SCRIPTS) >= 6 and len(ALGEBRA_DEMOS) == 4
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -36,3 +43,13 @@ def test_stbc_imports_resolve(path):
         mod = importlib.import_module(module)
         if name is not None and not hasattr(mod, name):
             importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+@pytest.mark.parametrize("path", ALGEBRA_DEMOS, ids=lambda p: p.name)
+def test_algebra_demo_runs(path):
+    printed = StringIO()
+    with redirect_stdout(printed):
+        runpy.run_path(str(path), run_name="__main__")
+    assert printed.getvalue()
+    if path.name.startswith("01"):
+        assert "PASS" in printed.getvalue() and "FAIL" not in printed.getvalue()

@@ -7,6 +7,7 @@ from stbc.linalg import (
     kron,
     matrix_from_text,
     matrix_to_text,
+    pairwise_residual,
     real_matrix_from_text,
     realify,
     tilde_vec,
@@ -130,6 +131,21 @@ class TestScalars:
         x = crandn(3, 4)
         norm = np.linalg.norm
         assert abs(norm(realify(x)) - np.sqrt(2) * norm(x)) < 1e-12
+
+
+class TestPairwiseResidual:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("adjoint, shape", [(False, (4, 4)), (True, (4, 4)), (True, (2, 5))])
+    def test_matches_literal_pairs(self, sign, adjoint, shape):
+        left, right = crandn(3, *shape), crandn(5, *shape)
+        h = (lambda m: m.conj().T) if adjoint else (lambda m: m)
+        want = np.array([[np.abs(a @ h(b) + sign * (b @ h(a))).max() for b in right]
+                         for a in left])
+        assert np.array_equal(pairwise_residual(left, right, sign, adjoint), want)
+
+    def test_zero_for_anticommuting_pair(self):
+        assert np.array_equal(pairwise_residual(np.stack([P1, P3]), np.stack([P1, P3])),
+                              [[2.0, 0.0], [0.0, 2.0]])
 
 
 class TestMatrixText:

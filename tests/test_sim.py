@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import digest
 from stbc.cli import main
 from stbc.decoder import (
     _block_trials,
@@ -233,11 +234,39 @@ class TestParsing:
             silver_cfg(decoder="magic")
 
 
+class TestSubstream:
+    @pytest.mark.parametrize("seed, context, point, trial", [
+        (0, CTX_ERROR_SWEEP, 0, 0),
+        (12345, 3, 7, 99),
+        (-5, 2, 1, 3),
+        ((1 << 64) - 1, (1 << 16) - 1, (1 << 16) - 1, (1 << 32) - 1),
+    ])
+    def test_equals_keyed_philox(self, seed, context, point, trial):
+        key = [seed & (1 << 64) - 1, (context << 48) | (point << 32) | trial]
+        want = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        got = substream(seed, context, point, trial)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert np.array_equal(got.standard_normal(100), want.standard_normal(100))
+        assert np.array_equal(got.integers(0, 16, 50), want.integers(0, 16, 50))
+
+    @pytest.mark.parametrize("args", [(0, 1 << 16), (0, 1, 1 << 16), (0, 1, 0, 1 << 32),
+                                      (0, -1)])
+    def test_range_checks(self, args):
+        with pytest.raises(ValueError):
+            substream(*args)
+
+
 class TestVerifyAll:
-    @pytest.mark.parametrize("a,layers", [(1, 2), (2, 1)])
-    def test_passes(self, a, layers):
+    @pytest.mark.parametrize("a,layers,pinned", [
+        pytest.param(1, 2, "a094af67e7225e0615ff1f6f2458867073da890b6fb164b5144249f53acbe8ac",
+                     id="1-2"),
+        pytest.param(2, 1, "354bdbb9566e56fdbf7cd8ff66a2f2754df62e5f440ef7a2a3bb7983d1464ad7",
+                     id="2-1"),
+    ])
+    def test_passes(self, a, layers, pinned):
         report = verify_all(a, layers)
         assert report.passed, report.summary()
+        assert digest(report.summary()) == pinned
 
     def test_summary_lines(self):
         report = verify_all(1, 1)
