@@ -50,4 +50,6 @@ for layers in (2, 3):
 # the two-antenna special case: the base layer is the classical Alamouti
 # array and the second layer is its j-multiple
 silver = extend_full_rate(build_rate1_4group(1), 2)
-print(f"\ntwo-antenna two-layer code: scalars per layer = {silver.scalars}")
+labels = silver.labels()
+print(f"\ntwo-antenna two-layer code: layer 1 = {', '.join(labels[:4])}; "
+      f"layer 2 = {', '.join(labels[4:])}")

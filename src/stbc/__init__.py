@@ -67,8 +67,6 @@ from .designs import (
     design_from_text,
     design_to_text,
     extend_full_rate,
-    generator_matrix,
-    layer_design,
     load_design,
     save_design,
     verify_design,

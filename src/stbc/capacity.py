@@ -293,6 +293,5 @@ def random_rotation_baseline(design: STBCDesign, seed: int = 0x5EED) -> STBCDesi
         weights=mixed,
         groups=design.groups,
         layers=design.layers,
-        scalars=design.scalars,
         provenance=f"random orthogonal remix (seed={seed}) of: {design.provenance}",
     )

@@ -163,9 +163,11 @@ class RProfile:
 
     def mask_text(self) -> str:
         """Text grid: '.' for a zero entry, 'x' otherwise."""
-        return "\n".join(
-            "".join("." if z else "x" for z in row) for row in self.zero_mask
-        )
+        return _mask_text(self.zero_mask)
+
+
+def _mask_text(mask: np.ndarray) -> str:
+    return "\n".join("".join("." if z else "x" for z in row) for row in mask)
 
 
 def profile_over_channels(

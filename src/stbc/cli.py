@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .capacity import code_capacity
-from .channel import profile_over_channels
+from .channel import _mask_text, profile_over_channels
 from .clifford import build_generators
 from .coding_gain import (
     default_encoder,
@@ -47,6 +47,7 @@ from .linalg import matrix_to_text, real_matrix_from_text
 from .rng import CTX_CAPACITY, substream
 from .sim import (
     SimConfig,
+    _csv_text,
     emit_csv,
     parse_config_file,
     parse_layer_scalar,
@@ -60,10 +61,6 @@ from .sim import (
 #: ``sim sweep --config`` keys, each the destination of the flag it stands for
 _CONFIG_KEYS = ("design", "a", "layers", "layer_scalar", "sign", "nr", "constellation",
                 "snr_db", "trials", "seed", "decoder", "out", "noise_scale")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("STBC_SEED", "0"))
 
 
 def _build_design(a: int, layers: int, layer_scalar: str, sign: int):
@@ -129,17 +126,13 @@ def cmd_channel_profile(args) -> int:
         design, args.nr, args.seeds, args.tol, args.seed
     )
     print(f"# zero mask over {args.seeds} channels ('.' = |R| < {args.tol:g}):")
-    print("\n".join("".join("." if z else "x" for z in row) for row in always_zero))
+    print(_mask_text(always_zero))
     if args.out:
-        lines = ["row,col,mean_abs,max_abs,always_zero"]
         n = mean_abs.shape[0]
-        for i in range(n):
-            for j in range(n):
-                lines.append(
-                    f"{i + 1},{j + 1},{float(mean_abs[i, j])!r},"
-                    f"{float(max_abs[i, j])!r},{int(always_zero[i, j])}"
-                )
-        _write_output("\n".join(lines) + "\n", args.out)
+        rows = ((i + 1, j + 1, float(mean_abs[i, j]), float(max_abs[i, j]),
+                 int(always_zero[i, j])) for i in range(n) for j in range(n))
+        _write_output(_csv_text(("row", "col", "mean_abs", "max_abs", "always_zero"), rows),
+                      args.out)
     return 0
 
 
@@ -150,24 +143,20 @@ def cmd_decode(args) -> int:
         design, n_r, args.constellation, args.snr_db, args.trials,
         args.seed, args.decoder,
     )
-    lines = ["trial,metric,symbol_errors,evaluations"]
-    lines += [
-        f"{r['trial']},{r['metric']!r},{r['symbol_errors']},{r['evaluations']}"
-        for r in rows
-    ]
-    _write_output("\n".join(lines) + "\n", args.out)
+    columns = ("trial", "metric", "symbol_errors", "evaluations")
+    _write_output(_csv_text(columns, ([r[c] for c in columns] for r in rows)), args.out)
     return 0
 
 
 def cmd_capacity_sweep(args) -> int:
     design = _design_from_args(args)
     snrs = parse_snr_spec(args.snr_db)
-    lines = ["snr_db,mean_bits,std_err,trials"]
+    rows = []
     for i, db in enumerate(snrs):
         est = code_capacity(design, args.nr, 10.0 ** (db / 10.0), args.trials,
                             rng=substream(args.seed, CTX_CAPACITY, i, 0))
-        lines.append(f"{float(db)!r},{est.mean!r},{est.std_error!r},{est.trials}")
-    _write_output("\n".join(lines) + "\n", args.out)
+        rows.append((float(db), est.mean, est.std_error, est.trials))
+    _write_output(_csv_text(("snr_db", "mean_bits", "std_err", "trials"), rows), args.out)
     return 0
 
 
@@ -231,15 +220,15 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_design_source(p, with_out=False):
+    seed = os.environ.get("STBC_SEED", "0")  # the --seed default, run through int
+
+    def add_design_source(p):
         p.add_argument("--design", help="design file")
         p.add_argument("--a", type=int, help="antenna exponent (n_t = 2^a)")
         p.add_argument("--layers", type=int, default=1)
         p.add_argument("--layer-scalar", dest="layer_scalar", default="1",
                        help="'1', 'pi/4' or an explicit a+bi unit scalar")
         p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-        if with_out:
-            p.add_argument("--out", help="output file (stdout when omitted)")
 
     p = sub.add_parser("clifford", help="generator matrices")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -272,7 +261,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     pc.add_argument("--nr", type=int, required=True)
     pc.add_argument("--seeds", type=int, default=100)
     pc.add_argument("--tol", type=float, default=1e-9)
-    pc.add_argument("--seed", type=int, default=None)
+    pc.add_argument("--seed", type=int, default=seed)
     pc.add_argument("--out", help="per-entry |R| statistics CSV")
     pc.set_defaults(func=cmd_channel_profile)
 
@@ -281,7 +270,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     p.add_argument("--constellation", default="4qam")
     p.add_argument("--snr-db", dest="snr_db", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--nr", type=int, default=0)
     p.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
     p.add_argument("--out")
@@ -295,7 +284,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     pcs.add_argument("--snr-db", dest="snr_db", required=True,
                      help="'A:B:STEP' or comma list")
     pcs.add_argument("--trials", type=int, default=1000)
-    pcs.add_argument("--seed", type=int, default=None)
+    pcs.add_argument("--seed", type=int, default=seed)
     pcs.add_argument("--out")
     pcs.set_defaults(func=cmd_capacity_sweep)
 
@@ -308,7 +297,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     ps.add_argument("--constellation", default="4qam")
     ps.add_argument("--snr-db", dest="snr_db", default="10")
     ps.add_argument("--trials", type=int, default=1000)
-    ps.add_argument("--seed", type=int)
+    ps.add_argument("--seed", type=int, default=seed)
     ps.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
     ps.add_argument("--out")
     ps.add_argument("--noise-scale", dest="noise_scale", type=float, default=1.0)
@@ -330,7 +319,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     p = sub.add_parser("verify-all", help="run every certification")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -344,8 +333,6 @@ def main(argv=None) -> int:
         if unknown:
             raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
         args = build_parser(entries).parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     return args.func(args)
 
 

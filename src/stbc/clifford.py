@@ -77,9 +77,11 @@ class CliffordSet:
 class SignedProduct:
     """scalar * G_{i1} G_{i2} ... G_{is} with ascending 1-based indices.
 
-    ``scalar`` is one of 1, -1, j, -j (exact).  ``matrix`` is the dense
-    value; for products of the builtin generators it is exact as well
-    since every entry is in {0, +-1, +-j}.
+    ``scalar`` is one of 1, -1, j, -j (exact) for the generator products,
+    and any unit-modulus number for a layer of a full-rate extension.
+    ``matrix`` is the dense value; for products of the builtin generators
+    with the exact scalars it is exact as well since every entry is in
+    {0, +-1, +-j}.
     """
 
     scalar: complex
@@ -87,11 +89,10 @@ class SignedProduct:
     matrix: np.ndarray
 
     def label(self) -> str:
-        """Short symbolic name, e.g. '-j.g4g5' or '1'."""
-        pre = {1 + 0j: "", -1 + 0j: "-", 1j: "j.", -1j: "-j."}[complex(self.scalar)]
-        if not self.indices:
-            return (pre or "") + "1" if pre else "1"
-        return pre + "".join(f"g{i}" for i in self.indices)
+        """Short symbolic name, e.g. '-j.g4g5', '1' or '(0.707107+0.707107j).g1'."""
+        z = complex(self.scalar)
+        pre = {1 + 0j: "", -1 + 0j: "-", 1j: "j.", -1j: "-j."}.get(z, f"({z:.6g}).")
+        return pre + ("".join(f"g{i}" for i in self.indices) or "1")
 
 
 def build_generators(a: int, sign: int = 1) -> CliffordSet:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder, full_symbol_matrix
-from .designs import STBCDesign, codeword, layer_design, verify_group_decodable
+from .designs import STBCDesign, codeword
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -272,22 +272,6 @@ def ml_oracle(
     return _result(Y, H, design, snr, b, pam, levels, total)
 
 
-@lru_cache(maxsize=64)
-def _certified_split(design: STBCDesign) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """(groups, outer): the first layer's four declared groups, once they
-    pass the cross-group dispersion condition, and every other index in
-    ascending order (read-only)."""
-    first = layer_design(design, 0)
-    if len(first.groups) != 4 or not verify_group_decodable(first, tol=1e-10).passed:
-        raise NotGroupDecodableError(
-            "the first layer is not four groups meeting the cross-group condition"
-        )
-    inner = {i for g in first.groups for i in g}
-    outer = np.array([i for i in range(design.n_real_symbols) if i not in inner], dtype=int)
-    outer.setflags(write=False)
-    return first.groups, outer  # layer 0 starts at index 0: no re-basing
-
-
 def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     """(n, len(idx)) base-p digits of idx, most significant first."""
     return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
@@ -317,7 +301,7 @@ def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     """Trials decoded together: as many as keep the largest array of one
     search step within ``_STEP_BYTES`` (at least one)."""
-    groups, outer = _certified_split(design)
+    groups, outer = design._certified_split
     _, step = _search_sizes(len(cons.pam), groups, len(outer), 2 * n_r * design.T)
     return max(1, _STEP_BYTES // step)
 
@@ -401,7 +385,7 @@ def _decode_stack(Y, H, design, cons, snr, encoder, budget=_BUDGET):
     minimized on its own and the overall minimum is exact ML.  The scan
     count and one trial's table bytes are checked before any table is
     built."""
-    groups, outer = _certified_split(design)
+    groups, outer = design._certified_split
     p = len(cons.pam)
     scans = _hypotheses(p, groups, len(outer))
     if scans > budget:

@@ -35,6 +35,7 @@ from .errors import (
     DependentExtensionError,
     DesignFormatError,
     DimensionMismatchError,
+    NotGroupDecodableError,
     StructureError,
     UnsupportedSizeError,
 )
@@ -49,8 +50,6 @@ __all__ = [
     "verify_group_decodable",
     "verify_design",
     "codeword",
-    "generator_matrix",
-    "layer_design",
     "design_to_text",
     "design_from_text",
     "save_design",
@@ -68,10 +67,11 @@ class STBCDesign:
     groups    -- partition of 0-based weight indices; each group lies
                  inside one layer (4 groups per layer, contiguous, for
                  the builtin constructions)
-    layers    -- number of stacked rate-1 layers (1 for rate-1 designs)
-    scalars   -- unit-modulus scalar applied to each layer's weights
+    layers    -- number of stacked rate-1 layers (1 for rate-1 designs);
+                 layer L is the index range [L*2k/layers, (L+1)*2k/layers)
     products  -- exact signed-product bookkeeping for constructed
                  designs (None when loaded from a file)
+    cliff     -- the generators the products were built from (likewise)
     """
 
     n_t: int
@@ -79,11 +79,9 @@ class STBCDesign:
     weights: tuple[np.ndarray, ...]
     groups: tuple[tuple[int, ...], ...]
     layers: int = 1
-    scalars: tuple[complex, ...] = (1.0 + 0j,)
     provenance: str = ""
     products: tuple[SignedProduct, ...] | None = field(default=None, repr=False)
-    source_a: int | None = None
-    source_sign: int | None = None
+    cliff: CliffordSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_t < 1 or self.T < 1:
@@ -102,12 +100,6 @@ class STBCDesign:
             raise DesignFormatError(
                 f"{self.layers} layers do not split {len(self.weights)} weights evenly"
             )
-        if len(self.scalars) != self.layers:
-            raise DesignFormatError(
-                f"{len(self.scalars)} layer scalars for {self.layers} layers"
-            )
-        if any(abs(abs(z) - 1.0) > 1e-12 for z in self.scalars):
-            raise DesignFormatError("layer scalars must have unit modulus")
         if np.linalg.matrix_rank(self.G) < len(self.weights):
             raise DependentExtensionError(
                 "weight matrices are linearly dependent over the reals"
@@ -161,18 +153,30 @@ class STBCDesign:
         out.setflags(write=False)
         return out
 
-    def layer_slice(self, layer: int) -> slice:
-        """Weight index range of one layer (0-based layer number)."""
-        per = self.n_real_symbols // self.layers
-        return slice(layer * per, (layer + 1) * per)
+    @cached_property
+    def _certified_split(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+        """(groups, outer) of the structured decoder: the first layer's four
+        declared groups, once they pass the cross-group dispersion
+        condition, and every other index in ascending order (read-only)."""
+        groups = self.layer_groups(0)
+        if len(groups) != 4 or _dispersion_witnesses(self.weight_stack, groups, 1e-10):
+            raise NotGroupDecodableError(
+                "the first layer is not four groups meeting the cross-group condition"
+            )
+        inner = {i for g in groups for i in g}
+        outer = np.array([i for i in range(self.n_real_symbols) if i not in inner], dtype=int)
+        outer.setflags(write=False)
+        return groups, outer
 
     def layer_groups(self, layer: int) -> tuple[tuple[int, ...], ...]:
-        """The declared groups inside one layer's index range, in declared
-        order; raises StructureError when a group straddles the range."""
-        sl = self.layer_slice(layer)
+        """The declared groups inside one layer's index range (0-based
+        layer number), in declared order; raises StructureError when a
+        group straddles the range."""
+        per = self.n_real_symbols // self.layers
+        start, stop = layer * per, (layer + 1) * per
         inside = []
         for g in self.groups:
-            hits = sum(sl.start <= i < sl.stop for i in g)
+            hits = sum(start <= i < stop for i in g)
             if hits and hits < len(g):
                 raise StructureError(
                     f"group {tuple(i + 1 for i in g)} straddles layer {layer + 1}"
@@ -232,11 +236,9 @@ def build_rate1_4group(a: int, sign: int = 1) -> STBCDesign:
         weights=tuple(_freeze(p.matrix) for p in products),
         groups=groups,
         layers=1,
-        scalars=(1.0 + 0j,),
         provenance=f"rate-1 4-group construction, a={a}, sign={sign:+d}",
         products=tuple(products),
-        source_a=a,
-        source_sign=sign,
+        cliff=cliff,
     )
     report = verify_group_decodable(design)
     if not report.passed:
@@ -247,19 +249,26 @@ def build_rate1_4group(a: int, sign: int = 1) -> STBCDesign:
     return design
 
 
+def _dispersion_witnesses(ws: np.ndarray, groups, tol: float, start: int = 0) -> list[str]:
+    """One line per pair of weights in different groups that violates the
+    cross-group condition A_i A_j^H + A_j A_i^H = 0, in group-pair, then
+    row-major order; weights are numbered 1-based from index ``start``."""
+    witnesses = []
+    for gi, gj in combinations(range(len(groups)), 2):
+        rows, cols = groups[gi], groups[gj]
+        resid = pairwise_residual(ws[list(rows)], ws[list(cols)], adjoint=True)
+        witnesses += [
+            f"groups ({gi + 1},{gj + 1}) weights "
+            f"({rows[x] - start + 1},{cols[y] - start + 1}): residual {resid[x, y]:.2e}"
+            for x, y in np.argwhere(resid > tol)  # row-major: the nested-loop order
+        ]
+    return witnesses
+
+
 def verify_group_decodable(design: STBCDesign, tol: float = 1e-12) -> Report:
     """Check the cross-group condition A_i A_j^H + A_j A_i^H = 0."""
     report = Report("cross-group dispersion condition")
-    ws = design.weight_stack
-    witnesses = []
-    for gi, gj in combinations(range(len(design.groups)), 2):
-        rows, cols = design.groups[gi], design.groups[gj]
-        resid = pairwise_residual(ws[list(rows)], ws[list(cols)], adjoint=True)
-        witnesses += [
-            f"groups ({gi + 1},{gj + 1}) weights ({rows[x] + 1},{cols[y] + 1}): "
-            f"residual {resid[x, y]:.2e}"
-            for x, y in np.argwhere(resid > tol)  # row-major: the nested-loop order
-        ]
+    witnesses = _dispersion_witnesses(design.weight_stack, design.groups, tol)
     report.add("all cross-group pairs", not witnesses, witnesses)
     return report
 
@@ -331,9 +340,7 @@ def _extension_multipliers(design: STBCDesign, n_layers: int) -> list[tuple[comp
     order, whose coset w.r.t. the first-layer span is new.  Once those
     are exhausted the same sequence is reused multiplied by j.
     """
-    if design.products is None:
-        raise ValueError("extension needs a constructed design (exact products)")
-    n_gen = 2 * design.source_a
+    n_gen = design.cliff.n_generators
     g1_subsets = frozenset(frozenset(p.indices) for p in design.products[: 2 * design.n_t])
     if len(g1_subsets) != 2 * design.n_t:
         raise AssertionError("first-layer subsets are not distinct")
@@ -370,7 +377,6 @@ def _extension_multipliers(design: STBCDesign, n_layers: int) -> list[tuple[comp
 def extend_full_rate(
     base: STBCDesign,
     n_layers: int,
-    cliff: CliffordSet | None = None,
     layer_scalar: complex = 1.0 + 0j,
 ) -> STBCDesign:
     """Stack ``n_layers`` unitary multiples of a rate-1 design.
@@ -389,16 +395,12 @@ def extend_full_rate(
         )
     if abs(abs(complex(layer_scalar)) - 1.0) > 1e-12:
         raise ValueError("layer_scalar must have unit modulus")
-    if cliff is None:
-        cliff = build_generators(base.source_a, base.source_sign)
 
     multipliers = _extension_multipliers(base, n_layers)
     products: list[SignedProduct] = []
-    scalars: list[complex] = []
     for layer, (scalar, subset) in enumerate(multipliers):
         layer_gain = complex(scalar) * (complex(layer_scalar) if layer else 1.0)
-        scalars.append(layer_gain)
-        mult = product_of(cliff, subset, scalar=layer_gain)
+        mult = product_of(base.cliff, subset, scalar=layer_gain)
         products.extend(mul_signed(p, mult) for p in base.products)
 
     q = base.group_size
@@ -406,7 +408,7 @@ def extend_full_rate(
         tuple(range(m * q, (m + 1) * q)) for m in range(GROUPS_PER_LAYER * n_layers)
     )
     mult_desc = ", ".join(
-        f"layer{i + 1}={product_of(cliff, sub, scalar=sc).label()}"
+        f"layer{i + 1}={product_of(base.cliff, sub, scalar=sc).label()}"
         for i, (sc, sub) in enumerate(multipliers)
     )
     try:
@@ -416,14 +418,12 @@ def extend_full_rate(
             weights=tuple(_freeze(p.matrix) for p in products),
             groups=groups,
             layers=n_layers,
-            scalars=tuple(scalars),
             provenance=(
                 f"{base.provenance}; extended to {n_layers} layers "
                 f"[{mult_desc}], layer_scalar={complex(layer_scalar):.6g}"
             ),
             products=tuple(products),
-            source_a=base.source_a,
-            source_sign=base.source_sign,
+            cliff=base.cliff,
         )
     except DependentExtensionError:
         raise DependentExtensionError(
@@ -442,37 +442,12 @@ def verify_design(design: STBCDesign, tol: float = 1e-12) -> Report:
     if design.layers == 1:
         return verify_theorem1(design, tol)
     report = Report(f"layered design certification ({design.layers} layers)")
+    per = design.n_real_symbols // design.layers
     for layer in range(design.layers):
-        sub = verify_group_decodable(layer_design(design, layer), tol)
-        for check in sub.checks:
-            report.add(f"layer {layer + 1}: {check.name}", check.passed,
-                       check.witnesses, check.detail)
+        witnesses = _dispersion_witnesses(
+            design.weight_stack, design.layer_groups(layer), tol, layer * per)
+        report.add(f"layer {layer + 1}: all cross-group pairs", not witnesses, witnesses)
     return report
-
-
-def layer_design(design: STBCDesign, layer: int) -> STBCDesign:
-    """Extract one layer of an extended design as a standalone design.
-
-    The layer keeps its declared groups, re-based to the layer's index
-    range; a group that straddles layers raises StructureError.
-    """
-    if not 0 <= layer < design.layers:
-        raise ValueError(f"layer must be in 0..{design.layers - 1}")
-    sl = design.layer_slice(layer)
-    return STBCDesign(
-        n_t=design.n_t,
-        T=design.T,
-        weights=design.weights[sl],
-        groups=tuple(
-            tuple(i - sl.start for i in g) for g in design.layer_groups(layer)
-        ),
-        layers=1,
-        scalars=(design.scalars[layer],),
-        provenance=f"layer {layer + 1} of: {design.provenance}",
-        products=None if design.products is None else design.products[sl],
-        source_a=design.source_a,
-        source_sign=design.source_sign,
-    )
 
 
 def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:
@@ -493,11 +468,6 @@ def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:
     return (s[..., None, :] @ flat).reshape(*s.shape[:-1], design.n_t, design.T)
 
 
-def generator_matrix(design: STBCDesign) -> np.ndarray:
-    """Real 2*n_t*T x 2k matrix G with tilde(vec(S)) = G s (read-only)."""
-    return design.G
-
-
 # ---------------------------------------------------------------------------
 # plain-text design files
 # ---------------------------------------------------------------------------
@@ -513,8 +483,6 @@ def design_to_text(design: STBCDesign) -> str:
         f"nt {design.n_t}",
         f"T {design.T}",
         f"layers {design.layers}",
-        "scalars " + " ".join(f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
-                              for z in design.scalars),
         f"groups {len(design.groups)}",
     ]
     for g in design.groups:
@@ -567,8 +535,6 @@ def design_from_text(text: str) -> STBCDesign:
     try:
         n_t, T = int(fields["nt"]), int(fields["T"])
         layers = int(fields.get("layers", "1"))
-        scalars = tuple(complex(matrix_from_text(tok)[0, 0])
-                        for tok in fields.get("scalars", "1.0+0.0i").split())
     except ValueError as err:
         raise DesignFormatError(f"malformed header value: {err}") from err
     design = STBCDesign(
@@ -577,7 +543,6 @@ def design_from_text(text: str) -> STBCDesign:
         weights=tuple(_freeze(w) for w in weights),
         groups=tuple(groups),
         layers=layers,
-        scalars=scalars,
         provenance=fields.get("provenance", ""),
     )
     # the transmit model's energy_scale assumes E||S||^2 = n_t T, i.e. a

@@ -332,30 +332,25 @@ def run_decode_trials(
 # ---------------------------------------------------------------------------
 
 
+def _csv_text(columns, rows) -> str:
+    """CSV text: the header, then one line per row of values written with
+    ``repr`` (so floats round-trip exactly), newline-terminated."""
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def emit_csv(records: list[SimRecord], path, timing: bool = False) -> None:
     """Write sweep records as UTF-8 CSV with a stable column order.
 
     ``timing=False`` (default) zeroes the wall_time_s column so identical
     configurations produce byte-identical files.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        wall = rec.wall_time_s if timing else 0.0
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (
-                    rec.snr_db,
-                    rec.trials,
-                    rec.cer,
-                    rec.ser,
-                    rec.mean_evals,
-                    wall,
-                )
-            )
-        )
+    text = _csv_text(CSV_COLUMNS, (
+        (rec.snr_db, rec.trials, rec.cer, rec.ser, rec.mean_evals,
+         rec.wall_time_s if timing else 0.0)
+        for rec in records
+    ))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def parse_records_csv(path) -> list[dict]:
@@ -412,16 +407,14 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
 
 
 def parse_layer_scalar(spec: str) -> complex:
-    """'1', 'pi/4' (meaning e^{j pi/4}) or an explicit 'a+bi' literal."""
+    """'1', 'pi/4' (meaning e^{j pi/4}) or an explicit 'a+bi' literal
+    (``extend_full_rate`` checks its modulus)."""
     spec = spec.strip().lower()
     if spec in ("1", "none", ""):
         return 1.0 + 0j
     if spec == "pi/4":
         return complex(np.exp(1j * np.pi / 4.0))
-    z = complex(matrix_from_text(spec)[0, 0])
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise ValueError("layer scalar must have unit modulus")
-    return z
+    return complex(matrix_from_text(spec)[0, 0])
 
 
 # ---------------------------------------------------------------------------

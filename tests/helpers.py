@@ -62,7 +62,6 @@ def relabel(design, perm, group_order=None):
         weights=tuple(weights),
         groups=tuple(tuple(perm[i] for i in design.groups[g]) for g in order),
         layers=design.layers,
-        scalars=design.scalars,
         provenance=f"relabelled {design.provenance}",
     )
 
@@ -81,7 +80,6 @@ def one_weight_per_group_design():
         weights=tuple(full.weights[i] for i in picks),
         groups=tuple((i,) for i in range(len(picks))),
         layers=2,
-        scalars=(1.0 + 0j, 1.0 + 0j),
         provenance="one weight per group of the a=2 two-layer code",
     )
 

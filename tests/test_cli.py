@@ -52,7 +52,7 @@ class TestDesignCommands:
         assert run("design", "verify", "--design", path) == 0
 
 
-    @pytest.mark.parametrize("field", ["scalars", "nt", "T"])
+    @pytest.mark.parametrize("field", ["nt", "T"])
     def test_verify_names_missing_header_field(self, tmp_path, field):
         path = tmp_path / "full.txt"
         run("design", "build", "--a", 1, "--layers", 2, "--out", path)
@@ -65,9 +65,8 @@ class TestDesignCommands:
     def test_verify_refuses_layers_not_dividing_weights(self, tmp_path):
         path = tmp_path / "d.txt"
         run("design", "build", "--a", 1, "--out", path)
-        text = path.read_text().replace("layers 1", "layers 3", 1)
         bad = tmp_path / "bad.txt"
-        bad.write_text(text.replace("scalars 1.0+0.0i", "scalars 1 1 1", 1))
+        bad.write_text(path.read_text().replace("layers 1", "layers 3", 1))
         with pytest.raises(DesignFormatError, match="3 layers"):
             run("design", "verify", "--design", bad)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,7 +122,7 @@ class TestComplexityAccount:
         groups = list(d.groups)
         groups[3], groups[4] = (6, 8), (7, 9)
         bad = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
-                         layers=2, scalars=d.scalars)
+                         layers=2)
         with pytest.raises(StructureError):
             complexity_account(bad, CONS)
 
@@ -330,6 +333,16 @@ class TestAutoDispatch:
         res = decode_auto(y, h, d, CONS, 10.0, enc)
         assert res.metric_evaluations == complexity_account(d, CONS).conditional_evaluations
 
+    def test_decoded_design_is_not_kept_alive(self):
+        # no module-level cache may keep a decoded design alive
+        d = silver_design()
+        y, h, _ = random_trial(d, default_encoder(d, CONS.pam), 2, 10.0, seed=16, trial=0)
+        decode_auto(y, h, d, CONS, 10.0)
+        alive = weakref.ref(d)
+        del d
+        gc.collect()
+        assert alive() is None
+
 
 class TestDeclaredGroups:
     def test_interleaved_groups_decode_like_the_oracle(self):
@@ -353,7 +366,7 @@ class TestDeclaredGroups:
         weights = list(silver.weights)
         weights[1], weights[5] = weights[5], weights[1]
         d = STBCDesign(n_t=2, T=2, weights=tuple(weights), groups=silver.groups,
-                       layers=2, scalars=silver.scalars)
+                       layers=2)
         assert not verify_design(d).passed
         y = np.ones((2, 2), dtype=complex)
         h = np.eye(2, dtype=complex)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from stbc.designs import (
     design_from_text,
     design_to_text,
     extend_full_rate,
-    generator_matrix,
-    layer_design,
     load_design,
     save_design,
     verify_design,
@@ -168,7 +168,7 @@ class TestExtension:
         base = build_rate1_4group(1)
         silver = extend_full_rate(base, 2)
         assert silver.rate == 2.0
-        assert silver.scalars == ((1 + 0j), 1j)
+        assert silver.cliff is base.cliff
         for i in range(4):
             assert np.abs(silver.weights[4 + i] - 1j * base.weights[i]).max() == 0.0
 
@@ -198,7 +198,7 @@ class TestExtension:
         base = build_rate1_4group(2)
         full = extend_full_rate(base, 4)
         assert len(full.weights) == 32
-        assert np.linalg.matrix_rank(generator_matrix(full)) == 32
+        assert np.linalg.matrix_rank(full.G) == 32
 
     def test_layer_count_bounds(self):
         base = build_rate1_4group(1)
@@ -212,34 +212,41 @@ class TestExtension:
     def test_each_layer_is_group_decodable(self):
         design = extend_full_rate(build_rate1_4group(2), 2,
                                   layer_scalar=np.exp(1j * np.pi / 4))
-        for layer in range(design.layers):
-            sub = layer_design(design, layer)
-            assert verify_group_decodable(sub).passed
+        report = verify_design(design)
+        assert report.passed
+        assert [c.name for c in report.checks] == [
+            "layer 1: all cross-group pairs", "layer 2: all cross-group pairs"]
 
-    def test_layer_design_keeps_declared_groups(self):
+    def test_layer_witnesses_numbered_within_the_layer(self):
+        # weights 10 and 11 (layer 2) swapped across groups 5 and 6: the
+        # witnesses number the weights from the layer's first one
         d = extend_full_rate(build_rate1_4group(2), 2)
-        groups = list(d.groups)
-        groups[4] = (9, 8)
-        shuffled = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
-                              layers=2, scalars=d.scalars)
-        assert layer_design(shuffled, 1).groups == ((1, 0), (2, 3), (4, 5), (6, 7))
+        weights = list(d.weights)
+        weights[9], weights[10] = weights[10], weights[9]
+        bad = STBCDesign(n_t=4, T=4, weights=tuple(weights), groups=d.groups, layers=2)
+        report = verify_design(bad)
+        assert [c.passed for c in report.checks] == [True, False]
+        assert report.checks[1].witnesses[0] == "groups (1,2) weights (1,3): residual 2.00e+00"
+        assert digest(report.summary()) == (
+            "391305d09fe5d4774cfe7ecbe7e7326717af09f6a940692d517cd93d7c6089fc")
 
     def test_group_straddling_layers_rejected(self):
         d = extend_full_rate(build_rate1_4group(2), 2)
         groups = list(d.groups)
         groups[3], groups[4] = (6, 8), (7, 9)
-        bad = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups),
-                         layers=2, scalars=d.scalars)
-        with pytest.raises(StructureError):
-            layer_design(bad, 0)
+        bad = STBCDesign(n_t=4, T=4, weights=d.weights, groups=tuple(groups), layers=2)
         with pytest.raises(StructureError):
             verify_design(bad)
 
-    def test_scalar_count_must_match_layers(self):
-        d = extend_full_rate(build_rate1_4group(1), 2)
-        with pytest.raises(DesignFormatError):
-            STBCDesign(n_t=2, T=2, weights=d.weights, groups=d.groups,
-                       layers=2, scalars=(1.0 + 0j,))
+    def test_labels_of_a_non_exact_layer_scalar(self):
+        silver = extend_full_rate(build_rate1_4group(1), 2, layer_scalar=np.exp(1j * np.pi / 4))
+        assert silver.labels() == [
+            "1", "g1", "g2", "g1g2",
+            "(-0.707107+0.707107j).1", "(-0.707107+0.707107j).g1",
+            "(-0.707107+0.707107j).g2", "(-0.707107+0.707107j).g1g2",
+        ]
+        plain = extend_full_rate(build_rate1_4group(1), 2)
+        assert plain.labels()[4:] == ["j.1", "j.g1", "j.g2", "j.g1g2"]
 
     def test_dependent_weights_rejected(self):
         w = np.eye(2, dtype=complex)
@@ -271,7 +278,7 @@ class TestCodeword:
 
 class TestGeneratorMatrix:
     def test_rate1_a2_orthogonal_columns(self):
-        g = generator_matrix(build_rate1_4group(2))
+        g = build_rate1_4group(2).G
         assert g.shape == (32, 8)
         gram = g.T @ g
         assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-12
@@ -280,25 +287,25 @@ class TestGeneratorMatrix:
         d = STBCDesign(
             n_t=2, T=2, weights=(np.eye(2, dtype=complex),), groups=((0,),)
         )
-        g = generator_matrix(d)
+        g = d.G
         assert g.shape == (8, 1)
         assert np.array_equal(g[:, 0], tilde_vec(vec(np.eye(2))))
 
     def test_full_rate_n2_invertible(self):
         silver = extend_full_rate(build_rate1_4group(1), 2)
-        g = generator_matrix(silver)
+        g = silver.G
         assert g.shape == (8, 8)
         assert abs(np.linalg.det(g)) > 1e-6
 
     def test_cached_and_read_only(self):
         d = build_rate1_4group(2)
-        assert generator_matrix(d) is d.G
+        assert d.G is d.G
         with pytest.raises(ValueError):
             d.G[0, 0] = 1.0
 
     def test_consistency_with_codeword(self):
         d = extend_full_rate(build_rate1_4group(2), 2)
-        g = generator_matrix(d)
+        g = d.G
         s = rng.standard_normal(16)
         assert np.abs(g @ s - tilde_vec(vec(codeword(d, s)))).max() < 1e-12
 
@@ -313,9 +320,20 @@ class TestDesignFiles:
         assert loaded.n_t == d.n_t and loaded.T == d.T
         assert loaded.layers == d.layers
         assert loaded.groups == d.groups
-        assert np.abs(np.array(loaded.scalars) - np.array(d.scalars)).max() == 0.0
         for w1, w2 in zip(loaded.weights, d.weights):
             assert np.array_equal(w1, w2)
+
+    def test_file_with_a_scalars_line_loads(self):
+        # written by the format that still carried a "scalars" line
+        path = Path(__file__).parent / "data" / "two_layer_a1_pi4.txt"
+        assert "\nscalars " in path.read_text()
+        loaded = load_design(path)
+        d = extend_full_rate(build_rate1_4group(1), 2, layer_scalar=np.exp(1j * np.pi / 4))
+        assert (loaded.n_t, loaded.T, loaded.layers) == (d.n_t, d.T, d.layers)
+        assert loaded.groups == d.groups
+        for w1, w2 in zip(loaded.weights, d.weights, strict=True):
+            assert np.array_equal(w1, w2)
+        assert "scalars" not in design_to_text(loaded)
 
     def test_header_required(self):
         with pytest.raises(ValueError):
@@ -329,8 +347,6 @@ class TestDesignFiles:
         ("nt 4", "nt abc"),                  # header values
         ("T 4", "T x"),
         ("layers 1", "layers two"),
-        ("scalars 1.0+0.0i", "scalars 1.0+x"),
-        ("scalars 1.0+0.0i", "scalars 2"),   # not unit modulus
     ])
     def test_malformed_text_raises_design_format_error(self, old, new):
         text = design_to_text(build_rate1_4group(2))
@@ -343,9 +359,9 @@ class TestDesignFiles:
         ("0", ""),
     ])
     def test_layer_count_must_divide_weight_count(self, layers, scalars):
+        # in the older format, with a scalars line (read and ignored)
         text = design_to_text(build_rate1_4group(1))
-        text = text.replace("layers 1", f"layers {layers}", 1)
-        text = text.replace("scalars 1.0+0.0i", f"scalars {scalars}", 1)
+        text = text.replace("layers 1", f"layers {layers}\nscalars {scalars}", 1)
         with pytest.raises(DesignFormatError, match="layers"):
             design_from_text(text)
 

@@ -1,15 +1,17 @@
 """Every name the demos and the benchmark import from ``stbc`` resolves,
-and the algebra demos run.
+and every demo runs.
 
 Neither is imported by the test suite, so a moved or renamed function
-would otherwise break them unseen.  The files are parsed; demos 01-04,
-which print the certification reports, also run in-process (well under
-a second together).  The Monte-Carlo demos 05-06 are only parsed.
+would otherwise break them unseen.  The files are parsed, and every demo
+also runs in-process: the algebra demos 01-04, which print the
+certification reports, in well under a second together, and the
+Monte-Carlo demos 05-06 in about a second.
 """
 
 import ast
 import importlib
 import runpy
+import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 ALGEBRA_DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+MONTE_CARLO_DEMOS = sorted((ROOT / "demos").glob("0[5-6]_*.py"))
 
 
 def stbc_imports(path):
@@ -34,7 +37,7 @@ def stbc_imports(path):
 
 
 def test_scripts_found():
-    assert len(SCRIPTS) >= 6 and len(ALGEBRA_DEMOS) == 4
+    assert len(SCRIPTS) >= 6 and len(ALGEBRA_DEMOS) == 4 and len(MONTE_CARLO_DEMOS) == 2
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -45,11 +48,25 @@ def test_stbc_imports_resolve(path):
             importlib.import_module(f"{module}.{name}")  # a submodule
 
 
-@pytest.mark.parametrize("path", ALGEBRA_DEMOS, ids=lambda p: p.name)
-def test_algebra_demo_runs(path):
+def run_demo(path) -> str:
     printed = StringIO()
     with redirect_stdout(printed):
         runpy.run_path(str(path), run_name="__main__")
     assert printed.getvalue()
+    return printed.getvalue()
+
+
+@pytest.mark.parametrize("path", ALGEBRA_DEMOS, ids=lambda p: p.name)
+def test_algebra_demo_runs(path):
+    printed = run_demo(path)
     if path.name.startswith("01"):
-        assert "PASS" in printed.getvalue() and "FAIL" not in printed.getvalue()
+        assert "PASS" in printed and "FAIL" not in printed
+
+
+@pytest.mark.parametrize("path", MONTE_CARLO_DEMOS, ids=lambda p: p.name)
+def test_monte_carlo_demo_runs(path, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demo 06 writes its CSVs there
+    printed = run_demo(path)
+    if path.name.startswith("06"):
+        assert "re-run is byte-identical: True" in printed
+        assert (tmp_path / "stbc_sweep.csv").exists()

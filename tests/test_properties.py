@@ -123,7 +123,7 @@ def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials,
         levels, evaluations, _ = decoder._decode_stack(
             np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
         alone = [decode_auto(*args, design, cons, snr, enc) for *args, snr in zip(ys, hs, snrs)]
-    groups, outer = decoder._certified_split(design)
+    groups, outer = design._certified_split
     for i, (y, h, snr) in enumerate(zip(ys, hs, snrs)):
         y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
         reference = structured_reference(y_real, phi, cons.pam, outer, groups)
@@ -150,8 +150,8 @@ def _flip_sign(tok):
     return tok[1:] if tok.startswith("-") else "-" + tok
 
 
-HEADER_KEYS = ("nt ", "T ", "layers ", "scalars ")
-# another small integer, another unit scalar, or not a number at all
+HEADER_KEYS = ("nt ", "T ", "layers ")
+# another small integer, or not an integer at all
 HEADER_VALUES = st.one_of(
     st.integers(-1, 8).map(str),
     st.sampled_from(["0.0+1.0i", "-1.0+0.0i", "0.0-1.0i"]),
@@ -164,7 +164,7 @@ def mutated_design_texts(draw):
     """design_to_text output of a base code with 1-3 random mutations:
     a sign flip of one weight entry, a dropped or duplicated group entry,
     a weight block truncated by an entry, a row or all its rows, or an
-    nt, T or layers value or a scalars token replaced."""
+    nt, T or layers value replaced."""
     base = BASES[draw(st.sampled_from(sorted(BASES)))]
     lines = design_to_text(base).splitlines()
     for _ in range(draw(st.integers(1, 3))):

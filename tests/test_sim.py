@@ -222,8 +222,9 @@ class TestParsing:
         assert parse_layer_scalar("1") == 1.0 + 0j
         got = parse_layer_scalar("pi/4")
         assert abs(got - np.exp(1j * np.pi / 4)) < 1e-15
-        with pytest.raises(ValueError):
-            parse_layer_scalar("2.0+0.0i")
+        # the modulus is checked where the scalar is used
+        with pytest.raises(ValueError, match="unit modulus"):
+            extend_full_rate(build_rate1_4group(1), 2, layer_scalar=parse_layer_scalar("2.0+0.0i"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
