@@ -1,17 +1,17 @@
 """Reduced-complexity ML decoding.
 
-Three decoders minimize the same metric; the structured searches visit
-far fewer hypotheses while returning the exact ML answer.
+The structured decoder and the exhaustive oracle minimize the same
+metric; the structured search visits far fewer hypotheses while returning
+the exact ML answer.  A rate-1 code is its one-layer case.
 """
 
 from stbc import (
     build_rate1_4group,
     complexity_account,
-    conditional_decode,
     constellation,
+    decode_auto,
     default_encoder,
     extend_full_rate,
-    group_decode,
     draw_trial,
     ml_oracle,
 )
@@ -34,7 +34,7 @@ for name, design in (
           f"{'M^' + format(acc.order_exponent, 'g'):>10}")
 
 # ---------------------------------------------------------------------------
-# the structured searches are exact: same argmin, same metric
+# the structured search is exact: same argmin, same metric
 # ---------------------------------------------------------------------------
 silver = extend_full_rate(build_rate1_4group(1), 2)
 enc = default_encoder(silver, cons.pam)
@@ -42,7 +42,7 @@ snr = 10.0
 agree = 0
 for t in range(50):
     y, h, _ = draw_trial(silver, enc, 2, snr, substream(3, trial=t))
-    fast = conditional_decode(y, h, silver, cons, snr, enc)
+    fast = decode_auto(y, h, silver, cons, snr, enc)
     slow = ml_oracle(y, h, silver, cons, snr, enc)
     agree += fast.level_indices == slow.level_indices
 print(f"\nconditional vs exhaustive on 50 noisy draws: {agree}/50 identical "
@@ -51,6 +51,6 @@ print(f"\nconditional vs exhaustive on 50 noisy draws: {agree}/50 identical "
 d4 = build_rate1_4group(2)
 enc4 = default_encoder(d4, cons.pam)
 y, h, levels = draw_trial(d4, enc4, 1, snr, substream(4), noise_scale=0.0)
-res = group_decode(y, h, d4, cons, snr, enc4)
+res = decode_auto(y, h, d4, cons, snr, enc4)
 print(f"noiseless group decode at 4 antennas: recovered={res.level_indices == tuple(levels)}, "
       f"metric={res.metric:.2e}, {res.metric_evaluations} hypotheses")

@@ -53,10 +53,8 @@ from .decoder import (
     Constellation,
     DecodeResult,
     complexity_account,
-    conditional_decode,
     constellation,
     decode_auto,
-    group_decode,
     ml_oracle,
     square_qam,
 )
@@ -75,7 +73,6 @@ from .designs import (
 )
 from .linalg import (
     gram_schmidt_qr,
-    kron,
     realify,
     tilde_vec,
 )

@@ -181,8 +181,15 @@ def profile_over_channels(
 
     Returns (mean |R|, max |R|, always-zero mask, per-seed profiles); an
     entry is in the always-zero mask when it stays below tol for every
-    sampled channel realization.
+    sampled channel realization.  Fewer than k / T receive antennas leave
+    every H_eq with fewer rows than columns, so no channel is drawn then.
     """
+    rows, cols = 2 * n_r * design.T, design.n_real_symbols
+    if rows < cols:
+        raise RankDeficientError(
+            f"n_r = {n_r} gives a {design.layers}-layer design an H_eq of shape "
+            f"({rows}, {cols}), which is rank deficient for every channel"
+        )
     profiles = []
     for s in range(n_seeds):
         h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H

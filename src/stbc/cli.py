@@ -64,10 +64,8 @@ _CONFIG_KEYS = ("design", "a", "layers", "layer_scalar", "sign", "nr", "constell
 
 
 def _build_design(a: int, layers: int, layer_scalar: str, sign: int):
-    base = build_rate1_4group(a, sign)
-    if layers == 1:
-        return base
-    return extend_full_rate(base, layers, layer_scalar=parse_layer_scalar(layer_scalar))
+    return extend_full_rate(build_rate1_4group(a, sign), layers,
+                            layer_scalar=parse_layer_scalar(layer_scalar))
 
 
 def _design_from_args(args) -> "STBCDesign":

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadIndexOrderError, UnsupportedSizeError
-from .linalg import kron, kron_power, pairwise_residual
+from .linalg import kron_power, pairwise_residual
 from .reports import Report
 
 __all__ = [
@@ -115,9 +115,9 @@ def build_generators(a: int, sign: int = 1) -> CliffordSet:
     for k in range(1, a + 1):
         tail = kron_power(DIAGSIGN, k - 1)
         head = kron_power(eye2, a - k)
-        gens.append(kron(head, kron(ROT90, tail)))
+        gens.append(np.kron(head, np.kron(ROT90, tail)))
         if k < a:
-            gens.append(kron(head, kron(IMSWAP, tail)))
+            gens.append(np.kron(head, np.kron(IMSWAP, tail)))
     if a == 1:
         gens.append(IMSWAP.copy())
     for g in gens:

@@ -27,7 +27,7 @@ real symbols; encoding, decoding and the simulator all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -56,8 +56,6 @@ __all__ = [
     "min_product_distance",
 ]
 
-_ROTATION_CACHE: dict[int, "RotationSpec"] = {}
-
 
 @dataclass(frozen=True, eq=False)
 class RotationSpec:
@@ -72,7 +70,7 @@ class RotationSpec:
 
 @dataclass(frozen=True, eq=False)
 class Encoder:
-    """Per-group rotated encoding for a rate-1 4-group design.
+    """Per-group rotated encoding for a 4-group design's first layer.
 
     ``rotation`` maps one group's info vector (components from
     ``alphabet``) to the stored real symbols; it is the design's sign
@@ -84,7 +82,6 @@ class Encoder:
     design: STBCDesign
     rotation: np.ndarray
     alphabet: np.ndarray
-    rotation_source: str = "builtin"
 
     def __post_init__(self):
         r = self.rotation
@@ -158,6 +155,7 @@ def _bounded_difference_set(dim: int) -> tuple[np.ndarray, str]:
     return arr, f"support<=2 vectors with entries {{+-2,+-4}} ({len(arr)} vectors)"
 
 
+@cache
 def builtin_rotation(dim: int) -> RotationSpec:
     """Shipped orthogonal rotation with certified nonzero product distance.
 
@@ -166,8 +164,6 @@ def builtin_rotation(dim: int) -> RotationSpec:
     Every matrix is certified at build time by enumerating the bounded
     difference set reported in ``certified_over``.
     """
-    if dim in _ROTATION_CACHE:
-        return _ROTATION_CACHE[dim]
     if dim == 1:
         u = np.array([[1.0]])
     elif dim == 2:
@@ -192,15 +188,13 @@ def builtin_rotation(dim: int) -> RotationSpec:
         raise AssertionError(
             f"builtin rotation for dim {dim} failed the product-distance check"
         )
-    spec = RotationSpec(
+    return RotationSpec(
         dim=dim,
         U=u,
         source="builtin",
         certified_over=certified,
         min_product_distance_value=dist,
     )
-    _ROTATION_CACHE[dim] = spec
-    return spec
 
 
 def rotation_from_matrix(u: np.ndarray, source: str = "user-file") -> RotationSpec:
@@ -230,7 +224,6 @@ def default_encoder(
         design=design,
         rotation=w @ rotation.U,
         alphabet=np.asarray(alphabet, dtype=float),
-        rotation_source=rotation.source,
     )
 
 
@@ -241,7 +234,6 @@ def identity_encoder(design: STBCDesign, alphabet: np.ndarray) -> Encoder:
         design=design,
         rotation=np.eye(gs),
         alphabet=np.asarray(alphabet, dtype=float),
-        rotation_source="identity",
     )
 
 
@@ -269,22 +261,18 @@ def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:
     """Map the info vector to the stored real symbols, ``full_symbol_matrix
     @ info``.
 
-    ``info`` holds 2*n_t reals indexed like the real symbols (a (4, n_t/2)
+    ``info`` holds 2k reals indexed like the real symbols (a (4 L, n_t/2)
     array is read row by row, one group per row for group-contiguous
     designs).
     """
     design = encoder.design
-    if design.layers != 1:
-        raise ValueError("encode covers rate-1 designs; layered transmit "
-                         "assembly is done by the simulator")
     x = _symbol_vector(design, info)
     _check_alphabet(encoder, x)
     return full_symbol_matrix(design, encoder) @ x
 
 
 def decode_info(encoder: Encoder, s: np.ndarray) -> np.ndarray:
-    """Exact inverse of the symbol map (the rotation is orthogonal), also
-    for the stored symbols of a layered design."""
+    """Exact inverse of :func:`encode` (the rotation is orthogonal)."""
     design = encoder.design
     return full_symbol_matrix(design, encoder).T @ _symbol_vector(design, s)
 

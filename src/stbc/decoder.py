@@ -1,22 +1,22 @@
-"""Exact ML decoding: exhaustive oracle and one structured search.
+"""Exact ML decoding: one structured search and the exhaustive oracle.
 
-All decoders minimize || Y - sqrt(snr/n_t) H S ||^2 over the information
+Both decoders minimize || Y - sqrt(snr/n_t) H S ||^2 over the information
 symbols (S the energy-normalized codeword), i.e. || y - phi x ||^2 in the
 real model y = phi x + n.
 
-* ``ml_oracle`` enumerates all M^k candidates; it is the reference the
-  structured search is tested against and keeps its own plain loop.
-* ``decode_auto`` runs the one structured body; ``group_decode`` (rate 1)
-  and ``conditional_decode`` (layered) are guards around it.  The body
-  enumerates every index outside the first layer's four certified groups
+* ``decode_auto`` is the one structured decoder, for every design whose
+  first layer is four certified groups: a rate-1 code is its one-layer
+  case.  It enumerates every index outside the first layer's four groups
   and, per outer hypothesis, minimizes each group in closed form:
   4 * M^{n_t/4} hypotheses at rate 1, M^{n_t(L-1)} * 4 * M^{n_t/4}
-  (order M^{n_t(L-3/4)}) for L layers.  One budget covers every structured
-  search: more than 1 << 26 hypotheses, or search tables of more than
-  1 GiB for one trial, raise ``BudgetExceededError`` before any candidate
-  table is built.
+  (order M^{n_t(L-3/4)}) for L layers.  More than 1 << 26 hypotheses, or
+  search tables of more than 1 GiB for one trial, raise
+  ``BudgetExceededError`` before any candidate table is built.
+* ``ml_oracle`` enumerates all M^k candidates (at most 1 << 22); it is
+  the reference the structured search is tested against and keeps its
+  own plain loop.
 
-The body works on stacks of trials (``_decode_stack``): the front end
+The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
 SNR each, into stacked y and phi, and the search scans every trial of the
 stack in the same outer chunks with one stacked product per step.  Every
@@ -29,7 +29,7 @@ Decoded digits are scattered back by real-symbol index, so only the
 declared groups matter, never whether they are contiguous.  Ties go to
 the lexicographically smallest full index vector (first real symbol most
 significant), which is what the oracle's lexicographic scan returns, so
-all decoders agree exactly even on degenerate inputs.
+both decoders agree exactly even on degenerate inputs.
 
 ``metric_evaluations`` counts scanned hypotheses, one per per-group
 partial metric in a group scan, so the counters are comparable across
@@ -52,7 +52,6 @@ from .designs import STBCDesign, codeword
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
-    NotGroupDecodableError,
     TooLargeError,
 )
 
@@ -63,14 +62,13 @@ __all__ = [
     "square_qam",
     "constellation",
     "ml_oracle",
-    "group_decode",
-    "conditional_decode",
     "decode_auto",
     "complexity_account",
 ]
 
 _CHUNK = 1 << 14
 _BUDGET = 1 << 26
+_ORACLE_BUDGET = 1 << 22
 #: a block of trials is cut so that the largest array of one search step
 #: stays within this many bytes (a full outer chunk of one trial on a
 #: 32-row code is 4 MiB, so such searches run one trial at a time)
@@ -244,7 +242,6 @@ def ml_oracle(
     cons: Constellation,
     snr: float,
     encoder: Encoder | None = None,
-    budget: int = 1 << 22,
 ) -> DecodeResult:
     """Globally exhaustive ML decoding over all M^k candidates."""
     if design.k > 8:
@@ -252,8 +249,8 @@ def ml_oracle(
     pam = cons.pam
     n = design.n_real_symbols
     total = len(pam) ** n
-    if total > budget:
-        raise TooLargeError(f"M^k = {total} exceeds the budget of {budget}")
+    if total > _ORACLE_BUDGET:
+        raise TooLargeError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
 
     shape = (len(pam),) * n
@@ -375,8 +372,8 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, int]:
     return best, evaluations
 
 
-def _decode_stack(Y, H, design, cons, snr, encoder, budget=_BUDGET):
-    """The one structured body, for a stack of trials (see
+def _decode_stack(Y, H, design, cons, snr, encoder):
+    """The structured search, for a stack of trials (see
     ``_effective_operator``): (levels (B, n), evaluations per trial, b).
 
     Cross-group columns of phi are orthogonal, so for each outer
@@ -388,8 +385,8 @@ def _decode_stack(Y, H, design, cons, snr, encoder, budget=_BUDGET):
     groups, outer = design._certified_split
     p = len(cons.pam)
     scans = _hypotheses(p, groups, len(outer))
-    if scans > budget:
-        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {budget}")
+    if scans > _BUDGET:
+        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
     rows = 2 * np.shape(H)[-2] * design.T
     tables, _ = _search_sizes(p, groups, len(outer), rows)
     if tables > _TABLE_BYTES:
@@ -401,42 +398,6 @@ def _decode_stack(Y, H, design, cons, snr, encoder, budget=_BUDGET):
     return levels, evaluations, b
 
 
-def _structured_decode(Y, H, design, cons, snr, encoder, budget) -> DecodeResult:
-    """One trial as a stack of one."""
-    stack = np.asarray(Y, dtype=complex)[None], np.asarray(H, dtype=complex)[None]
-    levels, evaluations, b = _decode_stack(*stack, design, cons, snr, encoder, budget)
-    return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations)
-
-
-def group_decode(
-    Y: np.ndarray,
-    H: np.ndarray,
-    design: STBCDesign,
-    cons: Constellation,
-    snr: float,
-    encoder: Encoder | None = None,
-) -> DecodeResult:
-    """Exact ML decoding of a rate-1 4-group design, one group at a time."""
-    if design.layers != 1:
-        raise NotGroupDecodableError("group decoding needs a rate-1 design")
-    return _structured_decode(Y, H, design, cons, snr, encoder, _BUDGET)
-
-
-def conditional_decode(
-    Y: np.ndarray,
-    H: np.ndarray,
-    design: STBCDesign,
-    cons: Constellation,
-    snr: float,
-    encoder: Encoder | None = None,
-    budget: int = _BUDGET,
-) -> DecodeResult:
-    """Exact ML decoding of an L-layer design by outer-layer conditioning."""
-    if design.layers < 2:
-        raise NotGroupDecodableError("conditional decoding needs a layered design")
-    return _structured_decode(Y, H, design, cons, snr, encoder, budget)
-
-
 def decode_auto(
     Y: np.ndarray,
     H: np.ndarray,
@@ -446,5 +407,8 @@ def decode_auto(
     encoder: Encoder | None = None,
 ) -> DecodeResult:
     """Exact ML decoding of any design whose first layer is four certified
-    groups: group search at rate 1, outer-layer conditioning otherwise."""
-    return _structured_decode(Y, H, design, cons, snr, encoder, _BUDGET)
+    groups (group search at rate 1, outer-layer conditioning otherwise):
+    one trial as a stack of one."""
+    stack = np.asarray(Y, dtype=complex)[None], np.asarray(H, dtype=complex)[None]
+    levels, evaluations, b = _decode_stack(*stack, design, cons, snr, encoder)
+    return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations)

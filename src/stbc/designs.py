@@ -385,7 +385,7 @@ def extend_full_rate(
     layer multiplier chosen by :func:`_extension_multipliers`
     (layer_scalar applies to layers >= 2 only).  The result transmits
     ``n_layers`` complex symbols per channel use and keeps every layer
-    individually 4-group decodable.
+    individually 4-group decodable; one layer is ``base`` itself.
     """
     if base.layers != 1 or base.products is None:
         raise ValueError("base must be a constructed rate-1 design")
@@ -395,6 +395,8 @@ def extend_full_rate(
         )
     if abs(abs(complex(layer_scalar)) - 1.0) > 1e-12:
         raise ValueError("layer_scalar must have unit modulus")
+    if n_layers == 1:
+        return base
 
     multipliers = _extension_multipliers(base, n_layers)
     products: list[SignedProduct] = []

@@ -5,10 +5,6 @@ care about the fine distinctions can catch the built-in bases.
 """
 
 
-class NonSquareError(ValueError):
-    """A square matrix was required (trace)."""
-
-
 class RankDeficientError(ValueError):
     """QR factorization hit a column with norm below the rank tolerance."""
 
@@ -46,7 +42,7 @@ class DependentExtensionError(ValueError):
 
 
 class NotGroupDecodableError(ValueError):
-    """Decoder requires a certified 4-group decodable rate-1 design."""
+    """The decoder needs a first layer of four certified groups."""
 
 
 class TooLargeError(RuntimeError):

@@ -19,15 +19,13 @@ import re
 
 import numpy as np
 
-from .errors import NonSquareError, RankDeficientError
+from .errors import RankDeficientError
 
 __all__ = [
-    "kron",
     "realify",
     "tilde_vec",
     "vec",
     "gram_schmidt_qr",
-    "trace",
     "matrix_to_text",
     "matrix_from_text",
     "real_matrix_from_text",
@@ -41,11 +39,6 @@ def _require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_power(a: np.ndarray, m: int) -> np.ndarray:
@@ -139,14 +132,6 @@ def pairwise_residual(
         resid += sign * (right @ (a.conj().T if adjoint else a))
         out[i] = np.abs(resid).max(axis=(1, 2))
     return out
-
-
-def trace(a: np.ndarray) -> complex:
-    """Trace of a square matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 # ---------------------------------------------------------------------------

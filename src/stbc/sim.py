@@ -474,8 +474,8 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         detail=f"min det {md.min_det:.6g} over {md.evaluations} differences",
     )
 
-    design = base if layers == 1 else extend_full_rate(base, layers)
-    _, largest, _, profiles = profile_over_channels(design, max(layers, 1), 3, 1e-9, seed)
+    design = extend_full_rate(base, layers)
+    _, largest, _, profiles = profile_over_channels(design, layers, 3, 1e-9, seed)
     worst = float(largest[mandated_zero_mask(design)].max())
     kron_ok = all(blk.kron_identity for prof in profiles for blk in prof.layer_blocks)
     report.add(

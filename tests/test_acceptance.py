@@ -26,10 +26,9 @@ from stbc.clifford import (
 from stbc.coding_gain import default_encoder, extract_W
 from stbc.decoder import (
     complexity_account,
-    conditional_decode,
     constellation,
+    decode_auto,
     full_symbol_matrix,
-    group_decode,
     ml_oracle,
 )
 from stbc.designs import (
@@ -141,8 +140,8 @@ def test_acceptance_4_r_matrix_structure():
 
 
 def test_acceptance_5_decoder_exactness():
-    """conditional == oracle on 1000 trials (two antennas, two layers);
-    group == oracle on 500 trials (rate-1, four antennas); measured
+    """decode_auto == oracle on 1000 trials (two antennas, two layers)
+    and on 500 trials (rate-1, four antennas); measured
     hypothesis counters equal the complexity account exactly, including
     the order-M^10 count for the eight-antenna two-layer code."""
     silver = extend_full_rate(build_rate1_4group(1), 2)
@@ -150,7 +149,7 @@ def test_acceptance_5_decoder_exactness():
     acc_s = complexity_account(silver, CONS)
     for t in range(1000):
         y, h, _ = random_trial(silver, enc_s, 2, 6.31, seed=501, trial=t)
-        r_c = conditional_decode(y, h, silver, CONS, 6.31, enc_s)
+        r_c = decode_auto(y, h, silver, CONS, 6.31, enc_s)
         r_o = ml_oracle(y, h, silver, CONS, 6.31, enc_s)
         assert r_c.level_indices == r_o.level_indices
         assert abs(r_c.metric - r_o.metric) <= 1e-9
@@ -161,7 +160,7 @@ def test_acceptance_5_decoder_exactness():
     acc_4 = complexity_account(d4, CONS)
     for t in range(500):
         y, h, _ = random_trial(d4, enc_4, 1, 7.94, seed=502, trial=t)
-        r_g = group_decode(y, h, d4, CONS, 7.94, enc_4)
+        r_g = decode_auto(y, h, d4, CONS, 7.94, enc_4)
         r_o = ml_oracle(y, h, d4, CONS, 7.94, enc_4)
         assert r_g.level_indices == r_o.level_indices
         assert abs(r_g.metric - r_o.metric) <= 1e-9
@@ -173,7 +172,7 @@ def test_acceptance_5_decoder_exactness():
     assert acc_big.conditional_evaluations == 4 * 4**10
     enc_b = default_encoder(big, CONS.pam)
     y, h, levels = random_trial(big, enc_b, 2, 25.0, seed=503, trial=0)
-    res = conditional_decode(y, h, big, CONS, 25.0, enc_b, budget=1 << 26)
+    res = decode_auto(y, h, big, CONS, 25.0, enc_b)
     assert res.metric_evaluations == acc_big.conditional_evaluations
     assert res.level_indices == tuple(levels)
     _report(5, "decoder exactness and complexity counters")

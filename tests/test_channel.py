@@ -175,6 +175,19 @@ class TestRProfile:
         with pytest.raises(RankDeficientError):
             r_profile(equivalent_channel(np.zeros((1, 2)), d), design=d)
 
+    def test_profile_refuses_too_few_receive_antennas(self, monkeypatch):
+        # n_r = 1 under two layers: H_eq is 8 x 16 for every channel, so
+        # the profile is refused before any channel is drawn
+        import stbc.channel
+
+        def no_draws(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(stbc.channel, "sample_channel", no_draws)
+        d = extend_full_rate(build_rate1_4group(2), 2)
+        with pytest.raises(RankDeficientError, match=r"n_r = 1 .*2-layer.*\(8, 16\)"):
+            profile_over_channels(d, 1, 5)
+
     def test_mask_text(self):
         d = build_rate1_4group(1)
         h = sample_channel(2, 1, substream(24)).H

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stbc.cli import main
-from stbc.errors import DesignFormatError
+from stbc.errors import DesignFormatError, RankDeficientError
 from stbc.linalg import matrix_from_text, matrix_to_text
 
 
@@ -51,6 +51,11 @@ class TestDesignCommands:
                    "--layer-scalar", "pi/4", "--out", path) == 0
         assert run("design", "verify", "--design", path) == 0
 
+    def test_one_layer_build_refuses_a_non_unit_scalar(self, tmp_path):
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match="unit modulus"):
+            run("design", "build", "--a", 2, "--layer-scalar", "2", "--out", path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("field", ["nt", "T"])
     def test_verify_names_missing_header_field(self, tmp_path, field):
@@ -81,6 +86,12 @@ class TestChannelProfile:
         lines = out.read_text().splitlines()
         assert lines[0] == "row,col,mean_abs,max_abs,always_zero"
         assert len(lines) == 1 + 8 * 8
+
+    def test_profile_refuses_fewer_receive_antennas_than_layers(self, tmp_path):
+        out = tmp_path / "prof.csv"
+        with pytest.raises(RankDeficientError, match="n_r"):
+            run("channel", "profile", "--a", 2, "--layers", 2, "--nr", 1, "--out", out)
+        assert not out.exists()
 
 
 class TestDecodeCommand:

@@ -184,7 +184,9 @@ class TestEncoder:
         b = full_symbol_matrix(d, enc)
         for _ in range(10):
             x = rng.choice(PAM2, size=16)
-            assert np.abs(decode_info(enc, b @ x) - x).max() < 1e-12
+            s = encode(enc, x)
+            assert np.array_equal(s, b @ x)
+            assert np.abs(decode_info(enc, s) - x).max() < 1e-12
 
     def test_alphabet_enforced(self):
         d = build_rate1_4group(2)

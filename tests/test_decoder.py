@@ -9,11 +9,9 @@ from stbc.capacity import random_rotation_baseline
 from stbc.coding_gain import default_encoder, identity_encoder
 from stbc.decoder import (
     complexity_account,
-    conditional_decode,
     constellation,
     decode_auto,
     full_symbol_matrix,
-    group_decode,
     ml_oracle,
     square_qam,
 )
@@ -133,7 +131,7 @@ class TestNoiseless:
         enc = default_encoder(d, CONS.pam)
         y, h, levels = random_trial(d, enc, 1, 10.0, seed=1, trial=0,
                                     noise_scale=0.0)
-        res = group_decode(y, h, d, CONS, 10.0, enc)
+        res = decode_auto(y, h, d, CONS, 10.0, enc)
         assert res.level_indices == tuple(levels)
         assert res.metric < 1e-18
 
@@ -142,7 +140,7 @@ class TestNoiseless:
         enc = default_encoder(d, CONS.pam)
         y, h, levels = random_trial(d, enc, 2, 10.0, seed=2, trial=0,
                                     noise_scale=0.0)
-        res = conditional_decode(y, h, d, CONS, 10.0, enc)
+        res = decode_auto(y, h, d, CONS, 10.0, enc)
         assert res.level_indices == tuple(levels)
         assert res.metric < 1e-18
 
@@ -162,7 +160,7 @@ class TestOracleEquivalence:
         acc = complexity_account(d, CONS)
         for t in range(100):
             y, h, _ = random_trial(d, enc, 1, 8.0, seed=11, trial=t)
-            r1 = group_decode(y, h, d, CONS, 8.0, enc)
+            r1 = decode_auto(y, h, d, CONS, 8.0, enc)
             r2 = ml_oracle(y, h, d, CONS, 8.0, enc)
             assert r1.level_indices == r2.level_indices
             assert abs(r1.metric - r2.metric) < 1e-9
@@ -175,7 +173,7 @@ class TestOracleEquivalence:
         acc = complexity_account(d, CONS)
         for t in range(200):
             y, h, _ = random_trial(d, enc, 2, 6.0, seed=12, trial=t)
-            r1 = conditional_decode(y, h, d, CONS, 6.0, enc)
+            r1 = decode_auto(y, h, d, CONS, 6.0, enc)
             r2 = ml_oracle(y, h, d, CONS, 6.0, enc)
             assert r1.level_indices == r2.level_indices
             assert abs(r1.metric - r2.metric) < 1e-9
@@ -210,14 +208,14 @@ class TestTieBreaking:
         enc = default_encoder(d, CONS.pam)
         y = np.ones((2, 2), dtype=complex)
         h = np.zeros((2, 2), dtype=complex)
-        r_cond = conditional_decode(y, h, d, CONS, 10.0, enc)
+        r_cond = decode_auto(y, h, d, CONS, 10.0, enc)
         r_orac = ml_oracle(y, h, d, CONS, 10.0, enc)
         assert r_cond.level_indices == r_orac.level_indices == (0,) * 8
 
         d1 = build_rate1_4group(2)
         enc1 = default_encoder(d1, CONS.pam)
-        r_grp = group_decode(np.ones((1, 4), dtype=complex),
-                             np.zeros((1, 4), dtype=complex), d1, CONS, 10.0, enc1)
+        r_grp = decode_auto(np.ones((1, 4), dtype=complex),
+                            np.zeros((1, 4), dtype=complex), d1, CONS, 10.0, enc1)
         assert r_grp.level_indices == (0,) * 8
 
 
@@ -228,7 +226,7 @@ class TestMetricRecomputation:
         b = full_symbol_matrix(d, enc)
         snr = 12.0
         y, h, _ = random_trial(d, enc, 2, snr, seed=14, trial=9)
-        res = conditional_decode(y, h, d, CONS, snr, enc)
+        res = decode_auto(y, h, d, CONS, snr, enc)
         s_mat = d.energy_scale * codeword(d, b @ res.info)
         direct = np.linalg.norm(y - np.sqrt(snr / 2) * h @ s_mat) ** 2
         assert abs(res.metric - direct) < 1e-9
@@ -243,20 +241,24 @@ class TestGuards:
             ml_oracle(y, h, d, CONS, 1.0)
 
     def test_oracle_budget_guard(self):
-        d = build_rate1_4group(2)
-        y = np.zeros((1, 4), dtype=complex)
-        h = np.zeros((1, 4), dtype=complex)
-        with pytest.raises(TooLargeError):
-            ml_oracle(y, h, d, CONS, 1.0, budget=10)
+        # a=3 rate-1 16-QAM: k = 8 passes the size guard, but 4^16 = 2^32
+        # candidates exceed the oracle's 2^22
+        d = build_rate1_4group(3)
+        y = np.zeros((1, 8), dtype=complex)
+        h = np.zeros((1, 8), dtype=complex)
+        with pytest.raises(TooLargeError, match=f"{4**16} exceeds the budget of {1 << 22}"):
+            ml_oracle(y, h, d, constellation("16qam"), 1.0)
 
     def test_conditional_budget_guard(self):
-        d = silver_design()
-        y = np.zeros((2, 2), dtype=complex)
-        h = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(BudgetExceededError):
-            conditional_decode(y, h, d, CONS, 1.0, budget=10)
+        # a=3 two-layer 16-QAM: 4^16 outer hypotheses times 4 * 4^4 group
+        # scans = 2^42, refused against the budget of 2^26
+        d = extend_full_rate(build_rate1_4group(3), 2)
+        y = np.zeros((2, 8), dtype=complex)
+        h = np.zeros((2, 8), dtype=complex)
+        with pytest.raises(BudgetExceededError, match=f"{1 << 42} hypotheses"):
+            decode_auto(y, h, d, constellation("16qam"), 1.0)
 
-    @pytest.mark.parametrize("decode", [group_decode, decode_auto])
+    @pytest.mark.parametrize("decode", [decode_auto])
     def test_rate1_budget_guard(self, decode):
         # 4 * 4^16 = 2^34 scans: refused before any candidate table is
         # built (one table would need 4^16 digit columns)
@@ -266,7 +268,7 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             decode(y, h, d, constellation("16qam"), 1.0)
 
-    @pytest.mark.parametrize("decode", [group_decode, decode_auto])
+    @pytest.mark.parametrize("decode", [decode_auto])
     def test_table_bytes_guard(self, decode):
         # a=4 64-QAM passes the scan budget at exactly 1 << 26 scans, but
         # its tables (8 x 2^24 digits, 32 n_r x 2^24 images per group)
@@ -296,26 +298,12 @@ class TestGuards:
         res = decode_auto(y, h, d, cons, 10.0, enc)
         assert res.level_indices == tuple(levels)
 
-    def test_group_decode_rejects_layered_design(self):
-        d = silver_design()
-        y = np.zeros((2, 2), dtype=complex)
-        h = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(NotGroupDecodableError):
-            group_decode(y, h, d, CONS, 1.0)
-
     def test_group_decode_rejects_uncertified_design(self):
         d = random_rotation_baseline(build_rate1_4group(2))
         y = np.zeros((1, 4), dtype=complex)
         h = np.zeros((1, 4), dtype=complex)
         with pytest.raises(NotGroupDecodableError):
-            group_decode(y, h, d, CONS, 1.0)
-
-    def test_conditional_rejects_rate1(self):
-        d = build_rate1_4group(2)
-        y = np.zeros((1, 4), dtype=complex)
-        h = np.zeros((1, 4), dtype=complex)
-        with pytest.raises(NotGroupDecodableError):
-            conditional_decode(y, h, d, CONS, 1.0)
+            decode_auto(y, h, d, CONS, 1.0)
 
 
 class TestAutoDispatch:
@@ -354,7 +342,7 @@ class TestDeclaredGroups:
         enc = default_encoder(d, CONS.pam)
         for t in range(50):
             y, h, _ = random_trial(d, enc, 1, 8.0, seed=17, trial=t)
-            r1 = group_decode(y, h, d, CONS, 8.0, enc)
+            r1 = decode_auto(y, h, d, CONS, 8.0, enc)
             r2 = ml_oracle(y, h, d, CONS, 8.0, enc)
             assert r1.level_indices == r2.level_indices
             assert abs(r1.metric - r2.metric) < 1e-9
@@ -371,6 +359,5 @@ class TestDeclaredGroups:
         y = np.ones((2, 2), dtype=complex)
         h = np.eye(2, dtype=complex)
         enc = default_encoder(silver, CONS.pam)
-        for decode in (conditional_decode, decode_auto):
-            with pytest.raises(NotGroupDecodableError):
-                decode(y, h, d, CONS, 10.0, enc)
+        with pytest.raises(NotGroupDecodableError):
+            decode_auto(y, h, d, CONS, 10.0, enc)

@@ -113,8 +113,7 @@ class TestTheorem1:
         base = build_rate1_4group(a)
         assert verify_theorem1(base).summary() == verify_design(base).summary()
         for layers in range(1, min(base.n_t, 4) + 1):
-            d = base if layers == 1 else extend_full_rate(base, layers)
-            report = verify_design(d)
+            report = verify_design(extend_full_rate(base, layers))
             assert report.passed, report.summary()
             assert digest(report.summary()) == VERIFY_DESIGN_DIGESTS[layers]
 
@@ -208,6 +207,15 @@ class TestExtension:
     def test_non_unit_scalar_rejected(self):
         with pytest.raises(ValueError):
             extend_full_rate(build_rate1_4group(1), 2, layer_scalar=2.0)
+
+    def test_one_layer_is_the_base(self):
+        # layer 1's multiplier is the identity and layer_scalar applies to
+        # later layers only, but its modulus is still checked
+        base = build_rate1_4group(2)
+        assert extend_full_rate(base, 1) is base
+        assert extend_full_rate(base, 1, layer_scalar=np.exp(1j * np.pi / 4)) is base
+        with pytest.raises(ValueError, match="unit modulus"):
+            extend_full_rate(base, 1, layer_scalar=2.0)
 
     def test_each_layer_is_group_decodable(self):
         design = extend_full_rate(build_rate1_4group(2), 2,

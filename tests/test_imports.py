@@ -1,11 +1,13 @@
 """Every name the demos and the benchmark import from ``stbc`` resolves,
-and every demo runs.
+every demo runs, and the benchmark's correctness gate passes.
 
 Neither is imported by the test suite, so a moved or renamed function
 would otherwise break them unseen.  The files are parsed, and every demo
 also runs in-process: the algebra demos 01-04, which print the
 certification reports, in well under a second together, and the
-Monte-Carlo demos 05-06 in about a second.
+Monte-Carlo demos 05-06 in about a second.  The benchmark's workloads
+are set up and their first pool entry is checked against the golden
+values, which also covers every attribute the benchmark reads.
 """
 
 import ast
@@ -70,3 +72,18 @@ def test_monte_carlo_demo_runs(path, tmp_path, monkeypatch):
     if path.name.startswith("06"):
         assert "re-run is byte-identical: True" in printed
         assert (tmp_path / "stbc_sweep.csv").exists()
+
+
+def test_benchmark_gate_passes(tmp_path):
+    # run from source, so nothing (not even bytecode) is written under perfbench/
+    bench = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"), run_name="workloads")
+    scratch = tmp_path / "summary.csv"
+    for workload in bench["WORKLOADS"].values():
+        prepared, _ = bench["setup"](workload)
+        golden = bench["load_golden"](workload)
+        for call, design, predicted in zip(workload.calls, prepared.designs,
+                                           prepared.predicted):
+            problem = call.check(call.run(design, 0), golden[call.name][0], predicted, scratch)
+            assert problem is None, f"{workload.name} {call.name} pool[0]: {problem}"
+    checked, failures = bench["spot_check"](3)
+    assert checked == 16 and not failures, failures

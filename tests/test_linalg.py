@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from stbc.errors import NonSquareError, RankDeficientError
+from stbc.errors import RankDeficientError
 from stbc.linalg import (
     gram_schmidt_qr,
-    kron,
     matrix_from_text,
     matrix_to_text,
     pairwise_residual,
     real_matrix_from_text,
     realify,
     tilde_vec,
-    trace,
 )
 
 P1 = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -22,33 +20,6 @@ rng = np.random.default_rng(20240814)
 
 def crandn(*shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diag_sign_squared(self):
-        # 4x4 product worked out by hand
-        expected = np.diag([1.0, -1.0, -1.0, 1.0])
-        assert np.array_equal(kron(P3, P3), expected)
-
-    def test_block_structure(self):
-        got = kron(np.eye(2), P1)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = P1
-        expected[2:, 2:] = P1
-        assert np.array_equal(got, expected)
-
-    def test_mixed_product(self):
-        a, b, c, d = (crandn(2, 2) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_associative(self):
-        a, b, c = (crandn(2, 2) for _ in range(3))
-        assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() < 1e-12
 
 
 class TestRealify:
@@ -120,13 +91,6 @@ class TestGramSchmidtQR:
 
 
 class TestScalars:
-    def test_trace_diag_sign(self):
-        assert trace(P3) == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(NonSquareError):
-            trace(np.ones((2, 3)))
-
     def test_fro_norm_of_realify(self):
         x = crandn(3, 4)
         norm = np.linalg.norm
