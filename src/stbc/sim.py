@@ -202,12 +202,13 @@ def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, noise_scale)
         if decoder == "oracle":
             result = ml_oracle(y[0], h[0], design, cons, snr[0], encoder)
-            decoded, evaluations = np.array([result.level_indices]), result.metric_evaluations
+            decoded = np.array([result.level_indices])
+            evaluations = [result.metric_evaluations]
         else:
             decoded, evaluations, _ = _decode_stack(y, h, design, cons, snr, encoder)
         wrong = (decoded[:, 0::2] != levels[:, 0::2]) | (decoded[:, 1::2] != levels[:, 1::2])
         for i, (point, _) in enumerate(part):
-            yield point, y[i], h[i], decoded[i], evaluations, wrong[i]
+            yield point, y[i], h[i], decoded[i], int(evaluations[i]), wrong[i]
 
 
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:

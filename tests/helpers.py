@@ -88,28 +88,36 @@ def structured_reference(y, phi, pam, outer, groups):
     """Exact ML indices by the structured search's arithmetic, for one
     trial of the real model y = phi x + n: every outer hypothesis in one
     array, each group minimized in closed form, then the lexicographically
-    smallest full index vector among the exact minima.  Unlike the oracle
-    it breaks ties the way the structured search computes them."""
+    smallest full index vector among the minima.  Totals within 1e-9 of
+    |least| + ||y||^2 + the groups' largest image energies count as tied,
+    and so do a group's candidates against its least metric, so rounding
+    never decides between hypotheses whose metrics are equal.  Unlike the
+    oracle it breaks ties by that rule rather than by its own rounding."""
     p = len(pam)
     n_out = len(outer)
     out_digits = np.array(list(product(range(p), repeat=n_out)), dtype=int)
     out_digits = out_digits.T.reshape(n_out, p**n_out)
     yp = y[:, None] - phi[:, outer] @ pam[out_digits]
     total = np.einsum("ij,ij->j", yp, yp)
-    chosen = []
+    scans = []
+    scale = float(y @ y)
     for g in groups:
         cols = sorted(g)
         cand = np.array(list(product(range(p), repeat=len(cols))), dtype=int).T
         images = phi[:, cols] @ pam[cand]
-        metrics = np.einsum("ij,ij->j", images, images)[:, None] - 2.0 * (images.T @ yp)
-        pick = metrics.argmin(axis=0)
-        total = total + metrics[pick, np.arange(total.size)]
-        chosen.append((cols, cand[:, pick]))
-    vectors = []
-    for j in np.flatnonzero(total == total.min()):
-        full = np.empty(phi.shape[1], dtype=int)
-        full[outer] = out_digits[:, j]
-        for cols, digits in chosen:
-            full[cols] = digits[:, j]
-        vectors.append(tuple(full.tolist()))
-    return min(vectors)
+        qnorm = np.einsum("ij,ij->j", images, images)
+        metrics = qnorm[:, None] - 2.0 * (images.T @ yp)
+        total = total + metrics.min(axis=0)
+        scans.append((cols, cand, metrics))
+        scale += qnorm.max()
+
+    def tied(values, least):
+        return values <= least + 1e-9 * (abs(least) + scale)
+
+    near = np.flatnonzero(tied(total, total.min()))
+    vectors = np.empty((len(near), phi.shape[1]), dtype=int)
+    vectors[:, outer] = out_digits[:, near].T
+    for cols, cand, metrics in scans:
+        m = metrics[:, near]
+        vectors[:, cols] = cand[:, np.argmax(tied(m, m.min(axis=0)), axis=0)].T
+    return min(map(tuple, vectors.tolist()))

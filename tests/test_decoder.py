@@ -1,10 +1,11 @@
 import gc
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from helpers import one_weight_per_group_design, random_trial, relabel
+from helpers import one_weight_per_group_design, random_trial, relabel, structured_reference
 from stbc.capacity import random_rotation_baseline
 from stbc.coding_gain import default_encoder, identity_encoder
 from stbc.decoder import (
@@ -361,3 +362,108 @@ class TestDeclaredGroups:
         enc = default_encoder(silver, CONS.pam)
         with pytest.raises(NotGroupDecodableError):
             decode_auto(y, h, d, CONS, 10.0, enc)
+
+
+class TestBoundedSearch:
+    """Codes whose outer hypotheses span more than one chunk scan only the
+    survivors of a QR lower bound; the decision must not move."""
+
+    A3 = extend_full_rate(build_rate1_4group(3), 2)
+    A2 = extend_full_rate(build_rate1_4group(2), 2)
+
+    @staticmethod
+    def _kinds(d, cons, n_r, snr, seed):
+        """A drawn trial, its zero-channel and zero-received versions and,
+        when phi has more rows than columns, a received vector orthogonal
+        to every column of phi: then x and -x tie in every group (their
+        cross terms are rounding noise), so rounding must not decide."""
+        from stbc import decoder
+
+        enc = default_encoder(d, cons.pam)
+        y, h, _ = random_trial(d, enc, n_r, snr, seed=seed, trial=0)
+        kinds = {
+            "drawn": (y, h),
+            "zero channel": (y, np.zeros_like(h)),
+            "zero received": (np.zeros_like(y), h),
+        }
+        y_real, phi, _ = decoder._effective_operator(y, h, d, cons, snr, enc)
+        if phi.shape[0] > phi.shape[1]:
+            across = y_real - phi @ np.linalg.lstsq(phi, y_real, rcond=None)[0]
+            kinds["orthogonal"] = (across.view(complex).reshape(d.T, n_r).T, h)
+        return enc, kinds
+
+    @pytest.mark.parametrize("design, label", [
+        (silver_design(), "16qam"),
+        (extend_full_rate(build_rate1_4group(2), 2), "4qam"),
+        (build_rate1_4group(2), "4qam"),
+    ])
+    def test_decision_independent_of_chunk_width(self, design, label):
+        # 256 outer hypotheses: widths 1, 2, 3 and 17 take the bounded
+        # search and score its survivors in chunks of that width, the
+        # default scans all of them at once.  The rate-1 code has no outer
+        # index; with a received vector orthogonal to phi its groups tie
+        # x_g with -x_g.
+        from stbc import decoder
+
+        cons = constellation(label)
+        groups, outer = design._certified_split
+        enc, kinds = self._kinds(design, cons, 3, 3.0, seed=41)
+        assert len(kinds) == 4
+        for kind, (y, h) in kinds.items():
+            got = set()
+            for width in (1, 2, 3, 17, decoder._CHUNK):
+                with patch.object(decoder, "_CHUNK", width):
+                    got.add(decode_auto(y, h, design, cons, 3.0, enc).level_indices)
+            y_real, phi, _ = decoder._effective_operator(y, h, design, cons, 3.0, enc)
+            assert got == {structured_reference(y_real, phi, cons.pam, outer, groups)}, kind
+
+    def test_decision_independent_of_chunk_width_at_32_rows(self):
+        # the eight-antenna code's group products are (16, 32) @ (32, w),
+        # whose roundings differ between widths; its outer hypotheses
+        # always take the bounded search.  A zero received matrix leaves
+        # ~62,000 survivors, so it is scored at the wider widths only.
+        from stbc import decoder
+
+        enc, kinds = self._kinds(self.A3, CONS, 2, 10.0, seed=42)
+        for kind, widths in (("drawn", (1, 2, 3, 17, decoder._CHUNK)),
+                             ("zero received", (17, 100, decoder._CHUNK))):
+            y, h = kinds[kind]
+            got = set()
+            for width in widths:
+                with patch.object(decoder, "_CHUNK", width):
+                    got.add(decode_auto(y, h, self.A3, CONS, 10.0, enc).level_indices)
+            assert len(got) == 1, kind
+
+    def test_zero_channel_prunes_nothing(self):
+        # every hypothesis has the same total, so every bound ties the
+        # radius: all outer hypotheses survive and all of them tie
+        cons = constellation("16qam")
+        enc, kinds = self._kinds(self.A2, cons, 2, 10.0, seed=43)
+        res = decode_auto(*kinds["zero channel"], self.A2, cons, 10.0, enc)
+        assert res.metric_evaluations == complexity_account(self.A2, cons).conditional_evaluations
+        assert res.level_indices == (0,) * self.A2.n_real_symbols
+
+    def test_high_snr_scans_under_one_percent(self):
+        account = complexity_account(self.A3, CONS).conditional_evaluations
+        enc = default_encoder(self.A3, CONS.pam)
+        counts = []
+        for t in range(4):
+            y, h, levels = random_trial(self.A3, enc, 2, 10 ** 2.5, seed=44, trial=t)
+            res = decode_auto(y, h, self.A3, CONS, 10 ** 2.5, enc)
+            assert res.level_indices == tuple(levels)
+            assert res.metric_evaluations % (4 * 2**4) == 0
+            counts.append(res.metric_evaluations)
+        assert 0 < np.mean(counts) < 0.01 * account
+
+    def test_refusals_unchanged(self):
+        y, h = np.zeros((2, 8), dtype=complex), np.zeros((2, 8), dtype=complex)
+        with pytest.raises(BudgetExceededError) as err:
+            decode_auto(y, h, self.A3, constellation("16qam"), 1.0)
+        assert str(err.value) == "4398046511104 hypotheses exceed the budget of 67108864"
+        d = build_rate1_4group(4)
+        y, h = np.zeros((1, d.T), dtype=complex), np.zeros((1, d.n_t), dtype=complex)
+        with pytest.raises(BudgetExceededError) as err:
+            decode_auto(y, h, d, constellation("64qam"), 1.0)
+        assert str(err.value) == (
+            "search tables of 22548578560 bytes exceed the limit of 1073741824"
+        )

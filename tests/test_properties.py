@@ -90,9 +90,9 @@ def test_structured_decoders_equal_oracle(code, cons_label, n_r, snr_db, trial,
                   st.sampled_from(["drawn", "zero channel", "zero received"])),
         min_size=1, max_size=6,
     ),
-    # outer counts are even powers (16, 256), so no chunk is one column
-    # wide: einsum sums a one-column chunk in another order
-    chunk=st.sampled_from([2, 6, 1 << 14]),
+    # a chunk narrower than the outer count takes the bounded search;
+    # its chunk widths, one column included, must not move a decision
+    chunk=st.sampled_from([1, 2, 3, 6, 1 << 14]),
 )
 def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials, chunk):
     """One stack of trials at mixed SNRs decodes to what each trial
@@ -102,7 +102,9 @@ def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials,
     levels are symmetric), and often more sign patterns, so tied outer
     hypotheses carry different group picks; the oracle's own arithmetic
     breaks those ties by rounding, so it is not compared there.  Small
-    outer chunks put ties across chunks as well as inside one."""
+    outer chunks send every code through the bounded search, where a
+    stacked trial must prune exactly as it does alone (equal counters)
+    and ties fall across chunks as well as inside one."""
     base, design = code
     cons = constellation(cons_label)
     enc = default_encoder(base, cons.pam)
@@ -122,9 +124,48 @@ def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials,
         y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
         reference = structured_reference(y_real, phi, cons.pam, outer, groups)
         assert tuple(levels[i].tolist()) == alone[i].level_indices == reference
-        assert evaluations == alone[i].metric_evaluations
+        assert evaluations[i] == alone[i].metric_evaluations
         if trials[i][2] != "zero received":
             assert reference == ml_oracle(y, h, design, cons, snr, enc).level_indices
+
+
+SEARCH_CODES = {
+    "a3-two-layer-4qam": (extend_full_rate(build_rate1_4group(3), 2), "4qam"),
+    "a2-two-layer-16qam": (extend_full_rate(build_rate1_4group(2), 2), "16qam"),
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    code=st.sampled_from(sorted(SEARCH_CODES)),
+    snr_db=st.floats(0.0, 20.0),
+    trial=st.integers(0, 1 << 20),
+    kind=st.sampled_from(["drawn", "noiseless", "zero channel"]),
+)
+def test_bounded_search_equals_structured_reference(code, snr_db, trial, kind):
+    """The 65,536 outer hypotheses of both codes span four chunks, so the
+    decoder scans only the survivors of its QR bound; the decision must
+    equal the reference's, which scores all of them in one array.  A
+    zero channel ties every hypothesis, so nothing is pruned."""
+    design, label = SEARCH_CODES[code]
+    cons = constellation(label)
+    enc = default_encoder(design, cons.pam)
+    snr = 10.0 ** (snr_db / 10.0)
+    y, h, levels = draw_trial(design, enc, 2, snr, substream(trial, 13),
+                              noise_scale=0.0 if kind == "noiseless" else 1.0)
+    if kind == "zero channel":
+        h = np.zeros_like(h)
+    res = decode_auto(y, h, design, cons, snr, enc)
+    groups, outer = design._certified_split
+    y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
+    assert res.level_indices == structured_reference(y_real, phi, cons.pam, outer, groups)
+    account = complexity_account(design, cons).conditional_evaluations
+    assert 0 < res.metric_evaluations <= account
+    assert res.metric_evaluations % (4 * len(cons.pam) ** len(groups[0])) == 0
+    if kind == "noiseless":
+        assert res.level_indices == tuple(levels)
+    if kind == "zero channel":
+        assert res.metric_evaluations == account
 
 
 def _weight_rows(lines):
