@@ -184,6 +184,8 @@ def profile_over_channels(
     sampled channel realization.  Fewer than k / T receive antennas leave
     every H_eq with fewer rows than columns, so no channel is drawn then.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows, cols = 2 * n_r * design.T, design.n_real_symbols
     if rows < cols:
         raise RankDeficientError(

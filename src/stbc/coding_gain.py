@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .errors import (
     StructureError,
     UnsupportedDimError,
 )
+from .linalg import _lex_digits
 
 __all__ = [
     "RotationSpec",
@@ -141,9 +141,7 @@ def min_product_distance(U: np.ndarray, diffs: np.ndarray) -> float:
 def _bounded_difference_set(dim: int) -> tuple[np.ndarray, str]:
     """Deterministic certification set for the builtin rotations."""
     if dim <= 8:
-        grids = np.array(
-            list(iter_product((-2.0, 0.0, 2.0), repeat=dim)), dtype=float
-        )
+        grids = np.array([-2.0, 0.0, 2.0])[_lex_digits(np.arange(3**dim), 3, dim).T]
         grids = grids[np.any(grids != 0.0, axis=1)]
         return grids, f"{{-2,0,2}}^{dim} \\ {{0}} ({len(grids)} vectors)"
     # dim 16: all vectors of support <= 2 with entries in {+-2, +-4}:
@@ -339,10 +337,9 @@ def min_determinant(
     best_arg = None
     worst = 0.0
     evaluations = 0
-    shape = (len(diff_levels),) * gs
     for start in range(0, n_vec, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), n_vec))
-        dx = diff_levels[np.array(np.unravel_index(idx, shape))]  # (gs, chunk)
+        dx = diff_levels[_lex_digits(idx, len(diff_levels), gs)]  # (gs, chunk)
         dx = dx[:, np.any(dx != 0.0, axis=0)]  # drop the zero vector
         if dx.shape[1] == 0:
             continue

@@ -12,9 +12,9 @@ real model y = phi x + n.
   M^{n_t(L-1)} * 4 * M^{n_t/4} (order M^{n_t(L-3/4)}) for L layers.
   More than 1 << 26 hypotheses, or search tables of more than 1 GiB for
   one trial, raise ``BudgetExceededError`` before any table is built.
-* ``ml_oracle`` enumerates all M^k candidates (at most 1 << 22); it is
-  the reference the structured search is tested against and keeps its
-  own plain loop.
+* ``ml_oracle`` enumerates all M^k candidates (more than 1 << 22 raise
+  ``BudgetExceededError``); it is the reference the structured search is
+  tested against and keeps its own plain loop, with the same tie rule.
 
 The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
@@ -38,16 +38,18 @@ a 1e-9 relative slack of that radius, and only those survivors are
 scanned, in chunks.  The pruned hypotheses all have totals above the
 minimum, so the decision is the exhaustive search's.
 
-Ties: totals within 1e-9 of |least| + ||y||^2 + the groups' largest
-image energies are tied, and so are a group's candidates against its
-least metric; the decision is the lexicographically smallest full index
-vector among the ties (first real symbol most significant), which is
-what the oracle's lexicographic scan returns where its own rounding
-keeps the ties exact (a zero channel, say).  Rounding differs with a
-chunk's width and a column's place in it, so it is never what decides:
-the decision does not depend on the chunk width, on the survivors or on
-the stack.  Decoded digits are scattered back by real-symbol index, so
-only the declared groups matter, never whether they are contiguous.
+Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
+groups' largest image energies are tied, and so are a group's candidates
+against its least metric; the decision is the lexicographically smallest
+full index vector among the ties (first real symbol most significant).
+The oracle applies the same rule to its metrics, with ||y||^2 + the
+largest ||phi x||^2 as the scale, so the two decide alike on exact ties.
+Rounding differs with a chunk's width and a column's place in it, so it
+is never what decides: the decision does not depend on the chunk width,
+on the survivors or on the stack.  Every search enumerates digits in one
+lexicographic order (``linalg._lex_digits``).  Decoded digits are
+scattered back by real-symbol index, so only the declared groups
+matter, never whether they are contiguous.
 
 ``metric_evaluations`` counts, per decoded trial, the outer hypotheses
 scanned times one closed-form scan of every group (sum_g p^|g| per outer
@@ -70,11 +72,8 @@ import numpy as np
 from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder, full_symbol_matrix
 from .designs import STBCDesign, codeword
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    TooLargeError,
-)
+from .errors import BudgetExceededError, DimensionMismatchError
+from .linalg import _lex_digits
 
 __all__ = [
     "Constellation",
@@ -269,35 +268,29 @@ def ml_oracle(
     snr: float,
     encoder: Encoder | None = None,
 ) -> DecodeResult:
-    """Globally exhaustive ML decoding over all M^k candidates."""
-    if design.k > 8:
-        raise TooLargeError(f"oracle limited to k <= 8 complex symbols, k={design.k}")
+    """Globally exhaustive ML decoding over all M^k candidates (at most
+    ``_ORACLE_BUDGET``): the reference the structured search is tested
+    against, a plain loop with no groups, QR or tables.  Of the candidates
+    whose metric is within ``_within`` of the least, with ||y||^2 plus the
+    largest ||phi x||^2 as its scale, it returns the lexicographically
+    smallest index vector: the structured search's tie rule."""
     pam = cons.pam
     n = design.n_real_symbols
     total = len(pam) ** n
     if total > _ORACLE_BUDGET:
-        raise TooLargeError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
+        raise BudgetExceededError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
-
-    shape = (len(pam),) * n
-    best = np.inf
-    best_idx = -1
+    metrics = np.empty(total)
+    largest = 0.0
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total))
-        x = pam[np.array(np.unravel_index(idx, shape))]  # (n, chunk)
-        resid = y[:, None] - phi @ x
-        metrics = np.einsum("ij,ij->j", resid, resid)
-        j = int(np.argmin(metrics))
-        if metrics[j] < best:
-            best = float(metrics[j])
-            best_idx = int(idx[j])
-    levels = np.unravel_index(best_idx, shape)
+        image = phi @ pam[_lex_digits(idx, len(pam), n)]  # (rows, chunk)
+        resid = y[:, None] - image
+        metrics[start:start + _CHUNK] = np.einsum("ij,ij->j", resid, resid)
+        largest = max(largest, np.einsum("ij,ij->j", image, image).max())
+    best = np.argmax(metrics <= _within(metrics.min(), y @ y + largest))
+    levels = _lex_digits(np.array([best]), len(pam), n)[:, 0]
     return _result(Y, H, design, snr, b, pam, levels, total)
-
-
-def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
-    """(n, len(idx)) base-p digits of idx, most significant first."""
-    return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
 
 
 @lru_cache(maxsize=16)
@@ -338,8 +331,9 @@ def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
 def _within(value, scale):
     """The largest total counted as tied with ``value``, or as a bound not
     pruned against it.  ``scale`` is a trial's ||y||^2 plus each group's
-    largest image energy; rounding in the totals, the metrics, the bounds
-    and the QR stays far below 1e-9 of it."""
+    largest image energy (the oracle's: plus the largest ||phi x||^2);
+    rounding in the totals, the metrics, the bounds and the QR stays far
+    below 1e-9 of it."""
     return value + 1e-9 * (np.abs(value) + scale)
 
 

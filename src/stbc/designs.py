@@ -86,6 +86,8 @@ class STBCDesign:
     def __post_init__(self):
         if self.n_t < 1 or self.T < 1:
             raise DesignFormatError("n_t and T must be positive")
+        if not self.weights:
+            raise DesignFormatError("a design needs at least one weight matrix")
         for w in self.weights:
             if w.shape != (self.n_t, self.T):
                 raise DimensionMismatchError(

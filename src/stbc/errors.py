@@ -1,7 +1,9 @@
 """Exception types raised by the stbc package.
 
 All are subclasses of ValueError or RuntimeError so callers that do not
-care about the fine distinctions can catch the built-in bases.
+care about the fine distinctions can catch the built-in bases.  Refused
+work -- a search, an enumeration or a sweep over its budget -- is always
+``BudgetExceededError``.
 """
 
 
@@ -45,13 +47,6 @@ class NotGroupDecodableError(ValueError):
     """The decoder needs a first layer of four certified groups."""
 
 
-class TooLargeError(RuntimeError):
-    """Exhaustive ML search space exceeds the configured budget."""
-
-
 class BudgetExceededError(RuntimeError):
-    """Enumeration exceeded its evaluation budget."""
-
-
-class IntractableError(RuntimeError):
-    """Simulation would exceed the decoder evaluation budget."""
+    """A search, enumeration or sweep would exceed its budget; refused
+    before the work starts."""

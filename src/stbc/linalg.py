@@ -77,6 +77,12 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(-1, order="F")
 
 
+def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(n, len(idx)) base-p digits of idx, most significant first: the one
+    lexicographic enumeration behind every exhaustive search."""
+    return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
+
+
 def gram_schmidt_qr(
     a: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -58,7 +58,7 @@ from .designs import (
     extend_full_rate,
     verify_theorem1,
 )
-from .errors import IntractableError
+from .errors import BudgetExceededError
 from .linalg import matrix_from_text, pairwise_residual
 from .reports import Report
 from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, substream
@@ -86,6 +86,17 @@ EVALUATION_BUDGET = int(2e9)
 _DECODERS = {"auto", "oracle"}
 
 
+def _check_points(snr_db, trials: int) -> None:
+    """Refuse a sweep without trials, without SNR points or with a
+    non-finite one."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if len(snr_db) == 0:
+        raise ValueError("snr list must be non-empty")
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError(f"snr_db values must be finite, got {tuple(snr_db)}")
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Declarative description of one error-rate experiment."""
@@ -100,10 +111,9 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.snr_db:
-            raise ValueError("snr list must be non-empty")
+        _check_points(self.snr_db, self.trials)
+        if self.n_r < 1:
+            raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.decoder not in _DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -218,7 +228,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     per_codeword = _predicted_evals(design, cons, cfg.decoder)
     total = per_codeword * cfg.trials * len(cfg.snr_db)
     if total > EVALUATION_BUDGET:
-        raise IntractableError(
+        raise BudgetExceededError(
             f"sweep needs ~{total:.3g} hypothesis evaluations "
             f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}"
         )
@@ -263,6 +273,7 @@ def uncoded_siso_sweep(
 
     Each trial draws from its own substream; the ML decision
     argmin |y - c h x|^2 is made over the stacked trials of a point."""
+    _check_points(snr_db, trials)
     cons = constellation(cons_label)
     points = cons.points
     records = []
@@ -398,13 +409,18 @@ def parse_config_file(path) -> dict[str, str]:
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
     """Parse 'A:B:STEP' (inclusive endpoints) or a comma list."""
     spec = spec.strip()
-    if ":" in spec:
-        a, b, step = (float(tok) for tok in spec.split(":"))
-        if step <= 0:
-            raise ValueError("snr step must be positive")
-        n = int(np.floor((b - a) / step + 1e-9)) + 1
-        return tuple(round(a + i * step, 9) for i in range(max(n, 1)))
-    return tuple(float(tok) for tok in spec.split(","))
+    values = tuple(float(tok) for tok in spec.split(":" if ":" in spec else ","))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"snr values must be finite: {spec!r}")
+    if ":" not in spec:
+        return values
+    a, b, step = values
+    if step <= 0:
+        raise ValueError("snr step must be positive")
+    if b < a:
+        raise ValueError(f"snr end {b:g} is below the start {a:g}")
+    n = int(np.floor((b - a) / step + 1e-9)) + 1
+    return tuple(round(a + i * step, 9) for i in range(n))
 
 
 def parse_layer_scalar(spec: str) -> complex:

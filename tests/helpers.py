@@ -91,8 +91,7 @@ def structured_reference(y, phi, pam, outer, groups):
     smallest full index vector among the minima.  Totals within 1e-9 of
     |least| + ||y||^2 + the groups' largest image energies count as tied,
     and so do a group's candidates against its least metric, so rounding
-    never decides between hypotheses whose metrics are equal.  Unlike the
-    oracle it breaks ties by that rule rather than by its own rounding."""
+    never decides between hypotheses whose metrics are equal."""
     p = len(pam)
     n_out = len(outer)
     out_digits = np.array(list(product(range(p), repeat=n_out)), dtype=int)

@@ -93,6 +93,12 @@ class TestChannelProfile:
             run("channel", "profile", "--a", 2, "--layers", 2, "--nr", 1, "--out", out)
         assert not out.exists()
 
+    def test_profile_refuses_zero_seeds(self, tmp_path):
+        out = tmp_path / "prof.csv"
+        with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+            run("channel", "profile", "--a", 2, "--nr", 1, "--seeds", 0, "--out", out)
+        assert not out.exists()
+
 
 class TestDecodeCommand:
     def test_per_trial_csv(self, tmp_path):

@@ -9,6 +9,7 @@ from helpers import one_weight_per_group_design, random_trial, relabel, structur
 from stbc.capacity import random_rotation_baseline
 from stbc.coding_gain import default_encoder, identity_encoder
 from stbc.decoder import (
+    _effective_operator,
     complexity_account,
     constellation,
     decode_auto,
@@ -27,7 +28,6 @@ from stbc.errors import (
     BudgetExceededError,
     NotGroupDecodableError,
     StructureError,
-    TooLargeError,
 )
 
 CONS = constellation("4qam")
@@ -215,9 +215,27 @@ class TestTieBreaking:
 
         d1 = build_rate1_4group(2)
         enc1 = default_encoder(d1, CONS.pam)
-        r_grp = decode_auto(np.ones((1, 4), dtype=complex),
-                            np.zeros((1, 4), dtype=complex), d1, CONS, 10.0, enc1)
-        assert r_grp.level_indices == (0,) * 8
+        y1, h1 = np.ones((1, 4), dtype=complex), np.zeros((1, 4), dtype=complex)
+        r_grp = decode_auto(y1, h1, d1, CONS, 10.0, enc1)
+        r_orac1 = ml_oracle(y1, h1, d1, CONS, 10.0, enc1)
+        assert r_grp.level_indices == r_orac1.level_indices == (0,) * 8
+
+    def test_oracle_equals_structured_search_when_y_is_orthogonal_to_phi(self):
+        # y off the column space of phi: x and -x tie in every group, so
+        # every decision is a tie broken by the lexicographic rule
+        d = build_rate1_4group(2)
+        enc = default_encoder(d, CONS.pam)
+        snr = 10.0
+        for t in range(20):
+            y, h, _ = random_trial(d, enc, 3, snr, seed=21, trial=t)
+            yv, phi, _ = _effective_operator(y, h, d, CONS, snr, enc)
+            q, _ = np.linalg.qr(phi)
+            yv = yv - q @ (q.T @ yv)
+            y = yv.view(complex).reshape(d.T, 3).T  # columns of Y stacked
+            r_auto = decode_auto(y, h, d, CONS, snr, enc)
+            r_orac = ml_oracle(y, h, d, CONS, snr, enc)
+            assert r_orac.level_indices == r_auto.level_indices
+            assert abs(r_orac.metric - r_auto.metric) < 1e-9
 
 
 class TestMetricRecomputation:
@@ -235,19 +253,20 @@ class TestMetricRecomputation:
 
 class TestGuards:
     def test_oracle_size_guard(self):
-        d = extend_full_rate(build_rate1_4group(3), 2)  # k = 16
+        # k = 16: 2^32 candidates exceed the oracle's 2^22
+        d = extend_full_rate(build_rate1_4group(3), 2)
         y = np.zeros((2, 8), dtype=complex)
         h = np.zeros((2, 8), dtype=complex)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(BudgetExceededError):
             ml_oracle(y, h, d, CONS, 1.0)
 
     def test_oracle_budget_guard(self):
-        # a=3 rate-1 16-QAM: k = 8 passes the size guard, but 4^16 = 2^32
-        # candidates exceed the oracle's 2^22
+        # a=3 rate-1 16-QAM: k = 8, but 4^16 = 2^32 candidates exceed the
+        # oracle's 2^22
         d = build_rate1_4group(3)
         y = np.zeros((1, 8), dtype=complex)
         h = np.zeros((1, 8), dtype=complex)
-        with pytest.raises(TooLargeError, match=f"{4**16} exceeds the budget of {1 << 22}"):
+        with pytest.raises(BudgetExceededError, match=f"{4**16} exceeds the budget of {1 << 22}"):
             ml_oracle(y, h, d, constellation("16qam"), 1.0)
 
     def test_conditional_budget_guard(self):

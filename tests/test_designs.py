@@ -347,6 +347,10 @@ class TestDesignFiles:
         with pytest.raises(ValueError):
             design_from_text("nonsense\n")
 
+    def test_design_without_weights_refused(self):
+        with pytest.raises(DesignFormatError, match="at least one weight"):
+            design_from_text("stbc-design v1\nnt 2\nT 2\n")
+
     @pytest.mark.parametrize("old, new", [
         ("stbc-design v1", "stbc-design"),   # header
         ("group 1 2", "group 1 two"),        # group index

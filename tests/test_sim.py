@@ -14,7 +14,7 @@ from stbc.decoder import (
 )
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
-from stbc.errors import IntractableError
+from stbc.errors import BudgetExceededError
 from stbc.rng import CTX_ERROR_SWEEP, substream
 from stbc.sim import (
     SimConfig,
@@ -79,7 +79,7 @@ class TestErrorSweep:
     def test_intractable_guard(self):
         d = extend_full_rate(build_rate1_4group(3), 2)
         cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**6)
-        with pytest.raises(IntractableError):
+        with pytest.raises(BudgetExceededError):
             run_error_sweep(cfg)
 
     @pytest.mark.parametrize("name", ["group", "conditional", "sphere"])
@@ -155,6 +155,10 @@ class TestSisoBaseline:
         rec = uncoded_siso_sweep("4qam", (5.0,), 500, seed=4)[0]
         assert 0.0 < rec.ser < 0.5
 
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            uncoded_siso_sweep("4qam", (0.0,), 0, 1)
+
 
 class TestCsv:
     def _records(self):
@@ -215,8 +219,9 @@ class TestParsing:
     def test_snr_specs(self):
         assert parse_snr_spec("0:20:5") == (0.0, 5.0, 10.0, 15.0, 20.0)
         assert parse_snr_spec("1,2.5,7") == (1.0, 2.5, 7.0)
-        with pytest.raises(ValueError):
-            parse_snr_spec("0:10:0")
+        for bad in ("0:10:0", "10:0:1", "0:nan:1", "0:10:inf", "1,nan", "-inf"):
+            with pytest.raises(ValueError):
+                parse_snr_spec(bad)
 
     def test_layer_scalar(self):
         assert parse_layer_scalar("1") == 1.0 + 0j
@@ -233,6 +238,12 @@ class TestParsing:
             silver_cfg(snr_db=())
         with pytest.raises(ValueError):
             silver_cfg(decoder="magic")
+        for n_r in (0, -1):
+            with pytest.raises(ValueError, match="n_r"):
+                silver_cfg(n_r=n_r)
+        for snr_db in ((float("nan"),), (0.0, float("inf"))):
+            with pytest.raises(ValueError, match="snr_db"):
+                silver_cfg(snr_db=snr_db)
 
 
 class TestSubstream:
