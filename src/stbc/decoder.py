@@ -27,16 +27,23 @@ as it does alone; ``decode_auto`` is the stack of one, and the simulator
 decodes sweeps in blocks sized by ``_block_trials``.
 
 Codes with more outer hypotheses (the 8 x 2 rate-2 4-QAM code and the
-4-antenna rate-2 16-QAM code have 65,536) take a bounded search per
-trial (``_bounded_outer``; Agrell, Eriksson, Vardy and Zeger, "Closest
-point search in lattices", 2002).  A QR of phi with the outer columns
-last bounds every outer hypothesis's total from below by its outer rows
-alone, since the group rows are non-negative; a breadth-first search
-over the outer digits, seeded with the radius of a K-best candidate
-scored by the scan itself, keeps every hypothesis whose bound is within
-a 1e-9 relative slack of that radius, and only those survivors are
-scanned, in chunks.  The pruned hypotheses all have totals above the
-minimum, so the decision is the exhaustive search's.
+4-antenna rate-2 16-QAM code have 65,536) take a bounded search
+(``_bounded_search``; Agrell, Eriksson, Vardy and Zeger, "Closest point
+search in lattices", 2002), one pass for the whole stack.  A QR of each
+trial's phi with the outer columns last bounds every outer hypothesis's
+total from below by its outer rows alone, since the group rows are
+non-negative; a breadth-first search over the outer digits, seeded with
+the radius of a K-best candidate, keeps every hypothesis whose bound is
+within a 1e-9 relative slack of that radius.  Both passes descend every
+trial of the stack at once, each node carrying its trial, and the K-best
+pass breaks equal bounds by position, so a trial keeps the same seeds,
+radius and survivors in any stack.  Seeds and survivors are scored from
+R (``_qr_form``): a leaf's total is its bound, the inner rows' residual
+and each group's closed-form minimum, all affine in the outer levels, so
+one small product per leaf replaces a scan of every row of phi.  The
+pruned hypotheses all have totals above the minimum, so the decision is
+the exhaustive search's.  A block holds at most ``_TABLE_BYTES`` of
+search state (``_block_trials``).
 
 Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
 groups' largest image energies are tied, and so are a group's candidates
@@ -44,9 +51,10 @@ against its least metric; the decision is the lexicographically smallest
 full index vector among the ties (first real symbol most significant).
 The oracle applies the same rule to its metrics, with ||y||^2 + the
 largest ||phi x||^2 as the scale, so the two decide alike on exact ties.
-Rounding differs with a chunk's width and a column's place in it, so it
-is never what decides: the decision does not depend on the chunk width,
-on the survivors or on the stack.  Every search enumerates digits in one
+Rounding differs with a chunk's width, a column's place in it and
+whether a total comes from phi or from R, so it is never what decides:
+the decision does not depend on the chunk width, on the survivors or on
+the stack.  Every search enumerates digits in one
 lexicographic order (``linalg._lex_digits``).  Decoded digits are
 scattered back by real-symbol index, so only the declared groups
 matter, never whether they are contiguous.
@@ -91,11 +99,12 @@ _CHUNK = 1 << 14
 _SEEDS = 64
 _BUDGET = 1 << 26
 _ORACLE_BUDGET = 1 << 22
-#: a block of trials is cut so that the largest array of one search step
-#: stays within this many bytes (a full outer chunk of one trial on a
-#: 32-row code is 4 MiB, so such searches run one trial at a time)
+#: a block of single-chunk searches is cut so that the largest array of
+#: one search step stays within this many bytes
 _STEP_BYTES = 1 << 17
-#: one trial whose search tables would need more bytes is refused
+#: one trial whose search tables would need more bytes is refused, and a
+#: block of bounded searches is cut to hold no more than this in the worst
+#: case
 _TABLE_BYTES = 1 << 30
 
 
@@ -305,10 +314,10 @@ def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
     """(table bytes, step bytes) of one trial's search: its group tables
     (candidate digits, images, norms, per-step metrics) plus one outer
     chunk's digits and residuals and, when the outer hypotheses span more
-    than one chunk, the bounded search's QR, a chunk of full vectors and
-    eight words per outer hypothesis for its breadth-first state if
-    nothing is pruned; and the largest array one trial holds in a search
-    step."""
+    than one chunk, the bounded search's QR, its leaf forms, two more
+    chunks of leaf products and full vectors, and eight words per outer
+    hypothesis for its breadth-first state if nothing is pruned; and the
+    largest array one trial holds in a search step."""
     outer_total = p**n_outer
     chunk = min(_CHUNK, outer_total)
     widest = max(p ** len(g) for g in groups)
@@ -316,15 +325,26 @@ def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
     tables += (n_outer + rows) * chunk
     n = n_outer + sum(len(g) for g in groups)
     if outer_total > _CHUNK:
-        tables += (2 * rows + n) * n + n * chunk + 8 * outer_total
+        per_outer = sum(p ** len(g) for g in groups)
+        forms = 3 * (rows + n + 1) * (n + per_outer)
+        tables += (2 * rows + n) * n + forms + 2 * n * chunk + 8 * outer_total
     return 8 * tables, 8 * max(rows * n, rows * widest, rows * chunk, widest * chunk)
 
 
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
-    """Trials decoded together: as many as keep the largest array of one
-    search step within ``_STEP_BYTES`` (at least one)."""
+    """Trials decoded together (at least one).  A single-chunk search
+    keeps the largest array of one search step within ``_STEP_BYTES``.
+    A bounded search charges every trial its table bytes from
+    ``_search_sizes``, the breadth-first state at its no-pruning worst
+    case included, so a block's worst case is ``_TABLE_BYTES`` (1 GiB):
+    39 trials of the 8 x 2 rate-2 4-QAM code and 53 of the 4-antenna
+    rate-2 16-QAM code at ``n_r = 2``.  Drawn channels keep a small share
+    of it (a 200-trial 0 dB sweep of the 4-QAM code peaks at ~82-84 MB)."""
     groups, outer = design._certified_split
-    _, step = _search_sizes(len(cons.pam), groups, len(outer), 2 * n_r * design.T)
+    p = len(cons.pam)
+    tables, step = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
+    if p ** len(outer) > _CHUNK:
+        return max(1, _TABLE_BYTES // tables)
     return max(1, _STEP_BYTES // step)
 
 
@@ -337,13 +357,12 @@ def _within(value, scale):
     return value + 1e-9 * (np.abs(value) + scale)
 
 
-def _scan(stack, out_x, keep=False):
+def _scan(y, phi_out, tables, out_x):
     """Totals (B, w) of the outer hypotheses ``out_x`` (n_outer, w) on a
-    stack (y (B, rows), phi_out (B, rows, n_outer), group tables, scale),
-    each group at its closed-form minimum: ||y'||^2 + sum_g
-    min(||phi_g x_g||^2 - 2 <y', phi_g x_g>) with y' = y - phi_out x_out;
-    with ``keep``, also each group's metrics (B, n_cand, w)."""
-    y, phi_out, tables, _ = stack
+    stack (y (B, rows), phi_out (B, rows, n_outer), group tables), each
+    group at its closed-form minimum: ||y'||^2 + sum_g min(||phi_g
+    x_g||^2 - 2 <y', phi_g x_g>) with y' = y - phi_out x_out; and each
+    group's metrics (B, n_cand, w)."""
     yp = y[:, :, None] - phi_out @ out_x
     total = np.einsum("bij,bij->bj", yp, yp)
     kept = []
@@ -353,99 +372,188 @@ def _scan(stack, out_x, keep=False):
         np.subtract(qnorm, metrics, out=metrics)
         total += metrics.min(axis=1)
         kept.append(metrics)
-    return (total, kept) if keep else total
+    return total, kept
 
 
-def _full_vectors(stack, outer, digits, metrics) -> np.ndarray:
-    """Full level vectors (B * w, n) from outer digits (B, n_outer, w) and
-    each group's metrics (B, n_cand, w) on a stack: each group at its
-    lexicographically smallest candidate tied with its least metric."""
-    _, _, tables, scale = stack
-    trials, _, width = digits.shape
-    full = np.empty((trials, width, len(outer) + sum(len(t[0]) for t in tables)), dtype=int)
-    full[:, :, outer] = digits.transpose(0, 2, 1)
+def _full_vectors(tables, outer, digits, metrics, scale) -> np.ndarray:
+    """Full level vectors (L, n) of L leaves from their outer digits (L,
+    n_outer), each group's metrics (L, n_cand) and each leaf's trial's
+    scale: each group at its lexicographically smallest candidate tied
+    with its least metric."""
+    full = np.empty((len(digits), len(outer) + sum(len(t[0]) for t in tables)), dtype=int)
+    full[:, outer] = digits
     for (cols, cand, _, _), group in zip(tables, metrics):
-        tied = group <= _within(group.min(axis=1), scale[:, None])[:, None, :]
-        full[:, :, cols] = cand[:, np.argmax(tied, axis=1)].transpose(1, 2, 0)
-    return full.reshape(trials * width, -1)
+        tied = group <= _within(group.min(axis=1), scale)[:, None]
+        full[:, cols] = cand[:, np.argmax(tied, axis=1)].T
+    return full
 
 
-def _lex_smallest(stack, pam, outer, out_idx) -> np.ndarray:
-    """The lexicographically smallest full vector (first real symbol most
-    significant) over the tied outer hypotheses ``out_idx`` of a stack of
-    one trial, scanned a chunk at a time."""
-    y, phi_out, tables, _ = stack
-    rows = []
-    for s in range(0, len(out_idx), _CHUNK):
-        digits = _lex_digits(out_idx[s:s + _CHUNK], len(pam), len(outer))[None]
-        yp = y[:, :, None] - phi_out @ pam[digits]
-        metrics = [qnorm - 2.0 * (images_t @ yp) for _, _, images_t, qnorm in tables]
-        full = _full_vectors(stack, outer, digits, metrics)
-        rows.append(full[np.lexsort(full.T[::-1])[0]])
-    rows = np.array(rows)
-    return rows[np.lexsort(rows.T[::-1])[0]]
+def _lex_least(full, tri):
+    """(rows, trials): the lexicographically smallest row of ``full`` (L,
+    n) (first real symbol most significant) of each trial present in the
+    trial indices ``tri`` (L,), in ascending trial order."""
+    if np.all(tri[1:] != tri[:-1]):
+        return full, tri
+    order = np.lexsort((*full.T[::-1], tri))
+    first = order[np.searchsorted(tri[order], np.unique(tri))]
+    return full[first], tri[first]
 
 
-def _descend(z, r, pam, select) -> np.ndarray:
-    """Breadth-first enumeration of the outer digits on the upper
-    triangular r, bottom row first: each level extends every kept node by
-    each PAM level, adds its row's squared residual to the node's bound
-    and keeps the children that ``select`` (child bounds (N, p) ->
-    (parents, digits)) returns.  A node is one lexicographic index, the
-    first digit fixed most significant, so the nodes stay ascending when
-    ``select`` returns positions in row-major order."""
-    idx = np.zeros(1, dtype=np.int64)
-    bound = np.zeros(1)
-    pending = z[None, :]
-    for c in range(len(z) - 1, -1, -1):
-        child = bound[:, None] + (pending[:, c, None] - r[c, c] * pam) ** 2
-        parent, digit = select(child)
-        idx = idx[parent] * len(pam) + digit
-        bound = child[parent, digit]
-        pending = pending[parent, :c] - r[:c, c] * pam[digit][:, None]
-    return idx
+def _descend(z, r, pam, select):
+    """Breadth-first enumeration of the outer digits of a stack of trials
+    on their upper triangular r (B, m, m), bottom row first: each level
+    extends every kept node by each PAM level, adds its row's squared
+    residual to the node's bound and keeps the children whose flat
+    positions in the child bounds (N, p) ``select`` (child bounds, node
+    trials (N,)) returns: (indices, trials, bounds) of the leaves.  A node
+    carries its trial and one lexicographic index, the first digit fixed
+    most significant; every operation on a node is elementwise, so a
+    node's bound does not depend on the stack.  The nodes stay grouped by
+    trial, and ascending within one, when ``select`` returns ascending
+    positions."""
+    trials, m = z.shape
+    p = len(pam)
+    # steps[b, c, d, i] = r[b, i, c] * pam[d]: what digit d of column c
+    # takes from row i's pending residual
+    steps = np.ascontiguousarray((r[:, :, :, None] * pam).transpose(0, 2, 3, 1))
+    diagonal = np.ascontiguousarray(steps[:, np.arange(m), :, np.arange(m)])  # (m, B, p)
+    tri = np.arange(trials)
+    idx = np.zeros(trials, dtype=np.int64)
+    bound = np.zeros(trials)
+    pending = z
+    for c in range(m - 1, -1, -1):
+        child = diagonal[c][tri]
+        np.subtract(pending[:, c, None], child, out=child)
+        child *= child
+        child += bound[:, None]
+        kept = select(child, tri)
+        parent, digit = np.divmod(kept, p)
+        tri = tri[parent]
+        idx = idx[parent] * p + digit
+        bound = child.ravel()[kept]
+        pending = pending[parent, :c] - steps[:, c, :, :c][tri, digit]
+    return idx, tri, bound
 
 
-def _k_best(child):
-    """Keep the ``_SEEDS`` least child bounds (a K-best level)."""
-    flat = child.ravel()
-    if flat.size > _SEEDS:
-        flat = np.sort(np.argpartition(flat, _SEEDS - 1)[:_SEEDS])
-    else:
-        flat = np.arange(flat.size)
-    return np.divmod(flat, child.shape[1])
+def _k_best(child, tri):
+    """Keep each trial's ``_SEEDS`` least child bounds (a K-best level);
+    equal bounds go to the earlier row-major position, so a trial keeps
+    the same children in any stack.  Every trial of a K-best pass holds
+    the same number of nodes."""
+    per = child.reshape(tri[-1] + 1, -1)
+    if per.shape[1] <= _SEEDS:
+        return np.arange(child.size)
+    keep = np.sort(np.argsort(per, axis=1, kind="stable")[:, :_SEEDS], axis=1)
+    keep += per.shape[1] * np.arange(len(per))[:, None]
+    return keep.ravel()
 
 
-def _bounded_outer(stack, phi, pam, outer):
-    """(survivors, tied) of one trial (a stack of one, and its phi (rows,
-    n)): the outer hypotheses the bounded search keeps, and those whose
-    scanned totals tie the least, as ascending lexicographic indices.
+def _qr_form(y, phi, pam, outer, tables):
+    """The stack's search in the QR domain: a QR of each trial's phi with
+    the first layer's group columns first and the outer columns last, the
+    first outer index at the bottom, so the descent fixes it first.
+    Returns the outer block (z_o (B, m), R_oo (B, m, m)) for the bounds
+    and the leaf scorer.
 
-    A QR of phi with the first layer's group columns first and the outer
-    columns last, the first outer index at the bottom, gives from its
-    outer block R_oo and z_o = (Q^T y)_o the lower bound ||z_o - R_oo
-    x_o||^2 of an outer hypothesis's total, and partial sums of it for
-    every prefix of its digits.  A K-best pass seeds the radius with the
-    least scanned total of its leaves; the breadth-first search then
-    keeps every node whose bound is within ``_within`` of that radius, so
-    every hypothesis whose total ties the least survives.  Survivors are
-    scanned in chunks."""
-    y, _, tables, scale = stack
+    With z = Q^T y split into its inner rows z_i and outer rows z_o, an
+    outer hypothesis x_o leaves y' = y - phi_out x_o with ||y'||^2 =
+    ||y||^2 - ||z||^2 + ||w||^2 + ||z_o - R_oo x_o||^2, w = z_i - R_io
+    x_o.  A leaf's total is therefore its bound plus ||y||^2 - ||z||^2 +
+    ||w||^2 plus each group's least metric ||phi_g x_g||^2 - 2 <y',
+    phi_g x_g>.  Both w and every group metric are affine in x_o, so one
+    product per trial, (k + sum_g n_cand, m + 1) by the leaves' [x_o; 1],
+    gives them all (k the inner count), in place of the (rows, n_outer)
+    residual and the (n_cand, rows) group products per leaf of a scan in
+    the original domain.  The group metrics' coefficients come from the
+    group images themselves, not from the inner block R_ii: R_ii is block
+    diagonal across groups only while every earlier group has full rank,
+    which a degenerate channel breaks."""
     p, m = len(pam), len(outer)
+    rev = list(outer[::-1])
     inner = [c for cols, *_ in tables for c in cols]
-    q, r = np.linalg.qr(phi[:, inner + list(outer[::-1])])
-    z = q.T @ y[0]
     k = len(inner)
-    z_o, r_oo = np.zeros(m), np.zeros((m, m))
-    z_o[: max(len(z) - k, 0)] = z[k:]
-    r_oo[: max(len(r) - k, 0)] = r[k:, k:]
-    seeds = _descend(z_o, r_oo, pam, _k_best)
-    limit = _within(_scan(stack, pam[_lex_digits(seeds, p, m)]).min(), scale[0])
-    survivors = _descend(z_o, r_oo, pam, lambda child: np.nonzero(child <= limit))
-    totals = np.empty(len(survivors))
-    for s in range(0, len(survivors), _CHUNK):
-        totals[s:s + _CHUNK] = _scan(stack, pam[_lex_digits(survivors[s:s + _CHUNK], p, m)])[0]
-    return survivors, survivors[totals <= _within(np.min(totals, initial=np.inf), scale[0])]
+    q, r = np.linalg.qr(phi[:, :, inner + rev])
+    z = (q.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
+    r_rows = z.shape[1]  # min(rows, n)
+    trials = len(y)
+    z_o, r_oo = np.zeros((trials, m)), np.zeros((trials, m, m))
+    z_o[:, : max(r_rows - k, 0)] = z[:, k:]
+    r_oo[:, : max(r_rows - k, 0)] = r[:, k:, k:]
+    # w = [-R_io | z_i] [x_o; 1], padded to k rows when phi has fewer
+    w_form = np.zeros((trials, k, m + 1))
+    w_form[:, :r_rows, :m] = -r[:, :k, k:]
+    w_form[:, :r_rows, m] = z[:, :k]
+    # metric = [2 img^T phi_out | qnorm - 2 img^T y] [x_o; 1]
+    images_t = np.concatenate([images for _, _, images, _ in tables], axis=1)
+    metric_form = images_t @ np.concatenate([-phi[:, :, rev], y[:, :, None]], axis=2)
+    metric_form *= -2.0
+    metric_form[:, :, m] += np.concatenate([qnorm[:, :, 0] for *_, qnorm in tables], axis=1)
+    form = np.concatenate([w_form, metric_form], axis=1)
+    starts = np.cumsum([k] + [cand.shape[1] for _, cand, _, _ in tables])
+    base = np.einsum("bi,bi->b", y, y) - np.einsum("bi,bi->b", z, z)
+
+    def score(idx, tri, bound, keep=False):
+        """Totals (L,) of the leaves ``idx`` of trials ``tri`` (grouped by
+        trial) with outer bounds ``bound``; with ``keep``, also their
+        digits (L, m) and each group's metrics (L, n_cand)."""
+        digits = _lex_digits(idx, p, m)
+        x = np.ones((m + 1, len(idx)))
+        x[:m] = pam[digits[::-1]]
+        out = np.empty((form.shape[1], len(idx)))
+        edges = [0, *(np.flatnonzero(tri[1:] != tri[:-1]) + 1), len(tri)]
+        for s, e in zip(edges, edges[1:]):
+            np.matmul(form[tri[s]], x[:, s:e], out=out[:, s:e])
+        # a row-wise sum, so a leaf's rounding does not depend on L
+        total = base[tri] + bound + np.square(out[:k]).sum(axis=0)
+        metrics = [out[s:e] for s, e in zip(starts, starts[1:])]
+        for group in metrics:
+            total += group.min(axis=0)
+        return (total, digits.T, [g.T for g in metrics]) if keep else total
+
+    return z_o, r_oo, score
+
+
+def _bounded_search(y, phi, pam, outer, tables, scale):
+    """(levels (B, n), survivors (B,)) of a stack: each trial's decision
+    and the outer hypotheses its bounded search scored.
+
+    A K-best pass over the outer digits keeps each trial's ``_SEEDS``
+    least bounds per level; the least scored total of a trial's seeds,
+    widened by ``_within``, is its radius.  A breadth-first search then
+    keeps every node whose bound is within its trial's radius, so every
+    hypothesis whose total ties the least survives.  Both passes descend
+    the whole stack at once, and survivors are scored in chunks of leaves
+    that may span trials, cut so that a chunk's products are no larger
+    than a scan's.  The tied survivors are scored again with their
+    group metrics and each trial takes the lexicographically smallest
+    full vector among them; a trial's seeds are scored with the shapes
+    it has alone, so its radius, survivors and counter do not depend on
+    the stack."""
+    trials = len(y)
+    z_o, r_oo, score = _qr_form(y, phi, pam, outer, tables)
+    seeds, tri, bound = _descend(z_o, r_oo, pam, _k_best)
+    limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
+    survivors, tri, bound = _descend(
+        z_o, r_oo, pam, lambda child, tri: np.flatnonzero(child <= limit[tri, None]))
+    # a chunk's leaf products, k + sum_g n_cand rows, hold no more words
+    # than one group's metrics over an outer chunk of a scan
+    sizes = [cand.shape[1] for _, cand, _, _ in tables]
+    width = max(1, max(sizes) * _CHUNK // (sum(len(t[0]) for t in tables) + sum(sizes)))
+    totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
+                             for s in range(0, len(survivors), width)])
+    least = np.full(trials, np.inf)
+    np.minimum.at(least, tri, totals)
+    tied = np.flatnonzero(totals <= _within(least, scale)[tri])
+    rows, owners = [], []
+    for s in range(0, len(tied), width):
+        leaves = tied[s:s + width]
+        _, digits, metrics = score(survivors[leaves], tri[leaves], bound[leaves], keep=True)
+        full = _full_vectors(tables, outer, digits, metrics, scale[tri[leaves]])
+        row, owner = _lex_least(full, tri[leaves])
+        rows.append(row)
+        owners.append(owner)
+    best, _ = _lex_least(np.concatenate(rows), np.concatenate(owners))
+    return best, np.bincount(tri, minlength=trials)
 
 
 def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndarray]:
@@ -456,13 +564,14 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndar
     For each outer hypothesis every group is minimized in closed form,
     which is exact because columns of different groups are orthogonal.
     When every outer hypothesis fits in one chunk, all of them are scanned
-    for the whole stack at once; otherwise each trial scans only the
-    survivors of ``_bounded_outer``, in chunks.  Totals within ``_within``
-    of the least are ties, and so are a group's candidate metrics; the
-    decision is the lexicographically smallest full index vector among
-    the ties.  Rounding differs with a chunk's width and a column's place
-    in it, so it never decides: the decision depends neither on the chunk
-    width nor on which hypotheses survive, nor on the stack.
+    for the whole stack at once; otherwise the stack takes one bounded
+    search (``_bounded_search``), which scores leaves from the QR factor
+    R.  Totals within ``_within`` of the least are ties, and so are a
+    group's candidate metrics; the decision is the lexicographically
+    smallest full index vector among the ties.  Rounding differs with a
+    chunk's width, a column's place in it and the domain a leaf is
+    scored in, so it never decides: the decision depends neither on the
+    chunk width nor on which hypotheses survive, nor on the stack.
     """
     p, m = len(pam), len(outer)
     trials = len(y)
@@ -477,32 +586,16 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndar
     scale = np.einsum("bi,bi->b", y, y)
     for _, _, _, qnorm in tables:
         scale += qnorm[:, :, 0].max(axis=1)
-    phi_out = phi[:, :, outer]
-    stack = (y, phi_out, tables, scale)
-
-    def alone(t):
-        one = slice(t, t + 1)
-        return y[one], phi_out[one], [(c, d, i[one], q[one]) for c, d, i, q in tables], scale[one]
-
-    if p**m <= _CHUNK:
-        hyps = np.arange(p**m)
-        digits = _lex_digits(hyps, p, m)
-        totals, metrics = _scan(stack, pam[digits], keep=True)
-        tied = totals <= _within(totals.min(axis=1), scale)[:, None]
-        first = np.argmax(tied, axis=1)
-        best = _full_vectors(stack, outer, digits.T[first][:, :, None],
-                             [group[np.arange(trials), :, first, None] for group in metrics])
-        for t in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1):
-            best[t] = _lex_smallest(alone(t), pam, outer, hyps[tied[t]])
-        return best, np.full(trials, p**m * per_outer)
-    best = np.zeros((trials, phi.shape[2]), dtype=int)
-    evaluations = np.empty(trials, dtype=int)
-    for t in range(trials):
-        survivors, tied = _bounded_outer(alone(t), phi[t], pam, outer)
-        if len(tied):
-            best[t] = _lex_smallest(alone(t), pam, outer, tied)
-        evaluations[t] = len(survivors) * per_outer
-    return best, evaluations
+    if p**m > _CHUNK:
+        best, survivors = _bounded_search(y, phi, pam, outer, tables, scale)
+        return best, survivors * per_outer
+    digits = _lex_digits(np.arange(p**m), p, m)
+    totals, metrics = _scan(y, phi[:, :, outer], tables, pam[digits])
+    tri, hyp = np.nonzero(totals <= _within(totals.min(axis=1), scale)[:, None])
+    full = _full_vectors(tables, outer, digits.T[hyp], [g[tri, :, hyp] for g in metrics],
+                         scale[tri])
+    best, _ = _lex_least(full, tri)
+    return best, np.full(trials, p**m * per_outer)
 
 
 def _decode_stack(Y, H, design, cons, snr, encoder):

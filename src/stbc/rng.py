@@ -22,6 +22,10 @@ CTX_CAPACITY = 2
 CTX_PROFILE = 3
 CTX_GENERIC = 7
 
+#: point indices a stream path can address (16 bits), so the most SNR
+#: points one sweep may have
+POINTS = 1 << 16
+
 
 @cache
 def _key_sequence() -> type:
@@ -45,7 +49,7 @@ def substream(
     """Deterministic per-(context, point, trial) generator."""
     if not 0 <= context < 1 << 16:
         raise ValueError("context out of range")
-    if not 0 <= point < 1 << 16:
+    if not 0 <= point < POINTS:
         raise ValueError("point index out of range")
     if not 0 <= trial < 1 << 32:
         raise ValueError("trial index out of range")

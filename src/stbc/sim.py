@@ -61,7 +61,7 @@ from .designs import (
 from .errors import BudgetExceededError
 from .linalg import matrix_from_text, pairwise_residual
 from .reports import Report
-from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, substream
+from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, substream
 
 __all__ = [
     "SimConfig",
@@ -86,15 +86,20 @@ EVALUATION_BUDGET = int(2e9)
 _DECODERS = {"auto", "oracle"}
 
 
-def _check_points(snr_db, trials: int) -> None:
-    """Refuse a sweep without trials, without SNR points or with a
-    non-finite one."""
+def _check_sweep(snr_db, trials: int, noise_scale: float) -> None:
+    """Refuse a sweep without trials, without SNR points, with more than
+    ``rng.POINTS`` of them or a non-finite one, or with a non-finite or
+    negative noise scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if len(snr_db) == 0:
         raise ValueError("snr list must be non-empty")
+    if len(snr_db) > POINTS:
+        raise ValueError(f"at most {POINTS} snr points, got {len(snr_db)}")
     if not np.all(np.isfinite(snr_db)):
         raise ValueError(f"snr_db values must be finite, got {tuple(snr_db)}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +116,7 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        _check_points(self.snr_db, self.trials)
+        _check_sweep(self.snr_db, self.trials, self.noise_scale)
         if self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.decoder not in _DECODERS:
@@ -273,7 +278,7 @@ def uncoded_siso_sweep(
 
     Each trial draws from its own substream; the ML decision
     argmin |y - c h x|^2 is made over the stacked trials of a point."""
-    _check_points(snr_db, trials)
+    _check_sweep(snr_db, trials, noise_scale)
     cons = constellation(cons_label)
     points = cons.points
     records = []
@@ -407,9 +412,13 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """Parse 'A:B:STEP' (inclusive endpoints) or a comma list."""
+    """Parse 'A:B:STEP' (inclusive endpoints) or a comma list of at most
+    ``rng.POINTS`` values."""
     spec = spec.strip()
-    values = tuple(float(tok) for tok in spec.split(":" if ":" in spec else ","))
+    tokens = spec.split(":" if ":" in spec else ",")
+    if len(tokens) > POINTS:
+        raise ValueError(f"snr spec has {len(tokens)} points; at most {POINTS}")
+    values = tuple(float(tok) for tok in tokens)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"snr values must be finite: {spec!r}")
     if ":" not in spec:
@@ -419,8 +428,10 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
         raise ValueError("snr step must be positive")
     if b < a:
         raise ValueError(f"snr end {b:g} is below the start {a:g}")
-    n = int(np.floor((b - a) / step + 1e-9)) + 1
-    return tuple(round(a + i * step, 9) for i in range(n))
+    n = np.floor((b - a) / step + 1e-9) + 1
+    if not n <= POINTS:
+        raise ValueError(f"snr spec {spec!r} has {n:.0f} points; at most {POINTS}")
+    return tuple(round(a + i * step, 9) for i in range(int(n)))
 
 
 def parse_layer_scalar(spec: str) -> complex:

@@ -474,6 +474,83 @@ class TestBoundedSearch:
             counts.append(res.metric_evaluations)
         assert 0 < np.mean(counts) < 0.01 * account
 
+    @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
+    @pytest.mark.parametrize("n_r, block", [
+        # receive antennas, then (SNR in dB, trial kind) of each trial of
+        # one stack; phi has more rows than columns from n_r = 3 on
+        (2, [(10.0, "drawn")]),
+        (2, [(0.0, "zero channel"), (20.0, "drawn"), (3.0, "drawn"), (10.0, "zero received")]),
+        (3, [(20.0, "drawn"), (0.0, "drawn"), (10.0, "orthogonal"), (0.0, "zero received"),
+             (3.0, "zero channel"), (20.0, "orthogonal")]),
+    ])
+    def test_stack_equals_alone_and_reference(self, code, n_r, block):
+        # both codes have 65,536 outer hypotheses, so every stack takes one
+        # bounded search; each trial's decision and counter must equal its
+        # own decode and the reference that scores every hypothesis
+        from stbc import decoder
+
+        design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
+                        "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
+        groups, outer = design._certified_split
+        ys, hs, snrs = [], [], []
+        for i, (snr_db, kind) in enumerate(block):
+            snr = 10.0 ** (snr_db / 10.0)
+            enc, kinds = self._kinds(design, cons, n_r, snr, seed=60 + i)
+            y, h = kinds[kind]
+            ys.append(y)
+            hs.append(h)
+            snrs.append(snr)
+        levels, evaluations, _ = decoder._decode_stack(
+            np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
+        for i, (y, h, snr) in enumerate(zip(ys, hs, snrs)):
+            alone = decode_auto(y, h, design, cons, snr, enc)
+            y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
+            reference = structured_reference(y_real, phi, cons.pam, outer, groups)
+            assert tuple(levels[i].tolist()) == alone.level_indices == reference, block[i]
+            assert evaluations[i] == alone.metric_evaluations, block[i]
+
+    def test_k_best_keeps_the_earliest_of_bounds_tied_at_the_boundary(self):
+        # 63 bounds below 1.0 at scattered positions and 65 equal to 1.0:
+        # the 64th seed is the earliest tied position, alone and stacked
+        from stbc import decoder
+
+        rng = np.random.default_rng(3)
+        child = np.ones(128)
+        below = rng.permutation(128)[: decoder._SEEDS - 1]
+        child[below] = 0.5 + 1e-3 * np.arange(len(below))
+        want = sorted([*below, min(set(range(128)) - set(below))])
+        tied = child.reshape(64, 2)
+        assert decoder._k_best(tied, np.zeros(64, dtype=int)).tolist() == want
+        other = rng.random((64, 2))
+        both = decoder._k_best(np.concatenate([other, tied]), np.repeat([0, 1], 64))
+        assert both[decoder._SEEDS:].tolist() == [128 + w for w in want]
+        assert both[:decoder._SEEDS].tolist() == decoder._k_best(
+            other, np.zeros(64, dtype=int)).tolist()
+
+    @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
+    def test_channel_with_one_entry(self, code):
+        # phi then has rank 8: the first group's columns are dependent, so
+        # the QR's inner block is not block diagonal across groups (its
+        # cross-group entries reach the size of R's largest); the leaf
+        # scores must not assume that it is
+        from stbc import decoder
+
+        design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
+                        "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
+        groups, outer = design._certified_split
+        enc, kinds = self._kinds(design, cons, 2, 10.0, seed=64)
+        y, h = kinds["drawn"]
+        one = np.zeros_like(h)
+        one[0, 0] = h[0, 0]
+        levels, evaluations, _ = decoder._decode_stack(
+            np.array([y, y]), np.array([one, h]), design, cons, np.array([10.0, 10.0]), enc)
+        for i, channel in enumerate((one, h)):
+            alone = decode_auto(y, channel, design, cons, 10.0, enc)
+            y_real, phi, _ = decoder._effective_operator(y, channel, design, cons, 10.0, enc)
+            assert tuple(levels[i].tolist()) == alone.level_indices == structured_reference(
+                y_real, phi, cons.pam, outer, groups)
+            assert evaluations[i] == alone.metric_evaluations
+
     def test_refusals_unchanged(self):
         y, h = np.zeros((2, 8), dtype=complex), np.zeros((2, 8), dtype=complex)
         with pytest.raises(BudgetExceededError) as err:

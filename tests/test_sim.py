@@ -15,7 +15,7 @@ from stbc.decoder import (
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
 from stbc.errors import BudgetExceededError
-from stbc.rng import CTX_ERROR_SWEEP, substream
+from stbc.rng import CTX_ERROR_SWEEP, POINTS, substream
 from stbc.sim import (
     SimConfig,
     SimRecord,
@@ -89,16 +89,19 @@ class TestErrorSweep:
         with pytest.raises(ValueError, match="unknown decoder"):
             run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
 
-    @pytest.mark.parametrize("a, layers, n_r, trials", [
-        (2, 2, 2, 7),    # 4 trials a block: 21 trials end on a block of one
-        (1, 2, 2, 50),   # 128 trials a block: the first block spans points
+    @pytest.mark.parametrize("a, layers, n_r, trials, snr_db", [
+        # 4 trials a block: 21 trials end on a block of one
+        pytest.param(2, 2, 2, 7, (2.0, 9.0, 16.0), id="2-2-2-7"),
+        # 128 trials a block: the first block spans points
+        pytest.param(1, 2, 2, 50, (2.0, 9.0, 16.0), id="1-2-2-50"),
+        # the bounded search, 39 trials a block: one stack spans the points
+        pytest.param(3, 2, 2, 4, (0.0, 10.0, 20.0), id="3-2-2-4"),
     ])
-    def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials):
+    def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials, snr_db):
         design = extend_full_rate(build_rate1_4group(a), layers)
         cons = constellation("4qam")
         assert trials * 3 % _block_trials(design, cons, n_r) != 0
         enc = default_encoder(design, cons.pam)
-        snr_db = (2.0, 9.0, 16.0)
         want = []
         for point, db in enumerate(snr_db):
             snr = 10.0 ** (db / 10.0)
@@ -244,6 +247,27 @@ class TestParsing:
         for snr_db in ((float("nan"),), (0.0, float("inf"))):
             with pytest.raises(ValueError, match="snr_db"):
                 silver_cfg(snr_db=snr_db)
+        for noise_scale in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="noise_scale"):
+                silver_cfg(noise_scale=noise_scale)
+            with pytest.raises(ValueError, match="noise_scale"):
+                uncoded_siso_sweep("4qam", (0.0,), 10, 1, noise_scale=noise_scale)
+
+    def test_snr_points_bounded_up_front(self):
+        # a stream path addresses 2^16 points; more are refused before any
+        # point is built or decoded
+        assert POINTS == 1 << 16
+        assert len(parse_snr_spec("0:65535:1")) == POINTS
+        for spec in ("0:65536:1", "0:1:1e-5", "0:1e300:1e-300"):
+            with pytest.raises(ValueError, match="at most 65536"):
+                parse_snr_spec(spec)
+        with pytest.raises(ValueError, match="at most 65536"):
+            parse_snr_spec(",".join(["1"] * (POINTS + 1)))
+        many = tuple(float(i % 20) for i in range(70_000))
+        with pytest.raises(ValueError, match="at most 65536 snr points, got 70000"):
+            silver_cfg(snr_db=many, trials=1)
+        with pytest.raises(ValueError, match="at most 65536 snr points, got 70000"):
+            uncoded_siso_sweep("4qam", many, 1, 1)
 
 
 class TestSubstream:
