@@ -42,8 +42,9 @@ R (``_qr_form``): a leaf's total is its bound, the inner rows' residual
 and each group's closed-form minimum, all affine in the outer levels, so
 one small product per leaf replaces a scan of every row of phi.  The
 pruned hypotheses all have totals above the minimum, so the decision is
-the exhaustive search's.  A block holds at most ``_TABLE_BYTES`` of
-search state (``_block_trials``).
+the exhaustive search's.  A block of bounded searches scans, unpruned,
+no more hypotheses than one trial may (``_block_trials``), so its worst
+case on the two codes above at n_r = 2 is under 90 MiB of search state.
 
 Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
 groups' largest image energies are tied, and so are a group's candidates
@@ -97,14 +98,13 @@ __all__ = [
 _CHUNK = 1 << 14
 #: leaves of the K-best pass that seeds the bounded search's radius
 _SEEDS = 64
+#: scans one trial may need, and a block of bounded searches at most
 _BUDGET = 1 << 26
 _ORACLE_BUDGET = 1 << 22
 #: a block of single-chunk searches is cut so that the largest array of
 #: one search step stays within this many bytes
 _STEP_BYTES = 1 << 17
-#: one trial whose search tables would need more bytes is refused, and a
-#: block of bounded searches is cut to hold no more than this in the worst
-#: case
+#: one trial whose search tables would need more bytes is refused
 _TABLE_BYTES = 1 << 30
 
 
@@ -310,41 +310,67 @@ def _group_candidates(p: int, n: int) -> np.ndarray:
     return digits
 
 
-def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
-    """(table bytes, step bytes) of one trial's search: its group tables
-    (candidate digits, images, norms, per-step metrics) plus one outer
-    chunk's digits and residuals and, when the outer hypotheses span more
-    than one chunk, the bounded search's QR, its leaf forms, two more
-    chunks of leaf products and full vectors, and eight words per outer
-    hypothesis for its breadth-first state if nothing is pruned; and the
-    largest array one trial holds in a search step."""
+def _leaf_width(p: int, groups) -> int:
+    """Leaves the bounded search scores at once: their leaf products, k +
+    sum_g n_cand rows (k the group symbols), hold no more words than one
+    group's metrics over an outer chunk of a scan."""
+    sizes = [p ** len(g) for g in groups]
+    return max(1, max(sizes) * _CHUNK // (sum(len(g) for g in groups) + sum(sizes)))
+
+
+def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int, int]:
+    """(trial bytes, shared bytes, step bytes) of a search: what each trial
+    of a stack holds at most, what the stack holds once whatever its
+    size, and the largest array one trial holds in a step of a scan.
+
+    A single-chunk scan holds per trial its group tables (candidate
+    digits, images, norms and the metrics of its chunk of outer
+    hypotheses) and the chunk's outer digits and residuals.  A bounded
+    search holds per trial y, phi, the group images and norms, the
+    reordered phi and its QR, the leaf forms, the descent's steps and,
+    when nothing is pruned, its breadth-first state: the last level's
+    child bounds, positions, parents, digits, trials, indices, an index
+    temporary and bounds, eight words per outer hypothesis, next to the
+    previous level's indices, bounds, trials and pending residuals.  The
+    stack shares the candidate digits and one ``_leaf_width`` chunk of
+    leaves: their digits, levels, products and squares, their full
+    vectors with the sort keys of ``_lex_least`` and each group's pick."""
     outer_total = p**n_outer
     chunk = min(_CHUNK, outer_total)
     widest = max(p ** len(g) for g in groups)
-    tables = sum((len(g) + rows + 1 + chunk) * p ** len(g) for g in groups)
-    tables += (n_outer + rows) * chunk
-    n = n_outer + sum(len(g) for g in groups)
-    if outer_total > _CHUNK:
-        per_outer = sum(p ** len(g) for g in groups)
-        forms = 3 * (rows + n + 1) * (n + per_outer)
-        tables += (2 * rows + n) * n + forms + 2 * n * chunk + 8 * outer_total
-    return 8 * tables, 8 * max(rows * n, rows * widest, rows * chunk, widest * chunk)
+    k = sum(len(g) for g in groups)
+    n = k + n_outer
+    per_outer = sum(p ** len(g) for g in groups)
+    step = 8 * max(rows * n, rows * widest, rows * chunk, widest * chunk)
+    if outer_total <= _CHUNK:
+        tables = sum((len(g) + rows + 1 + chunk) * p ** len(g) for g in groups)
+        return 8 * (tables + (n_outer + rows) * chunk), 0, step
+    m = n_outer
+    trial = (rows * (n + 1 + per_outer) + per_outer  # y, phi, group images and norms
+             + 2 * rows * n + n * n  # the reordered phi, Q and R
+             + rows * per_outer + (rows + 2 * per_outer + 2 * k) * (m + 1)  # leaf forms
+             + p * m * (m + 1)  # the descent's steps and diagonal
+             + 8 * outer_total + 4 * outer_total // p)  # breadth-first state
+    per_leaf = 4 * m + 1 + 3 * k + per_outer + per_outer // 8 + 2 * n + 7
+    shared = sum(len(g) * p ** len(g) for g in groups) + per_leaf * _leaf_width(p, groups)
+    return 8 * trial, 8 * shared, step
 
 
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     """Trials decoded together (at least one).  A single-chunk search
     keeps the largest array of one search step within ``_STEP_BYTES``.
-    A bounded search charges every trial its table bytes from
-    ``_search_sizes``, the breadth-first state at its no-pruning worst
-    case included, so a block's worst case is ``_TABLE_BYTES`` (1 GiB):
-    39 trials of the 8 x 2 rate-2 4-QAM code and 53 of the 4-antenna
-    rate-2 16-QAM code at ``n_r = 2``.  Drawn channels keep a small share
-    of it (a 200-trial 0 dB sweep of the 4-QAM code peaks at ~82-84 MB)."""
+    A block of bounded searches holds no more outer hypotheses times
+    group scans than one trial may scan (``_BUDGET``): 16 trials of the
+    8 x 2 rate-2 4-QAM code and of the 4-antenna rate-2 16-QAM code.
+    Its worst case, nothing pruned, is 16 trials' bytes plus the shared
+    bytes of ``_search_sizes``: ~88 MiB for the 4-QAM code and ~77 MiB
+    for the 16-QAM code at ``n_r = 2`` (a zero channel, which prunes
+    nothing, peaks at 65 and 60 MiB traced)."""
     groups, outer = design._certified_split
     p = len(cons.pam)
-    tables, step = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
     if p ** len(outer) > _CHUNK:
-        return max(1, _TABLE_BYTES // tables)
+        return max(1, _BUDGET // _hypotheses(p, groups, len(outer)))
+    _, _, step = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
     return max(1, _STEP_BYTES // step)
 
 
@@ -392,10 +418,8 @@ def _lex_least(full, tri):
     """(rows, trials): the lexicographically smallest row of ``full`` (L,
     n) (first real symbol most significant) of each trial present in the
     trial indices ``tri`` (L,), in ascending trial order."""
-    if np.all(tri[1:] != tri[:-1]):
-        return full, tri
     order = np.lexsort((*full.T[::-1], tri))
-    first = order[np.searchsorted(tri[order], np.unique(tri))]
+    first = order[np.flatnonzero(np.diff(tri[order], prepend=-1))]
     return full[first], tri[first]
 
 
@@ -436,16 +460,18 @@ def _descend(z, r, pam, select):
 
 
 def _k_best(child, tri):
-    """Keep each trial's ``_SEEDS`` least child bounds (a K-best level);
-    equal bounds go to the earlier row-major position, so a trial keeps
-    the same children in any stack.  Every trial of a K-best pass holds
-    the same number of nodes."""
+    """Keep each trial's ``_SEEDS`` least child bounds (a K-best level):
+    every bound below the trial's K-th least, then the earliest row-major
+    positions equal to it, so a trial keeps the same children in any
+    stack.  Every trial of a K-best pass holds the same number of nodes."""
     per = child.reshape(tri[-1] + 1, -1)
     if per.shape[1] <= _SEEDS:
         return np.arange(child.size)
-    keep = np.sort(np.argsort(per, axis=1, kind="stable")[:, :_SEEDS], axis=1)
-    keep += per.shape[1] * np.arange(len(per))[:, None]
-    return keep.ravel()
+    kth = np.partition(per, _SEEDS - 1, axis=1)[:, _SEEDS - 1, None]
+    below = per < kth
+    tied = per == kth
+    tied &= np.cumsum(tied, axis=1) <= _SEEDS - below.sum(axis=1, keepdims=True)
+    return np.flatnonzero(below | tied)
 
 
 def _qr_form(y, phi, pam, outer, tables):
@@ -535,10 +561,7 @@ def _bounded_search(y, phi, pam, outer, tables, scale):
     limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
     survivors, tri, bound = _descend(
         z_o, r_oo, pam, lambda child, tri: np.flatnonzero(child <= limit[tri, None]))
-    # a chunk's leaf products, k + sum_g n_cand rows, hold no more words
-    # than one group's metrics over an outer chunk of a scan
-    sizes = [cand.shape[1] for _, cand, _, _ in tables]
-    width = max(1, max(sizes) * _CHUNK // (sum(len(t[0]) for t in tables) + sum(sizes)))
+    width = _leaf_width(len(pam), [cols for cols, *_ in tables])
     totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
                              for s in range(0, len(survivors), width)])
     least = np.full(trials, np.inf)
@@ -614,7 +637,8 @@ def _decode_stack(Y, H, design, cons, snr, encoder):
     if scans > _BUDGET:
         raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
     rows = 2 * np.shape(H)[-2] * design.T
-    tables, _ = _search_sizes(p, groups, len(outer), rows)
+    trial, shared, _ = _search_sizes(p, groups, len(outer), rows)
+    tables = trial + shared
     if tables > _TABLE_BYTES:
         raise BudgetExceededError(
             f"search tables of {tables} bytes exceed the limit of {_TABLE_BYTES}"

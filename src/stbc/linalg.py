@@ -80,8 +80,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     """(n, len(idx)) base-p digits of idx, most significant first: the one
     lexicographic enumeration behind every exhaustive search."""
-    if p & (p - 1) == 0:  # a power of two: shifts and masks, not divisions
-        return idx >> (p.bit_length() - 1) * np.arange(n - 1, -1, -1)[:, None] & p - 1
     return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
 
 

@@ -527,6 +527,49 @@ class TestBoundedSearch:
         assert both[:decoder._SEEDS].tolist() == decoder._k_best(
             other, np.zeros(64, dtype=int)).tolist()
 
+    @pytest.mark.parametrize("trials, width, levels", [(1, 128, 3), (3, 256, 5), (4, 96, 2)])
+    def test_k_best_equals_the_first_of_a_stable_sort(self, trials, width, levels):
+        # bounds drawn from a few values tie everywhere, the K-th included:
+        # each trial keeps the positions a stable sort puts first
+        from stbc import decoder
+
+        rng = np.random.default_rng(trials)
+        per = rng.integers(0, levels, (trials, width)).astype(float)
+        want = np.sort(np.argsort(per, axis=1, kind="stable")[:, :decoder._SEEDS], axis=1)
+        want += width * np.arange(trials)[:, None]
+        got = decoder._k_best(per.reshape(-1, 2), np.repeat(np.arange(trials), width // 2))
+        assert got.tolist() == want.ravel().tolist()
+
+    @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
+    def test_block_state_within_its_charge(self, code):
+        # a zero channel prunes nothing and ties every hypothesis, the
+        # worst case of a block's search state: its traced peak stays
+        # within the trials' and the shared bytes of _search_sizes
+        import tracemalloc
+
+        from stbc import decoder
+
+        design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
+                        "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
+        groups, outer = design._certified_split
+        p = len(cons.pam)
+        assert decoder._block_trials(design, cons, 2) * decoder._hypotheses(
+            p, groups, len(outer)) <= decoder._BUDGET
+        trial, shared, _ = decoder._search_sizes(p, groups, len(outer), 4 * design.T)
+        enc = default_encoder(design, cons.pam)
+        for block in (1, 3):
+            y = np.zeros((block, 2, design.T), dtype=complex)
+            h = np.zeros((block, 2, design.n_t), dtype=complex)
+            tracemalloc.start()
+            try:
+                _, evaluations, _ = decoder._decode_stack(
+                    y, h, design, cons, np.ones(block), enc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert evaluations.tolist() == [p ** len(outer) * 64] * block
+            assert peak <= block * trial + shared
+
     @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
     def test_channel_with_one_entry(self, code):
         # phi then has rank 8: the first group's columns are dependent, so

@@ -94,7 +94,7 @@ class TestErrorSweep:
         pytest.param(2, 2, 2, 7, (2.0, 9.0, 16.0), id="2-2-2-7"),
         # 128 trials a block: the first block spans points
         pytest.param(1, 2, 2, 50, (2.0, 9.0, 16.0), id="1-2-2-50"),
-        # the bounded search, 39 trials a block: one stack spans the points
+        # the bounded search, 16 trials a block: one stack spans the points
         pytest.param(3, 2, 2, 4, (0.0, 10.0, 20.0), id="3-2-2-4"),
     ])
     def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials, snr_db):
