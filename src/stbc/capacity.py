@@ -7,7 +7,8 @@ The coded channel's capacity per channel use is
 with H_eq built from the energy-normalized generator matrix, against the
 plain channel benchmark C = E_H log2 det( I + (snr/n_t) H H^H ).  Trials
 run as stacked arrays, ``_BLOCK`` channel draws at a time: one draw call,
-one H_eq product and one batched Cholesky factorization per block.  Every
+one H_eq gather from the weights' taps (``channel.equivalent_channel``)
+and one batched Cholesky factorization per block.  Every
 eigenvalue of I + rho A^H A is at least 1, so the factorization is well
 conditioned at any snr, and log2 det is twice the log2-sum of its
 diagonal.  ``logdet_gram_qr`` (Gram-Schmidt QR of [sqrt(rho) A; I]) and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import equivalent_channel, sample_channels
+from .channel import _require_tall, equivalent_channel, sample_channels
 from .designs import STBCDesign
 from .errors import RankDeficientError
 from .linalg import DEFAULT_RANK_TOL, gram_schmidt_qr
@@ -231,10 +232,12 @@ def high_snr_decomposition(
     rank test of ``gram_schmidt_qr``) is dropped, replaced by a further
     draw from the same stream and counted in ``resampled``; the accepted
     draws are the ones a draw-by-draw loop accepts.  More than
-    100 + trials rejections raise RankDeficientError.
+    100 + trials rejections raise RankDeficientError, and so does an n_r
+    that leaves every H_eq wider than tall, before any draw.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    _require_tall(design, n_r)
     rng = as_generator(rng)
     rho = snr / design.n_t
     two_t = 2.0 * design.T
@@ -250,7 +253,6 @@ def high_snr_decomposition(
         )
         thresh = DEFAULT_RANK_TOL * np.linalg.norm(heq, axis=(-2, -1))
         full = np.all(pivots > thresh[:, None], axis=-1)
-        full &= pivots.shape[-1] == heq.shape[-1]  # a wide H_eq has rank < 2k
         resampled += count - int(full.sum())
         if resampled > 100 + trials:
             raise RankDeficientError(

@@ -5,10 +5,13 @@ The complex transmission Y = c H S + N is equivalent to the real model
     tilde(vec(Y)) = c H_eq s + tilde(vec(N)),   H_eq = (I_T x realify(H)) G,
 
 with G the design's generator matrix: column i of H_eq is
-tilde(vec(H A_i)).  It is built that way, from one complex product of H
-with the weights laid side by side (``STBCDesign.weight_rows``) and an
-interleave of real and imaginary parts, for one channel or a stack of
-them; the Kronecker form above, mostly zero blocks, is never formed.
+tilde(vec(H A_i)).  It is built that way, for one channel or a stack of
+them: each column of every H A_i is gathered from the columns of H that
+the weight column's nonzero taps select (``STBCDesign.weight_taps``),
+scaled by the taps' values, in q passes (q = 1 for the Clifford weights,
+which are signed permutations), then real and imaginary parts are
+interleaved.  Neither a dense product of H with the weights nor the
+Kronecker form above, mostly zero blocks, is ever formed.
 Whenever two weight matrices
 satisfy A_i A_j^H + A_j A_i^H = 0 the corresponding columns of H_eq are
 orthogonal for every H, whatever their position, which pins structural
@@ -91,7 +94,9 @@ def equivalent_channel(H: np.ndarray, design: STBCDesign) -> np.ndarray:
 
     Column i is tilde(vec(H A_i)), so tilde(vec(H S(s))) = H_eq s for
     the unnormalized codeword map; energy normalization is applied by
-    the caller where needed.
+    the caller where needed.  H A_i is gathered from H by the weights'
+    taps, q passes of one complex product per entry and no dense
+    product; with taps of +-1 or +-j every entry is exact.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2 or H.shape[-1] != design.n_t:
@@ -100,11 +105,29 @@ def equivalent_channel(H: np.ndarray, design: STBCDesign) -> np.ndarray:
         )
     *lead, n_r, n_t = H.shape
     n, T, m = design.n_real_symbols, design.T, len(lead)
-    hw = (H.reshape(-1, n_t) @ design.weight_rows).view(float)
+    h = H.reshape(-1, n_t)
+    rows, values = design.weight_taps
+    # hw[:, i*T + t] is column t of H A_i, gathered one tap at a time
+    hw = np.take(h, rows[0], axis=-1) * values[0]
+    for tap_rows, tap_values in zip(rows[1:], values[1:]):
+        hw += np.take(h, tap_rows, axis=-1) * tap_values
+    hw = hw.view(float)
     # axes [..., r, i, t, re/im] -> [..., t, r, re/im, i], so that row
     # 2*(t*n_r + r) + re/im of column i is entry (r, t) of H A_i
     parts = hw.reshape(*lead, n_r, n, T, 2).transpose(*range(m), m + 2, m, m + 3, m + 1)
     return parts.reshape(*lead, 2 * n_r * T, n)
+
+
+def _require_tall(design: STBCDesign, n_r: int) -> None:
+    """Raise RankDeficientError when n_r receive antennas leave H_eq with
+    fewer rows than columns (2 n_r T < 2k), so that every channel gives
+    it rank below 2k; callers check this before drawing any channel."""
+    rows, cols = 2 * n_r * design.T, design.n_real_symbols
+    if rows < cols:
+        raise RankDeficientError(
+            f"n_r = {n_r} gives a {design.layers}-layer design an H_eq of shape "
+            f"({rows}, {cols}), which is rank deficient for every channel"
+        )
 
 
 def column_orthogonality_pairs(
@@ -186,12 +209,7 @@ def profile_over_channels(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    rows, cols = 2 * n_r * design.T, design.n_real_symbols
-    if rows < cols:
-        raise RankDeficientError(
-            f"n_r = {n_r} gives a {design.layers}-layer design an H_eq of shape "
-            f"({rows}, {cols}), which is rank deficient for every channel"
-        )
+    _require_tall(design, n_r)
     profiles = []
     for s in range(n_seeds):
         h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H

@@ -517,14 +517,20 @@ def _qr_form(y, phi, pam, outer, tables):
     form = np.concatenate([w_form, metric_form], axis=1)
     starts = np.cumsum([k] + [cand.shape[1] for _, cand, _, _ in tables])
     base = np.einsum("bi,bi->b", y, y) - np.einsum("bi,bi->b", z, z)
+    # x_o = [levels of idx's low `half` digits; levels of its high ones],
+    # each least significant first, looked up in one table of the levels
+    # of m - half >= half digits: not m digits per leaf
+    half = m // 2
+    levels = pam[_lex_digits(np.arange(p ** (m - half)), p, m - half)[::-1]]
 
     def score(idx, tri, bound, keep=False):
         """Totals (L,) of the leaves ``idx`` of trials ``tri`` (grouped by
         trial) with outer bounds ``bound``; with ``keep``, also their
         digits (L, m) and each group's metrics (L, n_cand)."""
-        digits = _lex_digits(idx, p, m)
+        hi, lo = np.divmod(idx, p**half)
         x = np.ones((m + 1, len(idx)))
-        x[:m] = pam[digits[::-1]]
+        x[:half] = levels[:half, lo]
+        x[half:m] = levels[:, hi]
         out = np.empty((form.shape[1], len(idx)))
         edges = [0, *(np.flatnonzero(tri[1:] != tri[:-1]) + 1), len(tri)]
         for s, e in zip(edges, edges[1:]):
@@ -534,7 +540,9 @@ def _qr_form(y, phi, pam, outer, tables):
         metrics = [out[s:e] for s, e in zip(starts, starts[1:])]
         for group in metrics:
             total += group.min(axis=0)
-        return (total, digits.T, [g.T for g in metrics]) if keep else total
+        if not keep:
+            return total
+        return total, _lex_digits(idx, p, m).T, [g.T for g in metrics]
 
     return z_o, r_oo, score
 

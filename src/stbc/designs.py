@@ -141,11 +141,21 @@ class STBCDesign:
         return out
 
     @cached_property
-    def weight_rows(self) -> np.ndarray:
-        """(n_t, 2k*T) weights side by side: column i*T + t is column t of
-        weight i, so H @ weight_rows holds every H A_i in one product."""
-        out = self.weight_stack.transpose(1, 0, 2).reshape(self.n_t, -1)
-        out.setflags(write=False)
+    def weight_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values), each (q, 2k*T) and read-only: column i*T + t
+        lists the rows of the nonzero entries of column t of weight i and
+        their values, padded with zero values up to q, the most nonzeros
+        any column holds.  Column t of H A_i is then the sum over the q
+        taps s of H[:, rows[s, c]] * values[s, c], c = i*T + t.  The
+        Clifford weights are signed permutations, so q = 1."""
+        cols = self.weight_stack.transpose(0, 2, 1).reshape(-1, self.n_t)  # (2k*T, n_t)
+        nonzero = cols != 0
+        q = int(nonzero.sum(axis=1).max())
+        # each column's nonzero rows first, in ascending order, then zeros
+        taps = np.argsort(~nonzero, axis=1, kind="stable")[:, :q]
+        out = np.ascontiguousarray(taps.T), np.take_along_axis(cols, taps, axis=1).T.copy()
+        for a in out:
+            a.setflags(write=False)
         return out
 
     @cached_property

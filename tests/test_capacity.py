@@ -73,6 +73,8 @@ REF_CODES = {
     "silver": (extend_full_rate(build_rate1_4group(1), 2), 2),
     "a2-two-layer": (extend_full_rate(build_rate1_4group(2), 2), 2),
     "a3-rate1": (build_rate1_4group(3), 2),
+    # dense weights: several taps per weight column
+    "a2-remix": (random_rotation_baseline(extend_full_rate(build_rate1_4group(2), 2)), 2),
 }
 
 
@@ -163,20 +165,31 @@ class TestHighSnrResampling:
         assert close(cmp.via_r.mean, mean) and close(cmp.via_r.std_error, err)
 
     def test_always_rank_deficient_raises_after_bounded_draws(self, monkeypatch):
-        # two-antenna two-layer code with one receive antenna: H_eq is 4 x 8
-        d = extend_full_rate(build_rate1_4group(1), 2)
+        # Alamouti with one receive antenna (a square 4 x 4 H_eq), every
+        # channel zeroed: each draw is rejected until the bound is passed
+        d = build_rate1_4group(1)
         trials = 100
         drawn = 0
 
-        def counting(n_t, n_r, count, rng):
+        def zeros(n_t, n_r, count, rng):
             nonlocal drawn
             drawn += count
-            return sample_channels(n_t, n_r, count, rng)
+            return np.zeros_like(sample_channels(n_t, n_r, count, rng))
 
-        monkeypatch.setattr(capacity, "sample_channels", counting)
+        monkeypatch.setattr(capacity, "sample_channels", zeros)
         with pytest.raises(RankDeficientError):
             high_snr_decomposition(d, 1, 1000.0, trials, rng=substream(48))
         assert 101 + trials <= drawn < 101 + trials + capacity._BLOCK
+
+    def test_wide_equivalent_channel_refused_before_any_draw(self):
+        # a=3 two-layer with one receive antenna: H_eq is 16 x 32 for every
+        # channel, so the stream is left untouched
+        d = extend_full_rate(build_rate1_4group(3), 2)
+        rng = np.random.default_rng(49)
+        state = rng.bit_generator.state
+        with pytest.raises(RankDeficientError, match=r"n_r = 1 .*2-layer.*\(16, 32\)"):
+            high_snr_decomposition(d, 1, 1000.0, 100, rng=rng)
+        assert rng.bit_generator.state == state
 
 
 class TestCapacityEstimates:

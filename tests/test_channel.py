@@ -11,6 +11,7 @@ from stbc.channel import (
     sample_channel,
     sample_channels,
 )
+from stbc.capacity import random_rotation_baseline
 from stbc.designs import (
     STBCDesign,
     build_rate1_4group,
@@ -66,15 +67,45 @@ class TestEquivalentChannel:
         lhs = tilde_vec(vec(h @ codeword(d, s)))
         assert np.abs(lhs - heq @ s).max() < 1e-10
 
-    @pytest.mark.parametrize("a, layers", [(1, 2), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("a, layers", [(a, n) for a in range(1, 5)
+                                           for n in range(1, min(2**a, 4) + 1)])
     def test_matches_kronecker_form(self, a, layers):
-        # reference: H_eq = (I_T x realify(H)) G
+        # reference: H_eq = (I_T x realify(H)) G.  Builtin weights are
+        # signed permutations with entries +-1, +-j, so every entry of
+        # either side is one exact product and the two are equal bit for bit
         base = build_rate1_4group(a)
-        d = base if layers == 1 else extend_full_rate(base, layers)
-        for t in range(5):
-            h = sample_channel(d.n_t, 2, substream(42, trial=t)).H
+        d = extend_full_rate(base, layers)
+        hs = sample_channels(d.n_t, 2, 3, substream(42))
+        for h, heq in zip(hs, equivalent_channel(hs, d)):
+            assert np.array_equal(heq, np.kron(np.eye(d.T), realify(h)) @ d.G)
+
+    @pytest.mark.parametrize("remix", [False, True])
+    def test_rounded_taps_match_kronecker_form(self, remix):
+        # a pi/4 layer scalar puts layer 2's taps off +-1, +-j, so each is
+        # a rounded product; the Haar remix gives each weight column
+        # several taps
+        d = extend_full_rate(build_rate1_4group(2), 2, layer_scalar=np.exp(1j * np.pi / 4))
+        if remix:
+            d = random_rotation_baseline(d)
+            assert d.weight_taps[0].shape[0] > 1
+        for h in sample_channels(d.n_t, 2, 5, substream(44)):
             ref = np.kron(np.eye(d.T), realify(h)) @ d.G
-            assert np.abs(equivalent_channel(h, d) - ref).max() < 1e-13
+            assert np.abs(equivalent_channel(h, d) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("a", range(1, 5))
+    def test_builtin_weights_have_one_read_only_tap(self, a):
+        base = build_rate1_4group(a)
+        for layers in range(1, min(base.n_t, 4) + 1):
+            d = extend_full_rate(base, layers)
+            rows, values = d.weight_taps
+            assert rows.shape == values.shape == (1, d.n_real_symbols * d.T)
+            assert not rows.flags.writeable and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0, 0] = 0.0
+            # the one tap is the column's nonzero entry, of unit modulus
+            cols = d.weight_stack.transpose(0, 2, 1).reshape(-1, d.n_t)
+            assert np.array_equal(cols[np.arange(len(cols)), rows[0]], values[0])
+            assert np.allclose(np.abs(values), 1.0)
 
     def test_stack_equals_per_channel_calls(self):
         d = extend_full_rate(build_rate1_4group(2), 2)
