@@ -36,7 +36,7 @@ import numpy as np
 from .channel import _require_tall, equivalent_channel, sample_channels
 from .designs import STBCDesign
 from .errors import RankDeficientError
-from .linalg import DEFAULT_RANK_TOL, gram_schmidt_qr
+from .linalg import DEFAULT_RANK_TOL, _require_snr, gram_schmidt_qr
 from .reports import Report
 from .rng import as_generator
 
@@ -108,6 +108,14 @@ def _log2det_eye_plus(gram: np.ndarray, rho: float) -> np.ndarray:
     return 2.0 * np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
+def _check_request(snr, trials: int, positive: bool = False) -> None:
+    """Refuse, before any draw, fewer than ``MIN_TRIALS`` trials and an
+    snr that is not finite and >= 0 (> 0 with ``positive``)."""
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    _require_snr(snr, positive)
+
+
 def _block_counts(trials: int):
     return (min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK))
 
@@ -128,9 +136,9 @@ def code_capacity(
     trials: int,
     rng,
 ) -> CapacityEstimate:
-    """Ergodic capacity of the channel seen through the code."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    """Ergodic capacity of the channel seen through the code (snr finite
+    and >= 0)."""
+    _check_request(snr, trials)
     rng = as_generator(rng)
     rho = snr / design.n_t
     vals = []
@@ -147,9 +155,9 @@ def channel_capacity(
     trials: int,
     rng,
 ) -> CapacityEstimate:
-    """Ergodic capacity of the raw n_t x n_r Rayleigh channel."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    """Ergodic capacity of the raw n_t x n_r Rayleigh channel (snr finite
+    and >= 0)."""
+    _check_request(snr, trials)
     rng = as_generator(rng)
     rho = snr / n_t
     vals = []
@@ -233,10 +241,10 @@ def high_snr_decomposition(
     draw from the same stream and counted in ``resampled``; the accepted
     draws are the ones a draw-by-draw loop accepts.  More than
     100 + trials rejections raise RankDeficientError, and so does an n_r
-    that leaves every H_eq wider than tall, before any draw.
+    that leaves every H_eq wider than tall, before any draw.  The snr
+    must be finite and > 0: the estimate through R takes its log.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    _check_request(snr, trials, positive=True)
     _require_tall(design, n_r)
     rng = as_generator(rng)
     rho = snr / design.n_t

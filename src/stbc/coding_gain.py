@@ -210,19 +210,23 @@ def default_encoder(
     alphabet: np.ndarray,
     rotation: RotationSpec | None = None,
 ) -> Encoder:
-    """Encoder with rotation W @ U; U defaults to the builtin rotation."""
+    """Encoder with rotation W @ U; U defaults to the builtin rotation.
+    The default is made once per design and alphabet and kept on the
+    design, so repeated calls share it and its symbol matrix."""
+    alphabet = np.asarray(alphabet, dtype=float)
+    kept, key = design._default_encoders, alphabet.tobytes()
+    if rotation is None and key in kept:
+        return kept[key]
     w = extract_W(design)
-    if rotation is None:
-        rotation = builtin_rotation(w.shape[0])
-    if rotation.dim != w.shape[0]:
+    spec = builtin_rotation(w.shape[0]) if rotation is None else rotation
+    if spec.dim != w.shape[0]:
         raise ValueError(
-            f"rotation dimension {rotation.dim} != group size {w.shape[0]}"
+            f"rotation dimension {spec.dim} != group size {w.shape[0]}"
         )
-    return Encoder(
-        design=design,
-        rotation=w @ rotation.U,
-        alphabet=np.asarray(alphabet, dtype=float),
-    )
+    encoder = Encoder(design=design, rotation=w @ spec.U, alphabet=alphabet)
+    if rotation is None:
+        kept[key] = encoder
+    return encoder
 
 
 def identity_encoder(design: STBCDesign, alphabet: np.ndarray) -> Encoder:

@@ -21,10 +21,14 @@ turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
 SNR each, into stacked y and phi.  When one chunk (``_CHUNK``, 16,384)
 holds every outer hypothesis -- every rate-1 code and the small layered
 ones -- the stack is scanned whole, every outer hypothesis of every
-trial, with one stacked product per step.  Every product is made per
-trial with a single trial's shapes, so a stacked trial decodes exactly
-as it does alone; ``decode_auto`` is the stack of one, and the simulator
-decodes sweeps in blocks sized by ``_block_trials``.
+trial, in one stacked product: per trial, the residual y - phi_out x_o
+and every group candidate's metric are affine in the outer levels x_o,
+so one form (rows + sum_g n_cand, n_outer + 1) times the cached levels
+of every outer hypothesis with a row of ones (``_outer_levels``) gives
+them all.  Every product is made per trial with a single trial's
+shapes, so a stacked trial decodes exactly as it does alone;
+``decode_auto`` is the stack of one, and the simulator decodes sweeps in
+blocks sized by ``_block_trials`` from the block's whole search state.
 
 Codes with more outer hypotheses (the 8 x 2 rate-2 4-QAM code and the
 4-antenna rate-2 16-QAM code have 65,536) take a bounded search
@@ -72,6 +76,7 @@ the paper's closed form rather than a count of visited tree nodes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -82,7 +87,7 @@ from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder, full_symbol_matrix
 from .designs import STBCDesign, codeword
 from .errors import BudgetExceededError, DimensionMismatchError
-from .linalg import _lex_digits
+from .linalg import _lex_digits, _require_finite, _require_snr
 
 __all__ = [
     "Constellation",
@@ -101,9 +106,8 @@ _SEEDS = 64
 #: scans one trial may need, and a block of bounded searches at most
 _BUDGET = 1 << 26
 _ORACLE_BUDGET = 1 << 22
-#: a block of single-chunk searches is cut so that the largest array of
-#: one search step stays within this many bytes
-_STEP_BYTES = 1 << 17
+#: a block of single-chunk searches holds at most this many bytes (1.5 MiB)
+_BLOCK_BYTES = 3 << 19
 #: one trial whose search tables would need more bytes is refused
 _TABLE_BYTES = 1 << 30
 
@@ -224,16 +228,17 @@ def _effective_operator(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y_tilde, phi, b_matrix): the real model y = phi x + n, for one
     trial (Y (n_r, T), H (n_r, n_t), a scalar snr) or a stack of them
-    (Y (..., n_r, T), H (..., n_r, n_t), one snr per trial)."""
-    Y = np.asarray(Y, dtype=complex)
-    H = np.asarray(H, dtype=complex)
+    (Y (..., n_r, T), H (..., n_r, n_t), one snr per trial).  Non-finite
+    entries and a non-finite or negative snr are refused."""
+    Y = _require_finite(np.asarray(Y, dtype=complex), "received matrix")
+    H = _require_finite(np.asarray(H, dtype=complex), "channel")
     if Y.shape != H.shape[:-1] + (design.T,):
         raise DimensionMismatchError(
             f"received matrix shape {Y.shape} != {H.shape[:-1] + (design.T,)}"
         )
     if encoder is None:
         encoder = default_encoder(design, cons.pam)
-    c = np.sqrt(np.asarray(snr, dtype=float) / design.n_t) * design.energy_scale
+    c = np.sqrt(_require_snr(snr) / design.n_t) * design.energy_scale
     b = full_symbol_matrix(design, encoder)
     phi = c[..., None, None] * equivalent_channel(H, design) @ b
     # tilde(vec(Y)) per trial: columns stacked, then re/im interleaved
@@ -310,6 +315,45 @@ def _group_candidates(p: int, n: int) -> np.ndarray:
     return digits
 
 
+@lru_cache(maxsize=16)
+def _outer_levels(pam: tuple, m: int) -> np.ndarray:
+    """X = [pam[digits]; 1] (m + 1, p^m), read-only: the levels of every
+    outer hypothesis as columns in lexicographic order, over a row of ones
+    that takes an affine form's constant."""
+    p = len(pam)
+    x = np.ones((m + 1, p**m))
+    x[:m] = np.asarray(pam)[_group_candidates(p, m)]
+    x.setflags(write=False)
+    return x
+
+
+def _group_form(resid_form, images, qnorm):
+    """Every group candidate's metric ||phi_g x_g||^2 - 2 <y', phi_g x_g>
+    as a form affine in the outer levels, (B, sum_g n_cand, m + 1), from
+    the residual's form y' = resid_form [x_o; 1] (B, rows, m + 1), the
+    candidates' images (B, rows, sum_g n_cand) and their norms."""
+    form = images.transpose(0, 2, 1) @ resid_form
+    form *= -2.0
+    form[:, :, -1] += qnorm
+    return form
+
+
+def _tie_width(p: int, groups, n_outer: int) -> int:
+    """Tied hypotheses a single-chunk search resolves at once: their
+    digits, group metrics, full vectors and sort keys take at most an
+    eighth of ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (64 * _tie_words(p, groups, n_outer)))
+
+
+def _tie_words(p: int, groups, n_outer: int) -> int:
+    """Words one tied hypothesis holds while ``_least_tied`` resolves it:
+    its outer digits, each group's metrics, tie mask and pick, its full
+    vector, its trial's scale and the sort keys of ``_lex_least``."""
+    per_outer = sum(p ** len(g) for g in groups)
+    n = n_outer + sum(len(g) for g in groups)
+    return n_outer + per_outer + per_outer // 8 + 2 * n + 4 * len(groups) + 8
+
+
 def _leaf_width(p: int, groups) -> int:
     """Leaves the bounded search scores at once: their leaf products, k +
     sum_g n_cand rows (k the group symbols), hold no more words than one
@@ -318,60 +362,71 @@ def _leaf_width(p: int, groups) -> int:
     return max(1, max(sizes) * _CHUNK // (sum(len(g) for g in groups) + sum(sizes)))
 
 
-def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int, int]:
-    """(trial bytes, shared bytes, step bytes) of a search: what each trial
-    of a stack holds at most, what the stack holds once whatever its
-    size, and the largest array one trial holds in a step of a scan.
+def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
+    """(trial bytes, shared bytes) of a search: what each trial of a stack
+    holds at most, and what the stack holds once whatever its size.
 
-    A single-chunk scan holds per trial its group tables (candidate
-    digits, images, norms and the metrics of its chunk of outer
-    hypotheses) and the chunk's outer digits and residuals.  A bounded
-    search holds per trial y, phi, the group images and norms, the
-    reordered phi and its QR, the leaf forms, the descent's steps and,
-    when nothing is pruned, its breadth-first state: the last level's
-    child bounds, positions, parents, digits, trials, indices, an index
-    temporary and bounds, eight words per outer hypothesis, next to the
-    previous level's indices, bounds, trials and pending residuals.  The
-    stack shares the candidate digits and one ``_leaf_width`` chunk of
-    leaves: their digits, levels, products and squares, their full
-    vectors with the sort keys of ``_lex_least`` and each group's pick."""
+    A single-chunk search holds per trial y, phi and the temporaries of
+    its build, the group images and norms, its forms (the residual's, the
+    group metrics' and both stacked), their product with every outer
+    hypothesis and, when every hypothesis ties (a zero channel), its
+    totals, a group's minima, the tie mask and the tied trials and
+    hypotheses, four words and a bit per outer hypothesis, next to the
+    rows ``_least_tied`` keeps.  The stack shares the candidate digits,
+    the outer hypotheses' digits and levels and one ``_tie_width`` chunk
+    of tied hypotheses.  A bounded search holds per trial y, phi, the
+    group images and norms, the reordered phi and its QR, the leaf forms,
+    the descent's steps and, when nothing is pruned, its breadth-first
+    state: the last level's child bounds, positions, parents, digits,
+    trials, indices, an index temporary and bounds, eight words per outer
+    hypothesis, next to the previous level's indices, bounds, trials and
+    pending residuals.  The stack shares the candidate digits and one
+    ``_leaf_width`` chunk of leaves: their digits, levels, products and
+    squares, their full vectors with the sort keys of ``_lex_least`` and
+    each group's pick."""
     outer_total = p**n_outer
-    chunk = min(_CHUNK, outer_total)
-    widest = max(p ** len(g) for g in groups)
     k = sum(len(g) for g in groups)
     n = k + n_outer
-    per_outer = sum(p ** len(g) for g in groups)
-    step = 8 * max(rows * n, rows * widest, rows * chunk, widest * chunk)
-    if outer_total <= _CHUNK:
-        tables = sum((len(g) + rows + 1 + chunk) * p ** len(g) for g in groups)
-        return 8 * (tables + (n_outer + rows) * chunk), 0, step
     m = n_outer
+    per_outer = sum(p ** len(g) for g in groups)
+    candidates = sum(len(g) * p ** len(g) for g in groups)
+    if outer_total <= _CHUNK:
+        r = rows + per_outer
+        trial = (rows * (3 * n + 1)  # y, phi and its build
+                 + rows * (per_outer + max(len(g) for g in groups)) + per_outer  # groups
+                 + 3 * rows * (m + 1) + per_outer * (m + 1) + r * (m + 1)  # forms
+                 + r * outer_total  # their product
+                 + 4 * outer_total + outer_total // 8  # totals, minima, ties
+                 + 3 * n + 6)  # the tied rows kept
+        shared = (candidates + (2 * m + 1) * outer_total
+                  + _tie_width(p, groups, m) * _tie_words(p, groups, m))
+        return 8 * trial, 8 * shared
     trial = (rows * (n + 1 + per_outer) + per_outer  # y, phi, group images and norms
              + 2 * rows * n + n * n  # the reordered phi, Q and R
              + rows * per_outer + (rows + 2 * per_outer + 2 * k) * (m + 1)  # leaf forms
              + p * m * (m + 1)  # the descent's steps and diagonal
              + 8 * outer_total + 4 * outer_total // p)  # breadth-first state
     per_leaf = 4 * m + 1 + 3 * k + per_outer + per_outer // 8 + 2 * n + 7
-    shared = sum(len(g) * p ** len(g) for g in groups) + per_leaf * _leaf_width(p, groups)
-    return 8 * trial, 8 * shared, step
+    shared = candidates + per_leaf * _leaf_width(p, groups)
+    return 8 * trial, 8 * shared
 
 
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
-    """Trials decoded together (at least one).  A single-chunk search
-    keeps the largest array of one search step within ``_STEP_BYTES``.
-    A block of bounded searches holds no more outer hypotheses times
-    group scans than one trial may scan (``_BUDGET``): 16 trials of the
-    8 x 2 rate-2 4-QAM code and of the 4-antenna rate-2 16-QAM code.
-    Its worst case, nothing pruned, is 16 trials' bytes plus the shared
-    bytes of ``_search_sizes``: ~88 MiB for the 4-QAM code and ~77 MiB
-    for the 16-QAM code at ``n_r = 2`` (a zero channel, which prunes
-    nothing, peaks at 65 and 60 MiB traced)."""
+    """Trials decoded together (at least one).  A block of single-chunk
+    searches holds, in its worst case, at most ``_BLOCK_BYTES``: its
+    trials' bytes plus the shared bytes of ``_search_sizes``.  A block of
+    bounded searches holds no more outer hypotheses times group scans
+    than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
+    4-QAM code and of the 4-antenna rate-2 16-QAM code.  Its worst case,
+    nothing pruned, is 16 trials' bytes plus the shared bytes: ~88 MiB
+    for the 4-QAM code and ~77 MiB for the 16-QAM code at ``n_r = 2`` (a
+    zero channel, which prunes nothing, peaks at 65 and 60 MiB traced)."""
     groups, outer = design._certified_split
     p = len(cons.pam)
     if p ** len(outer) > _CHUNK:
         return max(1, _BUDGET // _hypotheses(p, groups, len(outer)))
-    _, _, step = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
-    return max(1, _STEP_BYTES // step)
+    trial, shared = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
+    return max(1, (_BLOCK_BYTES - shared) // trial)
 
 
 def _within(value, scale):
@@ -383,35 +438,34 @@ def _within(value, scale):
     return value + 1e-9 * (np.abs(value) + scale)
 
 
-def _scan(y, phi_out, tables, out_x):
-    """Totals (B, w) of the outer hypotheses ``out_x`` (n_outer, w) on a
-    stack (y (B, rows), phi_out (B, rows, n_outer), group tables), each
-    group at its closed-form minimum: ||y'||^2 + sum_g min(||phi_g
-    x_g||^2 - 2 <y', phi_g x_g>) with y' = y - phi_out x_out; and each
-    group's metrics (B, n_cand, w)."""
-    yp = y[:, :, None] - phi_out @ out_x
-    total = np.einsum("bij,bij->bj", yp, yp)
-    kept = []
-    for _, _, images_t, qnorm in tables:
-        metrics = images_t @ yp  # (B, n_cand, w)
-        metrics *= 2.0
-        np.subtract(qnorm, metrics, out=metrics)
-        total += metrics.min(axis=1)
-        kept.append(metrics)
-    return total, kept
-
-
 def _full_vectors(tables, outer, digits, metrics, scale) -> np.ndarray:
     """Full level vectors (L, n) of L leaves from their outer digits (L,
     n_outer), each group's metrics (L, n_cand) and each leaf's trial's
     scale: each group at its lexicographically smallest candidate tied
     with its least metric."""
-    full = np.empty((len(digits), len(outer) + sum(len(t[0]) for t in tables)), dtype=int)
+    full = np.empty((len(digits), len(outer) + sum(len(cols) for cols, _ in tables)), dtype=int)
     full[:, outer] = digits
-    for (cols, cand, _, _), group in zip(tables, metrics):
+    for (cols, cand), group in zip(tables, metrics):
         tied = group <= _within(group.min(axis=1), scale)[:, None]
         full[:, cols] = cand[:, np.argmax(tied, axis=1)].T
     return full
+
+
+def _least_tied(tables, outer, owners, scale, width, leaves):
+    """(B, n): each trial's lexicographically smallest full vector among
+    its tied hypotheses, ``width`` of them at a time.  ``owners`` (L,)
+    holds their trials, grouped by trial, and ``leaves(part)`` the outer
+    digits (w, n_outer) and each group's metrics (w, n_cand) of the slice
+    ``part`` of them."""
+    rows, tri = [], []
+    for s in range(0, len(owners), width):
+        part = slice(s, s + width)
+        digits, metrics = leaves(part)
+        full = _full_vectors(tables, outer, digits, metrics, scale[owners[part]])
+        row, owner = _lex_least(full, owners[part])
+        rows.append(row)
+        tri.append(owner)
+    return _lex_least(np.concatenate(rows), np.concatenate(tri))[0]
 
 
 def _lex_least(full, tri):
@@ -419,7 +473,8 @@ def _lex_least(full, tri):
     n) (first real symbol most significant) of each trial present in the
     trial indices ``tri`` (L,), in ascending trial order."""
     order = np.lexsort((*full.T[::-1], tri))
-    first = order[np.flatnonzero(np.diff(tri[order], prepend=-1))]
+    owner = tri[order]
+    first = order[np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))]
     return full[first], tri[first]
 
 
@@ -474,7 +529,7 @@ def _k_best(child, tri):
     return np.flatnonzero(below | tied)
 
 
-def _qr_form(y, phi, pam, outer, tables):
+def _qr_form(y, phi, pam, outer, tables, images, qnorm):
     """The stack's search in the QR domain: a QR of each trial's phi with
     the first layer's group columns first and the outer columns last, the
     first outer index at the bottom, so the descent fixes it first.
@@ -496,7 +551,7 @@ def _qr_form(y, phi, pam, outer, tables):
     which a degenerate channel breaks."""
     p, m = len(pam), len(outer)
     rev = list(outer[::-1])
-    inner = [c for cols, *_ in tables for c in cols]
+    inner = [c for cols, _ in tables for c in cols]
     k = len(inner)
     q, r = np.linalg.qr(phi[:, :, inner + rev])
     z = (q.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
@@ -509,13 +564,10 @@ def _qr_form(y, phi, pam, outer, tables):
     w_form = np.zeros((trials, k, m + 1))
     w_form[:, :r_rows, :m] = -r[:, :k, k:]
     w_form[:, :r_rows, m] = z[:, :k]
-    # metric = [2 img^T phi_out | qnorm - 2 img^T y] [x_o; 1]
-    images_t = np.concatenate([images for _, _, images, _ in tables], axis=1)
-    metric_form = images_t @ np.concatenate([-phi[:, :, rev], y[:, :, None]], axis=2)
-    metric_form *= -2.0
-    metric_form[:, :, m] += np.concatenate([qnorm[:, :, 0] for *_, qnorm in tables], axis=1)
+    metric_form = _group_form(np.concatenate([-phi[:, :, rev], y[:, :, None]], axis=2),
+                              images, qnorm)
     form = np.concatenate([w_form, metric_form], axis=1)
-    starts = np.cumsum([k] + [cand.shape[1] for _, cand, _, _ in tables])
+    starts = np.cumsum([k] + [cand.shape[1] for _, cand in tables])
     base = np.einsum("bi,bi->b", y, y) - np.einsum("bi,bi->b", z, z)
     # x_o = [levels of idx's low `half` digits; levels of its high ones],
     # each least significant first, looked up in one table of the levels
@@ -547,7 +599,7 @@ def _qr_form(y, phi, pam, outer, tables):
     return z_o, r_oo, score
 
 
-def _bounded_search(y, phi, pam, outer, tables, scale):
+def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
     """(levels (B, n), survivors (B,)) of a stack: each trial's decision
     and the outer hypotheses its bounded search scored.
 
@@ -564,26 +616,23 @@ def _bounded_search(y, phi, pam, outer, tables, scale):
     it has alone, so its radius, survivors and counter do not depend on
     the stack."""
     trials = len(y)
-    z_o, r_oo, score = _qr_form(y, phi, pam, outer, tables)
+    z_o, r_oo, score = _qr_form(y, phi, pam, outer, tables, images, qnorm)
     seeds, tri, bound = _descend(z_o, r_oo, pam, _k_best)
     limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
     survivors, tri, bound = _descend(
         z_o, r_oo, pam, lambda child, tri: np.flatnonzero(child <= limit[tri, None]))
-    width = _leaf_width(len(pam), [cols for cols, *_ in tables])
+    width = _leaf_width(len(pam), [cols for cols, _ in tables])
     totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
                              for s in range(0, len(survivors), width)])
     least = np.full(trials, np.inf)
     np.minimum.at(least, tri, totals)
     tied = np.flatnonzero(totals <= _within(least, scale)[tri])
-    rows, owners = [], []
-    for s in range(0, len(tied), width):
-        leaves = tied[s:s + width]
-        _, digits, metrics = score(survivors[leaves], tri[leaves], bound[leaves], keep=True)
-        full = _full_vectors(tables, outer, digits, metrics, scale[tri[leaves]])
-        row, owner = _lex_least(full, tri[leaves])
-        rows.append(row)
-        owners.append(owner)
-    best, _ = _lex_least(np.concatenate(rows), np.concatenate(owners))
+
+    def leaves(part):
+        at = tied[part]
+        return score(survivors[at], tri[at], bound[at], keep=True)[1:]
+
+    best = _least_tied(tables, outer, tri[tied], scale, width, leaves)
     return best, np.bincount(tri, minlength=trials)
 
 
@@ -605,27 +654,32 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndar
     chunk width nor on which hypotheses survive, nor on the stack.
     """
     p, m = len(pam), len(outer)
-    trials = len(y)
-    tables = []
-    for g in groups:
-        cols = sorted(g)
-        digits = _group_candidates(p, len(cols))
-        images = phi[:, :, cols] @ pam[digits]  # (B, rows, n_cand)
-        qnorm = np.einsum("bij,bij->bj", images, images)
-        tables.append((cols, digits, images.transpose(0, 2, 1), qnorm[:, :, None]))
-    per_outer = sum(digits.shape[1] for _, digits, _, _ in tables)
+    trials, rows = y.shape
+    tables = [(sorted(g), _group_candidates(p, len(g))) for g in groups]
+    sizes = [cand.shape[1] for _, cand in tables]
+    per_outer = sum(sizes)
+    spans = list(itertools.pairwise(np.cumsum([0] + sizes)))
+    # every group's candidate images side by side, and their norms
+    images = np.empty((trials, rows, per_outer))
+    for (cols, cand), (s, e) in zip(tables, spans):
+        np.matmul(phi[:, :, cols], pam[cand], out=images[:, :, s:e])
+    qnorm = np.einsum("bij,bij->bj", images, images)
     scale = np.einsum("bi,bi->b", y, y)
-    for _, _, _, qnorm in tables:
-        scale += qnorm[:, :, 0].max(axis=1)
+    for s, e in spans:
+        scale += qnorm[:, s:e].max(axis=1)
     if p**m > _CHUNK:
-        best, survivors = _bounded_search(y, phi, pam, outer, tables, scale)
+        best, survivors = _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale)
         return best, survivors * per_outer
-    digits = _lex_digits(np.arange(p**m), p, m)
-    totals, metrics = _scan(y, phi[:, :, outer], tables, pam[digits])
+    resid_form = np.concatenate([-phi[:, :, outer], y[:, :, None]], axis=2)
+    form = np.concatenate([resid_form, _group_form(resid_form, images, qnorm)], axis=1)
+    out = form @ _outer_levels(tuple(pam), m)  # (B, rows + per_outer, p^m)
+    totals = np.einsum("bij,bij->bj", out[:, :rows], out[:, :rows])
+    for s, e in spans:
+        totals += out[:, rows + s:rows + e].min(axis=1)
     tri, hyp = np.nonzero(totals <= _within(totals.min(axis=1), scale)[:, None])
-    full = _full_vectors(tables, outer, digits.T[hyp], [g[tri, :, hyp] for g in metrics],
-                         scale[tri])
-    best, _ = _lex_least(full, tri)
+    outer_digits = _group_candidates(p, m).T
+    best = _least_tied(tables, outer, tri, scale, _tie_width(p, groups, m), lambda part: (
+        outer_digits[hyp[part]], [out[tri[part], rows + s:rows + e, hyp[part]] for s, e in spans]))
     return best, np.full(trials, p**m * per_outer)
 
 
@@ -645,7 +699,7 @@ def _decode_stack(Y, H, design, cons, snr, encoder):
     if scans > _BUDGET:
         raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
     rows = 2 * np.shape(H)[-2] * design.T
-    trial, shared, _ = _search_sizes(p, groups, len(outer), rows)
+    trial, shared = _search_sizes(p, groups, len(outer), rows)
     tables = trial + shared
     if tables > _TABLE_BYTES:
         raise BudgetExceededError(

@@ -180,6 +180,13 @@ class STBCDesign:
         outer.setflags(write=False)
         return groups, outer
 
+    @cached_property
+    def _default_encoders(self) -> dict:
+        """The default encoders ``coding_gain.default_encoder`` keeps for
+        this design, one per alphabet (keyed by its bytes): kept on the
+        design, so they go when it goes."""
+        return {}
+
     def layer_groups(self, layer: int) -> tuple[tuple[int, ...], ...]:
         """The declared groups inside one layer's index range (0-based
         layer number), in declared order; raises StructureError when a

@@ -36,9 +36,18 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def _require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _require_snr(snr, positive: bool = False) -> np.ndarray:
+    """``snr`` (a scalar or one per trial) as floats, refused unless every
+    value is finite and >= 0, or > 0 with ``positive``."""
+    snr = np.asarray(snr, dtype=float)
+    if not np.all(np.isfinite(snr) & ((snr > 0) if positive else (snr >= 0))):
+        raise ValueError(f"snr must be finite and {'> 0' if positive else '>= 0'}, got {snr}")
+    return snr
 
 
 def kron_power(a: np.ndarray, m: int) -> np.ndarray:

@@ -7,13 +7,14 @@ point index, trial index), so a sweep is bit-reproducible regardless of
 how trials are scheduled; per-trial draws are ordered channel, noise
 (one standard_normal call), information symbols (one integers call).
 
-Draws stay per trial; transmission and decoding are batched.  A sweep
-runs its trials point-major in blocks, which may span SNR points, and
-each block is transmitted and decoded as stacked arrays (one SNR per
-trial).  Every stacked product is made per trial with the shapes a
-single trial uses, so a block decodes exactly as its trials would one at
-a time: the block size, chosen from bytes by the decoder, never changes
-a result.  The exhaustive oracle decodes one trial at a time.
+Draws stay per trial; transmission, decoding and tallies are batched.
+A sweep runs its trials point-major in blocks, which may span SNR
+points; each block is transmitted and decoded as stacked arrays (one SNR
+per trial) and tallied per point at once.  Every stacked product is made
+per trial with the shapes a single trial uses, so a block decodes
+exactly as its trials would one at a time: the block size, chosen by the
+decoder from the bytes a block's search holds at most, never changes a
+result.  The exhaustive oracle decodes one trial at a time.
 
 The CSV schema is (snr_db, trials, cer, ser, mean_evals, wall_time_s).
 To keep re-runs byte-identical -- the reproducibility contract -- the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -86,12 +88,16 @@ EVALUATION_BUDGET = int(2e9)
 _DECODERS = {"auto", "oracle"}
 
 
-def _check_sweep(snr_db, trials: int, noise_scale: float) -> None:
-    """Refuse a sweep without trials, without SNR points, with more than
-    ``rng.POINTS`` of them or a non-finite one, or with a non-finite or
-    negative noise scale."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _check_sweep(snr_db, trials: int, noise_scale: float, n_r: int = 1) -> None:
+    """Refuse a sweep whose trial or receive-antenna count is not an
+    integer >= 1, without SNR points, with more than ``rng.POINTS`` of
+    them or a non-finite one, or with a non-finite or negative noise
+    scale."""
+    for name, count in (("trials", trials), ("n_r", n_r)):
+        if not isinstance(count, Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if len(snr_db) == 0:
         raise ValueError("snr list must be non-empty")
     if len(snr_db) > POINTS:
@@ -116,9 +122,7 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        _check_sweep(self.snr_db, self.trials, self.noise_scale)
-        if self.n_r < 1:
-            raise ValueError(f"n_r must be >= 1, got {self.n_r}")
+        _check_sweep(self.snr_db, self.trials, self.noise_scale, self.n_r)
         if self.decoder not in _DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -199,9 +203,10 @@ def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
                     noise_scale=1.0):
     """Every trial of every SNR point, point-major, each drawn from its own
     substream (seed, CTX_ERROR_SWEEP, point, trial) and decoded in blocks
-    that may span points: (point, Y, H, decoded levels, evaluations, wrong)
-    with wrong[i] true when either real component of complex symbol i was
-    decoded wrongly.  The oracle decodes one trial at a time."""
+    that may span points, one block at a time: (points, Y, H, decoded
+    levels, evaluations, wrong), a row per trial, with wrong[t, i] true
+    when either real component of complex symbol i of trial t was decoded
+    wrongly.  The oracle decodes one trial at a time."""
     if decoder not in _DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     block = 1 if decoder == "oracle" else _block_trials(design, cons, n_r)
@@ -213,17 +218,17 @@ def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
         for i, (point, trial) in enumerate(part):
             normals[i], levels[i] = _draw(substream(seed, CTX_ERROR_SWEEP, point, trial),
                                           *sizes)
-        snr = np.array([snrs[point] for point, _ in part])
+        points = np.array([point for point, _ in part])
+        snr = np.asarray(snrs)[points]
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, noise_scale)
         if decoder == "oracle":
             result = ml_oracle(y[0], h[0], design, cons, snr[0], encoder)
             decoded = np.array([result.level_indices])
-            evaluations = [result.metric_evaluations]
+            evaluations = np.array([result.metric_evaluations])
         else:
             decoded, evaluations, _ = _decode_stack(y, h, design, cons, snr, encoder)
         wrong = (decoded[:, 0::2] != levels[:, 0::2]) | (decoded[:, 1::2] != levels[:, 1::2])
-        for i, (point, _) in enumerate(part):
-            yield point, y[i], h[i], decoded[i], int(evaluations[i]), wrong[i]
+        yield points, y, h, decoded, evaluations, wrong
 
 
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
@@ -240,27 +245,28 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     encoder = default_encoder(design, cons.pam)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
     n = len(snrs)
-    cw_errors, sym_errors, evals, elapsed = [0] * n, [0] * n, [0] * n, [0.0] * n
+    cw_errors, sym_errors, evals = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    elapsed = [0.0] * n
     t0 = time.perf_counter()
-    for point, _, _, _, evaluations, wrong in _decoded_trials(
+    for points, _, _, _, evaluations, wrong in _decoded_trials(
         design, cons, encoder, cfg.decoder, cfg.n_r, snrs, cfg.trials, cfg.seed,
         cfg.noise_scale,
     ):
-        evals[point] += evaluations
-        sym_errors[point] += int(wrong.sum())
-        cw_errors[point] += int(wrong.any())
+        np.add.at(evals, points, evaluations)
+        np.add.at(sym_errors, points, wrong.sum(axis=1))
+        np.add.at(cw_errors, points, wrong.any(axis=1))
         now = time.perf_counter()
-        elapsed[point] += now - t0
+        elapsed[points[0]] += now - t0
         t0 = now
     return [
         SimRecord(
             snr_db=float(snr_db),
             trials=cfg.trials,
-            codeword_errors=cw_errors[point],
-            symbol_errors=sym_errors[point],
-            cer=cw_errors[point] / cfg.trials,
-            ser=sym_errors[point] / (cfg.trials * design.k),
-            mean_evals=evals[point] / cfg.trials,
+            codeword_errors=int(cw_errors[point]),
+            symbol_errors=int(sym_errors[point]),
+            cer=int(cw_errors[point]) / cfg.trials,
+            ser=int(sym_errors[point]) / (cfg.trials * design.k),
+            mean_evals=int(evals[point]) / cfg.trials,
             wall_time_s=elapsed[point],
         )
         for point, snr_db in enumerate(cfg.snr_db)
@@ -327,21 +333,25 @@ def run_decode_trials(
 ) -> list[dict]:
     """Per-trial decode log (metric, symbol errors, evaluations).  The
     metric is recomputed per trial from the decoded levels, as every
-    decoder's ``DecodeResult.metric`` is."""
+    decoder's ``DecodeResult.metric`` is.  The inputs are checked as a
+    sweep's are (``SimConfig``)."""
+    _check_sweep((snr_db,), trials, 1.0, n_r)
     cons = constellation(cons_label)
     encoder = default_encoder(design, cons.pam)
     snr = 10.0 ** (snr_db / 10.0)
     b = full_symbol_matrix(design, encoder)
-    trials_out = _decoded_trials(design, cons, encoder, decoder, n_r, [snr], trials, seed)
-    return [
-        {
-            "trial": trial,
-            "metric": _final_metric(y, h, design, snr, b, cons.pam[levels]),
-            "symbol_errors": int(wrong.sum()),
-            "evaluations": evaluations,
-        }
-        for trial, (_, y, h, levels, evaluations, wrong) in enumerate(trials_out)
-    ]
+    rows = []
+    for _, ys, hs, decoded, evaluations, wrong in _decoded_trials(
+        design, cons, encoder, decoder, n_r, [snr], trials, seed
+    ):
+        for y, h, levels, count, errors in zip(ys, hs, decoded, evaluations, wrong.sum(axis=1)):
+            rows.append({
+                "trial": len(rows),
+                "metric": _final_metric(y, h, design, snr, b, cons.pam[levels]),
+                "symbol_errors": int(errors),
+                "evaluations": int(count),
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,29 @@ class TestHighSnrResampling:
 
 
 class TestCapacityEstimates:
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), -1.0])
+    def test_bad_snr_refused_before_any_draw(self, snr, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(capacity, "sample_channels", no_draw)
+        d = build_rate1_4group(1)
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            code_capacity(d, 1, snr, 100, 0)
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            channel_capacity(2, 1, snr, 100, 0)
+        with pytest.raises(ValueError, match="snr must be finite and > 0"):
+            high_snr_decomposition(d, 1, snr, 100, 0)
+
+    def test_zero_snr(self, monkeypatch):
+        # log2 det(I) = 0 is a capacity; the high-SNR split takes log2(rho)
+        d = build_rate1_4group(1)
+        assert code_capacity(d, 1, 0.0, 100, 0).mean == 0.0
+        assert channel_capacity(2, 1, 0.0, 100, 0).mean == 0.0
+        monkeypatch.setattr(capacity, "sample_channels", None)
+        with pytest.raises(ValueError, match="snr must be finite and > 0"):
+            high_snr_decomposition(d, 1, 0.0, 100, 0)
+
     def test_vanishes_at_zero_snr(self):
         d = build_rate1_4group(1)
         est = code_capacity(d, 1, 1e-6, 200, rng=substream(1))

@@ -195,8 +195,10 @@ class TestEncoder:
             encode(enc, np.full(8, 0.3))
 
     def test_symbol_matrix_kept_on_the_encoder_only(self, monkeypatch):
-        # a sweep's encoder, and the one decode_auto makes when given none,
-        # die with the call: nothing caches the matrix beyond its encoder
+        # a sweep's encoder and the one decode_auto takes when given none
+        # are the design's one default encoder, kept on the design and in
+        # no module cache: the matrix lives on that encoder, which dies
+        # with the design
         refs = []
 
         def recording(design, alphabet, rotation=None):
@@ -210,10 +212,13 @@ class TestEncoder:
         sim.run_error_sweep(sim.SimConfig(design=d, n_r=1, trials=3))
         y, h, _ = draw_trial(d, default_encoder(d, PAM2), 1, 10.0, substream(3))
         decoder.decode_auto(y, h, d, decoder.constellation("4qam"), 10.0)
-        gc.collect()
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
-        enc = default_encoder(d, PAM2)
+        enc = default_encoder(d, decoder.constellation("4qam").pam)
+        assert len(refs) == 2 and all(ref() is enc for ref in refs)
         assert full_symbol_matrix(d, enc) is full_symbol_matrix(d, enc)
+        design = weakref.ref(d)
+        del d, enc
+        gc.collect()
+        assert design() is None and all(ref() is None for ref in refs)
 
     def test_rotation_must_fit_the_design_groups(self):
         enc = default_encoder(build_rate1_4group(2), PAM2)

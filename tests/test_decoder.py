@@ -318,6 +318,29 @@ class TestGuards:
         res = decode_auto(y, h, d, cons, 10.0, enc)
         assert res.level_indices == tuple(levels)
 
+    @pytest.mark.parametrize("decode", [decode_auto, ml_oracle])
+    @pytest.mark.parametrize("bad", ["nan received", "inf channel", "negative snr",
+                                     "nan snr", "inf snr"])
+    def test_bad_inputs_refused(self, decode, bad):
+        d = build_rate1_4group(2)
+        y, h, snr = np.ones((1, 4), dtype=complex), np.ones((1, 4), dtype=complex), 10.0
+        if bad == "nan received":
+            y[0, 1] = np.nan
+        elif bad == "inf channel":
+            h[0, 2] = 1j * np.inf
+        else:
+            snr = {"negative snr": -1.0, "nan snr": np.nan, "inf snr": np.inf}[bad]
+        with pytest.raises(ValueError, match="non-finite entries|snr must be finite and >= 0"):
+            decode(y, h, d, CONS, snr)
+
+    @pytest.mark.parametrize("decode", [decode_auto, ml_oracle])
+    def test_zero_snr_is_valid(self, decode):
+        # nothing of the codeword arrives: every hypothesis ties
+        d = build_rate1_4group(2)
+        y, h = np.ones((1, 4), dtype=complex), np.ones((1, 4), dtype=complex)
+        res = decode(y, h, d, CONS, 0.0)
+        assert res.level_indices == (0,) * 8 and res.metric == pytest.approx(4.0)
+
     def test_group_decode_rejects_uncertified_design(self):
         d = random_rotation_baseline(build_rate1_4group(2))
         y = np.zeros((1, 4), dtype=complex)
@@ -555,7 +578,7 @@ class TestBoundedSearch:
         p = len(cons.pam)
         assert decoder._block_trials(design, cons, 2) * decoder._hypotheses(
             p, groups, len(outer)) <= decoder._BUDGET
-        trial, shared, _ = decoder._search_sizes(p, groups, len(outer), 4 * design.T)
+        trial, shared = decoder._search_sizes(p, groups, len(outer), 4 * design.T)
         enc = default_encoder(design, cons.pam)
         for block in (1, 3):
             y = np.zeros((block, 2, design.T), dtype=complex)
@@ -603,6 +626,113 @@ class TestBoundedSearch:
         y, h = np.zeros((1, d.T), dtype=complex), np.zeros((1, d.n_t), dtype=complex)
         with pytest.raises(BudgetExceededError) as err:
             decode_auto(y, h, d, constellation("64qam"), 1.0)
+        # the single-chunk charge of _search_sizes: four groups of 2^24
+        # candidates, each with its images, forms and product rows
         assert str(err.value) == (
-            "search tables of 22548578560 bytes exceed the limit of 1073741824"
+            "search tables of 24226329624 bytes exceed the limit of 1073741824"
         )
+
+
+#: (a, layers, n_r) of the sweep-overhead benchmark's codes: every outer
+#: hypothesis fits in one chunk, so a block of trials is one stacked scan
+SMALL_CODES = [
+    pytest.param(1, 2, 2, id="silver"),
+    pytest.param(2, 1, 1, id="a2-rate1"),
+    pytest.param(3, 1, 2, id="a3-rate1"),
+    pytest.param(2, 2, 2, id="a2-two-layer"),
+]
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("a, layers, n_r", SMALL_CODES)
+    def test_block_state_within_its_charge(self, a, layers, n_r):
+        # a zero channel ties every hypothesis, the worst case of a block's
+        # state: a full block's traced peak stays within the trials' and
+        # the shared bytes of _search_sizes, and that charge within the cap
+        import tracemalloc
+
+        from stbc import decoder
+
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        groups, outer = design._certified_split
+        assert 2 ** len(outer) <= decoder._CHUNK
+        trial, shared = decoder._search_sizes(2, groups, len(outer), 2 * n_r * design.T)
+        block = decoder._block_trials(design, CONS, n_r)
+        assert block > 1 and block * trial + shared <= decoder._BLOCK_BYTES
+        enc = default_encoder(design, CONS.pam)
+        y = np.zeros((block, n_r, design.T), dtype=complex)
+        h = np.zeros((block, n_r, design.n_t), dtype=complex)
+        tracemalloc.start()
+        try:
+            levels, _, _ = decoder._decode_stack(y, h, design, CONS, np.ones(block), enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels.tolist() == [[0] * design.n_real_symbols] * block
+        assert peak <= block * trial + shared
+
+    @pytest.mark.parametrize("a, layers, n_r", SMALL_CODES)
+    def test_tied_scans_equal_oracle_and_alone(self, a, layers, n_r):
+        # noiseless trials through a drawn channel, through a channel of
+        # one entry (many hypotheses give the same received matrix) and
+        # through a zero channel (all of them do), and a zero received
+        # matrix (x and -x tie), in one stack: each decision equals the
+        # oracle's and the trial's own stack of one
+        from stbc import decoder
+
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        enc = default_encoder(design, CONS.pam)
+        b = full_symbol_matrix(design, enc)
+        snr = 10.0
+        ys, hs = [], []
+        for t in range(2):
+            _, h, levels = random_trial(design, enc, n_r, snr, seed=71, trial=t)
+            one = np.zeros_like(h)
+            one[0, -1] = h[0, -1]
+            s = design.energy_scale * codeword(design, b @ CONS.pam[levels])
+            for channel in (h, one, np.zeros_like(h)):
+                ys.append(np.sqrt(snr / design.n_t) * channel @ s)
+                hs.append(channel)
+            ys.append(np.zeros_like(ys[-1]))
+            hs.append(h)
+        levels, evaluations, _ = decoder._decode_stack(
+            np.array(ys), np.array(hs), design, CONS, np.full(len(ys), snr), enc)
+        for i, (y, h) in enumerate(zip(ys, hs)):
+            alone = decode_auto(y, h, design, CONS, snr, enc)
+            oracle = ml_oracle(y, h, design, CONS, snr, enc)
+            assert tuple(levels[i].tolist()) == alone.level_indices == oracle.level_indices, i
+            assert evaluations[i] == alone.metric_evaluations
+
+
+class TestDefaultEncoder:
+    def test_calls_without_an_encoder_share_one_symbol_matrix(self):
+        d = build_rate1_4group(2)
+        y, h = np.ones((1, 4), dtype=complex), np.ones((1, 4), dtype=complex)
+        first = _effective_operator(y, h, d, CONS, 10.0, None)[2]
+        assert _effective_operator(y, h, d, CONS, 10.0, None)[2] is first
+        assert default_encoder(d, CONS.pam) is default_encoder(d, CONS.pam.copy())
+        assert default_encoder(d, constellation("16qam").pam) is not default_encoder(d, CONS.pam)
+
+    def test_a_dropped_design_is_collected(self):
+        d = build_rate1_4group(2)
+        y, h = np.ones((1, 4), dtype=complex), np.ones((1, 4), dtype=complex)
+        decode_auto(y, h, d, CONS, 10.0)
+        ml_oracle(y, h, d, CONS, 10.0)
+        design, encoder = weakref.ref(d), weakref.ref(default_encoder(d, CONS.pam))
+        del d
+        gc.collect()
+        assert design() is None and encoder() is None
+
+    @pytest.mark.parametrize("a, layers, n_r", SMALL_CODES)
+    def test_decisions_unchanged(self, a, layers, n_r):
+        # the kept default decides as a freshly built encoder does
+        from stbc.coding_gain import builtin_rotation, extract_W
+
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        fresh = default_encoder(design, CONS.pam, builtin_rotation(extract_W(design).shape[0]))
+        assert fresh is not default_encoder(design, CONS.pam)
+        for t in range(3):
+            y, h, _ = random_trial(design, fresh, n_r, 3.0, seed=72, trial=t)
+            for decode in (decode_auto, ml_oracle):
+                kept, built = decode(y, h, design, CONS, 3.0), decode(y, h, design, CONS, 3.0, fresh)
+                assert (kept.level_indices, kept.metric) == (built.level_indices, built.metric)

@@ -90,17 +90,22 @@ class TestErrorSweep:
             run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
 
     @pytest.mark.parametrize("a, layers, n_r, trials, snr_db", [
-        # 4 trials a block: 21 trials end on a block of one
+        # 14 trials a block: 21 trials in blocks of 14 and 7
         pytest.param(2, 2, 2, 7, (2.0, 9.0, 16.0), id="2-2-2-7"),
-        # 128 trials a block: the first block spans points
-        pytest.param(1, 2, 2, 50, (2.0, 9.0, 16.0), id="1-2-2-50"),
-        # the bounded search, 16 trials a block: one stack spans the points
-        pytest.param(3, 2, 2, 4, (0.0, 10.0, 20.0), id="3-2-2-4"),
+        # 197 trials a block: 250 trials in blocks of 197 and 53
+        pytest.param(1, 2, 2, 50, (2.0, 9.0, 16.0, 23.0, 30.0), id="1-2-2-50"),
+        # the bounded search, 16 trials a block: 20 trials in blocks of 16 and 4
+        pytest.param(3, 2, 2, 4, (0.0, 5.0, 10.0, 15.0, 20.0), id="3-2-2-4"),
     ])
     def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials, snr_db):
         design = extend_full_rate(build_rate1_4group(a), layers)
         cons = constellation("4qam")
-        assert trials * 3 % _block_trials(design, cons, n_r) != 0
+        block = _block_trials(design, cons, n_r)
+        total = trials * len(snr_db)
+        # two or more blocks, the last one partial, and a block that spans points
+        assert block < total and total % block != 0
+        assert any(start // trials != (min(start + block, total) - 1) // trials
+                   for start in range(0, total, block))
         enc = default_encoder(design, cons.pam)
         want = []
         for point, db in enumerate(snr_db):
@@ -252,6 +257,22 @@ class TestParsing:
                 silver_cfg(noise_scale=noise_scale)
             with pytest.raises(ValueError, match="noise_scale"):
                 uncoded_siso_sweep("4qam", (0.0,), 10, 1, noise_scale=noise_scale)
+
+    @pytest.mark.parametrize("field, value", [("trials", 2.5), ("n_r", 1.5), ("trials", "3")])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            silver_cfg(**{field: value})
+
+    @pytest.mark.parametrize("n_r, snr_db, trials, match", [
+        (0, 8.0, 2, "n_r must be >= 1"),
+        (1.5, 8.0, 2, "n_r must be an integer"),
+        (1, float("nan"), 2, "snr_db values must be finite"),
+        (1, 8.0, 0, "trials must be >= 1"),
+        (1, 8.0, 2.5, "trials must be an integer"),
+    ])
+    def test_decode_log_checks_its_inputs_as_a_sweep_does(self, n_r, snr_db, trials, match):
+        with pytest.raises(ValueError, match=match):
+            run_decode_trials(build_rate1_4group(1), n_r, "4qam", snr_db, trials, 0)
 
     def test_snr_points_bounded_up_front(self):
         # a stream path addresses 2^16 points; more are refused before any
