@@ -338,6 +338,7 @@ def _group_form(resid_form, images, qnorm):
     return form
 
 
+@lru_cache(maxsize=64)
 def _tie_width(p: int, groups, n_outer: int) -> int:
     """Tied hypotheses a single-chunk search resolves at once: their
     digits, group metrics, full vectors and sort keys take at most an
@@ -364,7 +365,14 @@ def _leaf_width(p: int, groups) -> int:
 
 def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
     """(trial bytes, shared bytes) of a search: what each trial of a stack
-    holds at most, and what the stack holds once whatever its size.
+    holds at most, and what the stack holds once whatever its size (kept
+    per ``_CHUNK``, which decides the search)."""
+    return _sizes_at(p, groups, n_outer, rows, _CHUNK)
+
+
+@lru_cache(maxsize=64)
+def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int, int]:
+    """``_search_sizes`` with every outer chunk ``chunk`` wide.
 
     A single-chunk search holds per trial y, phi and the temporaries of
     its build, the group images and norms, its forms (the residual's, the
@@ -390,7 +398,7 @@ def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
     m = n_outer
     per_outer = sum(p ** len(g) for g in groups)
     candidates = sum(len(g) * p ** len(g) for g in groups)
-    if outer_total <= _CHUNK:
+    if outer_total <= chunk:
         r = rows + per_outer
         trial = (rows * (3 * n + 1)  # y, phi and its build
                  + rows * (per_outer + max(len(g) for g in groups)) + per_outer  # groups
@@ -465,6 +473,8 @@ def _least_tied(tables, outer, owners, scale, width, leaves):
         row, owner = _lex_least(full, owners[part])
         rows.append(row)
         tri.append(owner)
+    if len(rows) == 1:  # one chunk held every tied hypothesis
+        return rows[0]
     return _lex_least(np.concatenate(rows), np.concatenate(tri))[0]
 
 

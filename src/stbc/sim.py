@@ -4,13 +4,16 @@ Transmission follows Y = sqrt(snr/n_t) H S + N with E||S||^2 = n_t T
 (unit-power information symbols, energy-normalized weights).  Every trial
 draws from its own counter-based substream keyed by (master seed, snr
 point index, trial index), so a sweep is bit-reproducible regardless of
-how trials are scheduled; per-trial draws are ordered channel, noise
-(one standard_normal call), information symbols (one integers call).
+how trials are scheduled.  The contract is the values: a trial's channel
+and noise equal one standard_normal call on its substream, and its
+information symbols the integers call that follows.  A block of trials
+gets those values from ``rng.draw_block`` (one reused Philox), not from
+the calls themselves.
 
-Draws stay per trial; transmission, decoding and tallies are batched.
-A sweep runs its trials point-major in blocks, which may span SNR
-points; each block is transmitted and decoded as stacked arrays (one SNR
-per trial) and tallied per point at once.  Every stacked product is made
+Transmission, decoding and tallies are batched.  A sweep runs its trials
+point-major in blocks, which may span SNR points; each block is
+transmitted and decoded as stacked arrays (one SNR per trial) and
+tallied per point at once.  Every stacked product is made
 per trial with the shapes a single trial uses, so a block decodes
 exactly as its trials would one at a time: the block size, chosen by the
 decoder from the bytes a block's search holds at most, never changes a
@@ -63,7 +66,7 @@ from .designs import (
 from .errors import BudgetExceededError
 from .linalg import matrix_from_text, pairwise_residual
 from .reports import Report
-from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, substream
+from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, draw_block, draws, substream
 
 __all__ = [
     "SimConfig",
@@ -129,20 +132,32 @@ class SimConfig:
 
 @dataclass(frozen=True, slots=True)
 class SimRecord:
-    """Tallies for one SNR point (slotted: sweeps that keep many records
-    hold no per-record dict)."""
+    """Tallies for one SNR point: its error counts over ``trials``
+    codewords of ``symbols`` information symbols each, from which the
+    rates are derived (slotted: sweeps that keep many records hold no
+    per-record dict, and no rate beside the counts it comes from)."""
 
     snr_db: float
     trials: int
     codeword_errors: int
     symbol_errors: int
-    cer: float
-    ser: float
+    symbols: int
     mean_evals: float
     wall_time_s: float
 
     def __post_init__(self):
-        assert 0.0 <= self.cer <= 1.0 and 0.0 <= self.ser <= 1.0
+        assert 0 <= self.codeword_errors <= self.trials
+        assert 0 <= self.symbol_errors <= self.trials * self.symbols
+
+    @property
+    def cer(self) -> float:
+        """Codeword error rate."""
+        return self.codeword_errors / self.trials
+
+    @property
+    def ser(self) -> float:
+        """Symbol error rate."""
+        return self.symbol_errors / (self.trials * self.symbols)
 
 
 def _predicted_evals(design: STBCDesign, cons: Constellation, decoder: str) -> int:
@@ -152,13 +167,10 @@ def _predicted_evals(design: STBCDesign, cons: Constellation, decoder: str) -> i
     return account.group_evaluations or account.conditional_evaluations
 
 
-def _draw(rng: np.random.Generator, n_r: int, n_t: int, T: int, p: int, n: int):
-    """One trial's draws: (normals, levels).  One standard_normal call
-    gives the channel's real and imaginary parts, then the noise's; one
-    integers call gives the n information level indices below p.  The
-    values equal the separate calls of the same shapes in that order."""
-    normals = rng.standard_normal(2 * n_r * (n_t + T))
-    return normals, rng.integers(0, p, size=n)
+def _normals(n_r: int, n_t: int, T: int) -> int:
+    """Standard normals one trial draws: the channel's real and imaginary
+    parts, then the noise's."""
+    return 2 * n_r * (n_t + T)
 
 
 def _channel_and_noise(normals: np.ndarray, n_r: int, n_t: int, T: int):
@@ -190,9 +202,9 @@ def draw_trial(
     """One transmission Y = sqrt(snr/n_t) H S + noise_scale N: (Y, H, levels).
 
     Draws the channel H, then the noise N, then the information level
-    indices (into ``encoder.alphabet``) from ``rng``.
+    indices (into ``encoder.alphabet``) from ``rng`` (``stbc.rng.draws``).
     """
-    normals, levels = _draw(rng, n_r, design.n_t, design.T, len(encoder.alphabet),
+    normals, levels = draws(rng, _normals(n_r, design.n_t, design.T), len(encoder.alphabet),
                             design.n_real_symbols)
     y, h = _transmit(design, encoder, n_r, np.array([snr]), normals[None],
                      levels[None], noise_scale)
@@ -201,8 +213,8 @@ def draw_trial(
 
 def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
                     noise_scale=1.0):
-    """Every trial of every SNR point, point-major, each drawn from its own
-    substream (seed, CTX_ERROR_SWEEP, point, trial) and decoded in blocks
+    """Every trial of every SNR point, point-major, each drawn as from its
+    own substream (seed, CTX_ERROR_SWEEP, point, trial) and decoded in blocks
     that may span points, one block at a time: (points, Y, H, decoded
     levels, evaluations, wrong), a row per trial, with wrong[t, i] true
     when either real component of complex symbol i of trial t was decoded
@@ -211,13 +223,9 @@ def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
         raise ValueError(f"unknown decoder {decoder!r}")
     block = 1 if decoder == "oracle" else _block_trials(design, cons, n_r)
     schedule = ((point, trial) for point in range(len(snrs)) for trial in range(trials))
-    sizes = (n_r, design.n_t, design.T, len(encoder.alphabet), design.n_real_symbols)
+    sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
     while part := list(islice(schedule, block)):
-        normals = np.empty((len(part), 2 * n_r * (design.n_t + design.T)))
-        levels = np.empty((len(part), design.n_real_symbols), dtype=int)
-        for i, (point, trial) in enumerate(part):
-            normals[i], levels[i] = _draw(substream(seed, CTX_ERROR_SWEEP, point, trial),
-                                          *sizes)
+        normals, levels = draw_block(seed, CTX_ERROR_SWEEP, part, *sizes)
         points = np.array([point for point, _ in part])
         snr = np.asarray(snrs)[points]
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, noise_scale)
@@ -264,8 +272,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
             trials=cfg.trials,
             codeword_errors=int(cw_errors[point]),
             symbol_errors=int(sym_errors[point]),
-            cer=int(cw_errors[point]) / cfg.trials,
-            ser=int(sym_errors[point]) / (cfg.trials * design.k),
+            symbols=design.k,
             mean_evals=int(evals[point]) / cfg.trials,
             wall_time_s=elapsed[point],
         )
@@ -282,7 +289,8 @@ def uncoded_siso_sweep(
 ) -> list[SimRecord]:
     """Single-antenna uncoded ML baseline on the same fading model.
 
-    Each trial draws from its own substream; the ML decision
+    Each trial draws as from its own substream (one ``draw_block`` per
+    point, as a coded sweep draws its blocks); the ML decision
     argmin |y - c h x|^2 is made over the stacked trials of a point."""
     _check_sweep(snr_db, trials, noise_scale)
     cons = constellation(cons_label)
@@ -292,12 +300,10 @@ def uncoded_siso_sweep(
         snr = 10.0 ** (db / 10.0)
         c = np.sqrt(snr)
         t0 = time.perf_counter()
-        normals = np.empty((trials, 4))
-        idx = np.empty(trials, dtype=int)
-        for trial in range(trials):
-            rng = substream(seed, CTX_ERROR_SWEEP, point_i, trial)
-            normals[trial], level = _draw(rng, 1, 1, 1, cons.size, 1)
-            idx[trial] = level[0]
+        paths = [(point_i, trial) for trial in range(trials)]
+        normals, levels = draw_block(seed, CTX_ERROR_SWEEP, paths, _normals(1, 1, 1),
+                                     cons.size, 1)
+        idx = levels[:, 0]
         h, noise = _channel_and_noise(normals, 1, 1, 1)
         ch = c * h[:, 0, 0]
         # the received value keeps its per-trial scalar arithmetic: numpy's
@@ -313,8 +319,7 @@ def uncoded_siso_sweep(
                 trials=trials,
                 codeword_errors=errors,
                 symbol_errors=errors,
-                cer=errors / trials,
-                ser=errors / trials,
+                symbols=1,
                 mean_evals=float(cons.size),
                 wall_time_s=elapsed,
             )
@@ -559,7 +564,7 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     rng = substream(seed, CTX_PROFILE, 3, 0)
     b = full_symbol_matrix(design, default_encoder(design, cons.pam))
-    levels = np.array([rng.integers(0, p, size=design.n_real_symbols) for _ in range(1000)])
+    levels = rng.integers(0, p, size=(1000, design.n_real_symbols))
     s = (b @ cons.pam[levels][..., None])[..., 0]
     energies = np.linalg.norm(design.energy_scale * codeword(design, s), axis=(1, 2)) ** 2
     mean_energy = float(np.mean(energies))

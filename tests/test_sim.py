@@ -15,7 +15,8 @@ from stbc.decoder import (
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
 from stbc.errors import BudgetExceededError
-from stbc.rng import CTX_ERROR_SWEEP, POINTS, substream
+from stbc import rng
+from stbc.rng import CTX_ERROR_SWEEP, POINTS, draw_block, substream
 from stbc.sim import (
     SimConfig,
     SimRecord,
@@ -171,9 +172,12 @@ class TestSisoBaseline:
 class TestCsv:
     def _records(self):
         return [
-            SimRecord(0.0, 100, 30, 55, 0.3, 0.1375, 128.0, 1.5),
-            SimRecord(4.0, 100, 12, 20, 0.12, 0.05, 128.0, 1.25),
+            SimRecord(0.0, 100, 30, 55, 4, 128.0, 1.5),
+            SimRecord(4.0, 100, 12, 20, 4, 128.0, 1.25),
         ]
+
+    def test_rates_from_counts(self):
+        assert [(r.cer, r.ser) for r in self._records()] == [(0.3, 0.1375), (0.12, 0.05)]
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -313,6 +317,87 @@ class TestSubstream:
             substream(*args)
 
 
+class TestDrawBlock:
+    """The stream contract: a block's draws equal, row for row, those of
+    ``standard_normal`` and then ``integers`` on each trial's substream."""
+
+    @staticmethod
+    def _reference(seed, context, paths, normals, p, n):
+        rows = []
+        for point, trial in paths:
+            gen = substream(seed, context, point, trial)
+            rows.append((gen.standard_normal(normals), gen.integers(0, p, size=n)))
+        return np.array([r for r, _ in rows]), np.array([lv for _, lv in rows])
+
+    @pytest.mark.parametrize("p", [2, 4, 6, 8, 12])
+    @pytest.mark.parametrize("n", [1, 7, 8, 31, 32])
+    @pytest.mark.parametrize("seed, paths", [
+        (11, [(0, t) for t in range(6)] + [(1, 0), (1, 1)]),
+        ((1 << 63) + 12345, [(3, 2), (0, 0), ((1 << 16) - 1, 9)]),
+        (-42, [(2, 5), (2, 6)]),
+        (7, [(0, (1 << 32) - 1), (5, (1 << 32) - 2)]),
+    ])
+    def test_equals_per_trial_calls(self, p, n, seed, paths):
+        normals, levels = draw_block(seed, CTX_ERROR_SWEEP, paths, 12, p, n)
+        want_normals, want_levels = self._reference(seed, CTX_ERROR_SWEEP, paths, 12, p, n)
+        assert normals.dtype == np.float64 and levels.dtype == np.int64
+        assert np.array_equal(normals, want_normals)
+        assert np.array_equal(levels, want_levels)
+
+    @pytest.mark.parametrize("p", [1, 3, (1 << 32) - 1, 1 << 32])
+    def test_level_count_bounds(self, p):
+        paths = [(0, t) for t in range(4)]
+        got = draw_block(3, CTX_ERROR_SWEEP, paths, 2, p, 5)
+        want = self._reference(3, CTX_ERROR_SWEEP, paths, 2, p, 5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("p", [0, (1 << 32) + 1])
+    def test_level_count_refused(self, p):
+        with pytest.raises(ValueError, match="level count"):
+            draw_block(3, CTX_ERROR_SWEEP, [(0, 0)], 2, p, 5)
+
+    def test_hand_made_words(self):
+        # words split low half first; with p = 6 a zero half scales to a
+        # remainder of 0, below Lemire's threshold (2^32 - 6) % 6 = 4, so
+        # its row is flagged; the row without such a half is not
+        low, high = 0x9ABCDEF0, 0x12345678
+        words = np.array([[(high << 32) | low, 0x1234],
+                          [high << 32, 0x1234],
+                          [0xFFFFFFFF_FFFFFFFF, 0]], dtype=np.uint64)
+        levels, retry = rng._levels(words, 6, 3)
+        halves = [[low, high, 0x1234], [0, high, 0x1234], [0xFFFFFFFF, 0xFFFFFFFF, 0]]
+        assert levels.tolist() == [[(h * 6) >> 32 for h in row] for row in halves]
+        assert retry.tolist() == [False, True, True]
+        # the unused high half of an odd row's last word is not looked at
+        assert rng._levels(np.array([[0xFFFFFFFF]], dtype=np.uint64), 6, 1)[1].tolist() == [False]
+        # a power of two never rejects
+        assert not rng._levels(words, 8, 4)[1].any()
+
+    def test_flagged_row_replayed(self, monkeypatch):
+        # a flagged row's levels come from its substream, whatever the
+        # vectorised step made of its words
+        real = rng._levels
+
+        def flag_second(words, p, n):
+            levels, retry = real(words, p, n)
+            levels[1] = -1
+            retry[1] = True
+            return levels, retry
+
+        monkeypatch.setattr(rng, "_levels", flag_second)
+        paths = [(0, 3), (0, 4), (1, 0)]
+        got = draw_block(5, CTX_ERROR_SWEEP, paths, 8, 6, 9)
+        want = self._reference(5, CTX_ERROR_SWEEP, paths, 8, 6, 9)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("paths", [[(0, 0), (1 << 16, 0)], [(0, -1)], [(0, 1 << 32)]])
+    def test_range_checks(self, paths):
+        with pytest.raises(ValueError, match="out of range"):
+            draw_block(0, CTX_ERROR_SWEEP, paths, 4, 2, 2)
+        with pytest.raises(ValueError, match="context out of range"):
+            draw_block(0, 1 << 16, [(0, 0)], 4, 2, 2)
+
+
 class TestVerifyAll:
     @pytest.mark.parametrize("a,layers,pinned", [
         pytest.param(1, 2, "a094af67e7225e0615ff1f6f2458867073da890b6fb164b5144249f53acbe8ac",
@@ -375,6 +460,9 @@ class TestPinnedOutputs:
         emit_csv(uncoded_siso_sweep("16qam", (0.0, 5.0, 10.0), 300, 7), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "346a90372b0d3494f97ec141c5865fb6fb59b51e7a5dcf0a088e70172d1fada7")
+        emit_csv(uncoded_siso_sweep("4qam", (0.0, 10.0), 500, seed=9), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "766489f8f50aae49f252eb8ac6c7098094b5847622314e316db6c9225bc84352")
 
     @pytest.mark.parametrize("design_args, digest", [
         (("--a", "1", "--layers", "2"),
