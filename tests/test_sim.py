@@ -451,6 +451,12 @@ class TestPinnedOutputs:
          "bbc3917aa01758184fc402b9c8173eedaa384c8e58f9b5253296d475f00c4c1d"),
         (build_rate1_4group(2), 1, {"noise_scale": 0.0},
          "352bf50d35f1897469d822e1b206dc9f079182e52ceb09834809c83643b897d1"),
+        # 65,536 outer hypotheses each: the bounded search, whose survivor
+        # counts the mean_evals column carries
+        (extend_full_rate(build_rate1_4group(3), 2), 2, {},
+         "86aa9bcc6a2767775bf255b83a5719a74a0018e97a9f8926405681cb620a7cfa"),
+        (extend_full_rate(build_rate1_4group(2), 2), 2, {"constellation": "16qam"},
+         "3721928192acd2c77bfedc4deae17def8ce5732c7a783d12c9349021b23543d1"),
     ])
     def test_sweep_csv_variants(self, tmp_path, design, n_r, options, digest):
         assert self._sweep_digest(tmp_path, design, n_r, **options) == digest
