@@ -36,19 +36,22 @@ Codes with more outer hypotheses (the 8 x 2 rate-2 4-QAM code and the
 search in lattices", 2002), one pass for the whole stack.  A QR of each
 trial's phi with the outer columns last bounds every outer hypothesis's
 total from below by its outer rows alone, since the group rows are
-non-negative; a breadth-first search over the outer digits, seeded with
-the radius of a K-best candidate, keeps every hypothesis whose bound is
-within a 1e-9 relative slack of that radius.  Both passes descend every
-trial of the stack at once, each node carrying its trial, and the K-best
-pass breaks equal bounds by position, so a trial keeps the same seeds,
-radius and survivors in any stack.  Seeds and survivors are scored from
-R (``_qr_form``): a leaf's total is its bound, the inner rows' residual
+non-negative.  A K-best pass over the outer digits, descending every
+trial of the stack at once with each node carrying its trial and equal
+bounds broken by position, seeds each trial's radius; the radius pass
+(``_radius_pass``) then keeps every hypothesis whose bound is within a
+1e-9 relative slack of that radius, in two half-steps: one stacked
+product bounds every prefix of the high half of the outer digits, and
+one product per trial extends the prefixes within its radius by every
+completion of the low half.  A trial so keeps the same seeds, radius and
+survivors in any stack.  Seeds and survivors are scored from R
+(``_qr_form``): a leaf's total is its bound, the inner rows' residual
 and each group's closed-form minimum, all affine in the outer levels, so
 one small product per leaf replaces a scan of every row of phi.  The
 pruned hypotheses all have totals above the minimum, so the decision is
 the exhaustive search's.  A block of bounded searches scans, unpruned,
 no more hypotheses than one trial may (``_block_trials``), so its worst
-case on the two codes above at n_r = 2 is under 90 MiB of search state.
+case on the two codes above at n_r = 2 is under 61 MiB of search state.
 
 Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
 groups' largest image energies are tied, and so are a group's candidates
@@ -384,14 +387,15 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
     the outer hypotheses' digits and levels and one ``_tie_width`` chunk
     of tied hypotheses.  A bounded search holds per trial y, phi, the
     group images and norms, the reordered phi and its QR, the leaf forms,
-    the descent's steps and, when nothing is pruned, its breadth-first
-    state: the last level's child bounds, positions, parents, digits,
-    trials, indices, an index temporary and bounds, eight words per outer
-    hypothesis, next to the previous level's indices, bounds, trials and
-    pending residuals.  The stack shares the candidate digits and one
-    ``_leaf_width`` chunk of leaves: their digits, levels, products and
-    squares, their full vectors with the sort keys of ``_lex_least`` and
-    each group's pick."""
+    the K-best descent's steps, its high-half prefixes' residuals and
+    bounds and, when nothing is pruned, six words and a bit per outer
+    hypothesis: the survivors' indices, trials and bounds, their totals
+    with a chunk's copy, the tie mask and the tied hypotheses and their
+    trials.  The stack shares the candidate digits, one trial's leaf
+    bounds with their mask, rows, completions and an index temporary, and
+    one ``_leaf_width`` chunk of leaves: their digits, levels, products
+    and squares, their full vectors with the sort keys of ``_lex_least``
+    and each group's pick."""
     outer_total = p**n_outer
     k = sum(len(g) for g in groups)
     n = k + n_outer
@@ -413,9 +417,11 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
              + 2 * rows * n + n * n  # the reordered phi, Q and R
              + rows * per_outer + (rows + 2 * per_outer + 2 * k) * (m + 1)  # leaf forms
              + p * m * (m + 1)  # the descent's steps and diagonal
-             + 8 * outer_total + 4 * outer_total // p)  # breadth-first state
+             + (2 * m + 1) * p ** (m - m // 2)  # the prefixes' residuals and bounds
+             + 6 * outer_total + outer_total // 8)  # survivors and their totals
     per_leaf = 4 * m + 1 + 3 * k + per_outer + per_outer // 8 + 2 * n + 7
-    shared = candidates + per_leaf * _leaf_width(p, groups)
+    shared = (candidates + per_leaf * _leaf_width(p, groups)
+              + 5 * outer_total + outer_total // 8)  # one trial's leaf bounds
     return 8 * trial, 8 * shared
 
 
@@ -426,9 +432,9 @@ def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     bounded searches holds no more outer hypotheses times group scans
     than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
     4-QAM code and of the 4-antenna rate-2 16-QAM code.  Its worst case,
-    nothing pruned, is 16 trials' bytes plus the shared bytes: ~88 MiB
-    for the 4-QAM code and ~77 MiB for the 16-QAM code at ``n_r = 2`` (a
-    zero channel, which prunes nothing, peaks at 65 and 60 MiB traced)."""
+    nothing pruned, is 16 trials' bytes plus the shared bytes: ~60 MiB
+    for the 4-QAM code and ~57 MiB for the 16-QAM code at ``n_r = 2`` (a
+    zero channel, which prunes nothing, peaks at 55 and 54 MiB traced)."""
     groups, outer = design._certified_split
     p = len(cons.pam)
     if p ** len(outer) > _CHUNK:
@@ -488,18 +494,16 @@ def _lex_least(full, tri):
     return full[first], tri[first]
 
 
-def _descend(z, r, pam, select):
-    """Breadth-first enumeration of the outer digits of a stack of trials
-    on their upper triangular r (B, m, m), bottom row first: each level
-    extends every kept node by each PAM level, adds its row's squared
-    residual to the node's bound and keeps the children whose flat
-    positions in the child bounds (N, p) ``select`` (child bounds, node
-    trials (N,)) returns: (indices, trials, bounds) of the leaves.  A node
-    carries its trial and one lexicographic index, the first digit fixed
-    most significant; every operation on a node is elementwise, so a
-    node's bound does not depend on the stack.  The nodes stay grouped by
-    trial, and ascending within one, when ``select`` returns ascending
-    positions."""
+def _descend(z, r, pam):
+    """The K-best pass: a breadth-first enumeration of the outer digits of
+    a stack of trials on their upper triangular r (B, m, m), bottom row
+    first, that extends every kept node by each PAM level, adds its row's
+    squared residual to the node's bound and keeps each trial's
+    ``_SEEDS`` least children (``_k_best``): (indices, trials, bounds) of
+    the leaves.  A node carries its trial and one lexicographic index, the
+    first digit fixed most significant; every operation on a node is
+    elementwise, so a node's bound does not depend on the stack.  The
+    nodes stay grouped by trial, and ascending within one."""
     trials, m = z.shape
     p = len(pam)
     # steps[b, c, d, i] = r[b, i, c] * pam[d]: what digit d of column c
@@ -515,13 +519,48 @@ def _descend(z, r, pam, select):
         np.subtract(pending[:, c, None], child, out=child)
         child *= child
         child += bound[:, None]
-        kept = select(child, tri)
+        kept = _k_best(child, tri)
         parent, digit = np.divmod(kept, p)
         tri = tri[parent]
         idx = idx[parent] * p + digit
         bound = child.ravel()[kept]
         pending = pending[parent, :c] - steps[:, c, :, :c][tri, digit]
     return idx, tri, bound
+
+
+def _radius_pass(z, r, p, levels, limit):
+    """(indices, trials, bounds) of every outer hypothesis of a stack
+    whose bound ||z - r x_o||^2 is within its trial's ``limit``, grouped
+    by trial and ascending within one.  ``levels`` (m - half, p^(m -
+    half)), half = m // 2, holds the levels of every high-half prefix,
+    least significant digit first, as r's columns take them.
+
+    r is upper triangular, so one stacked product gives every prefix's
+    residual z - r_high x_high: its bottom rows are the prefix's bound, its
+    top rows the a of ||a - b||^2 = ||a||^2 - 2 a^T b + ||b||^2 that each
+    low-half completion b = r_low x_low adds.  Per trial, one product
+    extends the prefixes within the limit by every completion.  Bounds
+    grow with depth, so these are the leaves a search pruning at every
+    level keeps; their rounding differs far below the ``_within`` slack."""
+    m = z.shape[1]
+    half = m // 2
+    low = levels[:half, :p**half]
+    resid = z[:, :, None] - r[:, :, half:] @ levels  # (B, m, p^(m - half))
+    head = np.square(resid[:, half:]).sum(axis=1)
+    idx, bound = [], []
+    for t, within in enumerate(limit):
+        pre = np.flatnonzero(head[t] <= within)
+        a = resid[t][:half, pre]
+        b = r[t, :half, :half] @ low
+        leaf = a.T @ b
+        leaf *= -2.0
+        leaf += (head[t, pre] + np.square(a).sum(axis=0))[:, None]
+        leaf += np.square(b).sum(axis=0)
+        row, lo = np.nonzero(leaf <= within)
+        bound.append(leaf[row, lo])
+        idx.append(pre[row] * p**half + lo)
+    tri = np.repeat(np.arange(len(limit)), [len(i) for i in idx])
+    return np.concatenate(idx), tri, np.concatenate(bound)
 
 
 def _k_best(child, tri):
@@ -543,8 +582,9 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
     """The stack's search in the QR domain: a QR of each trial's phi with
     the first layer's group columns first and the outer columns last, the
     first outer index at the bottom, so the descent fixes it first.
-    Returns the outer block (z_o (B, m), R_oo (B, m, m)) for the bounds
-    and the leaf scorer.
+    Returns the outer block (z_o (B, m), R_oo (B, m, m)) for the bounds,
+    the levels of the high half's digits (``_radius_pass``) and the leaf
+    scorer.
 
     With z = Q^T y split into its inner rows z_i and outer rows z_o, an
     outer hypothesis x_o leaves y' = y - phi_out x_o with ||y'||^2 =
@@ -606,7 +646,7 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
             return total
         return total, _lex_digits(idx, p, m).T, [g.T for g in metrics]
 
-    return z_o, r_oo, score
+    return z_o, r_oo, levels, score
 
 
 def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
@@ -615,22 +655,20 @@ def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
 
     A K-best pass over the outer digits keeps each trial's ``_SEEDS``
     least bounds per level; the least scored total of a trial's seeds,
-    widened by ``_within``, is its radius.  A breadth-first search then
-    keeps every node whose bound is within its trial's radius, so every
-    hypothesis whose total ties the least survives.  Both passes descend
-    the whole stack at once, and survivors are scored in chunks of leaves
-    that may span trials, cut so that a chunk's products are no larger
-    than a scan's.  The tied survivors are scored again with their
+    widened by ``_within``, is its radius.  The radius pass then keeps
+    every hypothesis whose bound is within its trial's radius, so every
+    hypothesis whose total ties the least survives.  Survivors are scored
+    in chunks of leaves that may span trials, cut so that a chunk's
+    products are no larger than a scan's.  The tied survivors are scored again with their
     group metrics and each trial takes the lexicographically smallest
     full vector among them; a trial's seeds are scored with the shapes
     it has alone, so its radius, survivors and counter do not depend on
     the stack."""
     trials = len(y)
-    z_o, r_oo, score = _qr_form(y, phi, pam, outer, tables, images, qnorm)
-    seeds, tri, bound = _descend(z_o, r_oo, pam, _k_best)
+    z_o, r_oo, levels, score = _qr_form(y, phi, pam, outer, tables, images, qnorm)
+    seeds, tri, bound = _descend(z_o, r_oo, pam)
     limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
-    survivors, tri, bound = _descend(
-        z_o, r_oo, pam, lambda child, tri: np.flatnonzero(child <= limit[tri, None]))
+    survivors, tri, bound = _radius_pass(z_o, r_oo, len(pam), levels, limit)
     width = _leaf_width(len(pam), [cols for cols, _ in tables])
     totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
                              for s in range(0, len(survivors), width)])

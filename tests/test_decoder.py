@@ -509,8 +509,11 @@ class TestBoundedSearch:
     def test_stack_equals_alone_and_reference(self, code, n_r, block):
         # both codes have 65,536 outer hypotheses, so every stack takes one
         # bounded search; each trial's decision and counter must equal its
-        # own decode and the reference that scores every hypothesis
+        # own decode and the reference that scores every hypothesis, and
+        # its survivors every outer hypothesis whose bound is within its
+        # radius, in ascending index order
         from stbc import decoder
+        from stbc.linalg import _lex_digits
 
         design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
                         "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
@@ -523,8 +526,26 @@ class TestBoundedSearch:
             ys.append(y)
             hs.append(h)
             snrs.append(snr)
-        levels, evaluations, _ = decoder._decode_stack(
-            np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
+        passes, real = [], decoder._radius_pass
+
+        def radius_pass(*args):
+            passes.append((args, real(*args)))
+            return passes[-1][1]
+
+        with patch.object(decoder, "_radius_pass", radius_pass):
+            levels, evaluations, _ = decoder._decode_stack(
+                np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
+        [((z_o, r_oo, p, _, limit), (survivors, tri, _))] = passes
+        m = len(outer)
+        # every outer hypothesis's levels in index order, column c of R_oo
+        # taking the digit of weight p^c
+        x = cons.pam[_lex_digits(np.arange(p**m), p, m)[::-1]]
+        per_outer = sum(p ** len(g) for g in groups)
+        for i in range(len(block)):
+            within = np.flatnonzero(np.square(z_o[i, :, None] - r_oo[i] @ x).sum(axis=0)
+                                    <= limit[i])
+            assert survivors[tri == i].tolist() == within.tolist(), block[i]
+            assert evaluations[i] == per_outer * len(within), block[i]
         for i, (y, h, snr) in enumerate(zip(ys, hs, snrs)):
             alone = decode_auto(y, h, design, cons, snr, enc)
             y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
