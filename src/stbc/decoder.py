@@ -18,17 +18,20 @@ real model y = phi x + n.
 
 The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
-SNR each, into stacked y and phi.  When one chunk (``_CHUNK``, 16,384)
-holds every outer hypothesis -- every rate-1 code and the small layered
-ones -- the stack is scanned whole, every outer hypothesis of every
-trial, in one stacked product: per trial, the residual y - phi_out x_o
-and every group candidate's metric are affine in the outer levels x_o,
-so one form (rows + sum_g n_cand, n_outer + 1) times the cached levels
-of every outer hypothesis with a row of ones (``_outer_levels``) gives
-them all.  Every product is made per trial with a single trial's
-shapes, so a stacked trial decodes exactly as it does alone;
-``decode_auto`` is the stack of one, and the simulator decodes sweeps in
-blocks sized by ``_block_trials`` from the block's whole search state.
+SNR each, into stacked y and phi.  The first layer's four groups, equal
+in size as the encoder's rotation acts on each, lie on one array axis.
+When one chunk (``_CHUNK``, 16,384) holds every outer hypothesis --
+every rate-1 code and the small layered ones -- the stack is scanned
+whole: per trial, the residual y - phi_out x_o and every group
+candidate's metric are affine in the outer levels x_o, so their forms,
+(rows, n_outer + 1) and (sum_g n_cand, n_outer + 1), times the cached
+levels of every outer hypothesis with a row of ones (``_outer_levels``)
+give them all; the residual's product is reduced to its squared norm
+before the metrics' is made.  Every product is made per trial with a
+single trial's shapes, so a stacked trial decodes exactly as it does
+alone; ``decode_auto`` is the stack of one, and the simulator decodes
+sweeps in blocks sized by ``_block_trials`` from the block's whole
+search state.
 
 Codes with more outer hypotheses (the 8 x 2 rate-2 4-QAM code and the
 4-antenna rate-2 16-QAM code have 65,536) take a bounded search
@@ -79,7 +82,6 @@ the paper's closed form rather than a count of visited tree nodes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -378,24 +380,25 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
     """``_search_sizes`` with every outer chunk ``chunk`` wide.
 
     A single-chunk search holds per trial y, phi and the temporaries of
-    its build, the group images and norms, its forms (the residual's, the
-    group metrics' and both stacked), their product with every outer
-    hypothesis and, when every hypothesis ties (a zero channel), its
-    totals, a group's minima, the tie mask and the tied trials and
-    hypotheses, four words and a bit per outer hypothesis, next to the
+    its build, the groups' columns, images and norms, the residual's form
+    with its build and the group metrics' form, one product at a time
+    with every outer hypothesis (the residual's, reduced to its squared
+    norm, then the group metrics'), and, when every hypothesis ties (a
+    zero channel), its totals with the group minima and their sum or
+    with the tie mask and the tied trials and hypotheses, next to the
     rows ``_least_tied`` keeps.  The stack shares the candidate digits,
     the outer hypotheses' digits and levels and one ``_tie_width`` chunk
     of tied hypotheses.  A bounded search holds per trial y, phi, the
-    group images and norms, the reordered phi and its QR, the leaf forms,
-    the K-best descent's steps, its high-half prefixes' residuals and
-    bounds and, when nothing is pruned, six words and a bit per outer
-    hypothesis: the survivors' indices, trials and bounds, their totals
-    with a chunk's copy, the tie mask and the tied hypotheses and their
-    trials.  The stack shares the candidate digits, one trial's leaf
-    bounds with their mask, rows, completions and an index temporary, and
-    one ``_leaf_width`` chunk of leaves: their digits, levels, products
-    and squares, their full vectors with the sort keys of ``_lex_least``
-    and each group's pick."""
+    groups' columns, images and norms, the reordered phi and its QR, the
+    leaf forms, the K-best descent's steps, its high-half prefixes'
+    residuals and bounds and, when nothing is pruned, six words and a
+    bit per outer hypothesis: the survivors' indices, trials and bounds,
+    their totals with a chunk's copy, the tie mask and the tied
+    hypotheses and their trials.  The stack shares the candidate digits,
+    one trial's leaf bounds with their mask, rows, completions and an
+    index temporary, and one ``_leaf_width`` chunk of leaves: their
+    digits, levels, products and squares, their full vectors with the
+    sort keys of ``_lex_least`` and each group's pick."""
     outer_total = p**n_outer
     k = sum(len(g) for g in groups)
     n = k + n_outer
@@ -403,17 +406,16 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
     per_outer = sum(p ** len(g) for g in groups)
     candidates = sum(len(g) * p ** len(g) for g in groups)
     if outer_total <= chunk:
-        r = rows + per_outer
         trial = (rows * (3 * n + 1)  # y, phi and its build
-                 + rows * (per_outer + max(len(g) for g in groups)) + per_outer  # groups
-                 + 3 * rows * (m + 1) + per_outer * (m + 1) + r * (m + 1)  # forms
-                 + r * outer_total  # their product
-                 + 4 * outer_total + outer_total // 8  # totals, minima, ties
+                 + rows * (k + per_outer) + per_outer  # groups
+                 + 3 * rows * (m + 1) + per_outer * (m + 1)  # forms
+                 + max(rows, per_outer) * outer_total  # their products
+                 + (len(groups) + 2) * outer_total + outer_total // 8  # totals, minima, ties
                  + 3 * n + 6)  # the tied rows kept
         shared = (candidates + (2 * m + 1) * outer_total
                   + _tie_width(p, groups, m) * _tie_words(p, groups, m))
         return 8 * trial, 8 * shared
-    trial = (rows * (n + 1 + per_outer) + per_outer  # y, phi, group images and norms
+    trial = (rows * (n + 1 + k + per_outer) + per_outer  # y, phi and the groups
              + 2 * rows * n + n * n  # the reordered phi, Q and R
              + rows * per_outer + (rows + 2 * per_outer + 2 * k) * (m + 1)  # leaf forms
              + p * m * (m + 1)  # the descent's steps and diagonal
@@ -428,7 +430,8 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     """Trials decoded together (at least one).  A block of single-chunk
     searches holds, in its worst case, at most ``_BLOCK_BYTES``: its
-    trials' bytes plus the shared bytes of ``_search_sizes``.  A block of
+    trials' bytes plus the shared bytes of ``_search_sizes`` (22 trials of
+    the 4 x 4 rate-2 4-QAM code at ``n_r = 2``).  A block of
     bounded searches holds no more outer hypotheses times group scans
     than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
     4-QAM code and of the 4-antenna rate-2 16-QAM code.  Its worst case,
@@ -452,30 +455,29 @@ def _within(value, scale):
     return value + 1e-9 * (np.abs(value) + scale)
 
 
-def _full_vectors(tables, outer, digits, metrics, scale) -> np.ndarray:
+def _full_vectors(cols, cand, outer, digits, metrics, scale) -> np.ndarray:
     """Full level vectors (L, n) of L leaves from their outer digits (L,
-    n_outer), each group's metrics (L, n_cand) and each leaf's trial's
+    n_outer), their metrics (L, groups, n_cand) and each leaf's trial's
     scale: each group at its lexicographically smallest candidate tied
     with its least metric."""
-    full = np.empty((len(digits), len(outer) + sum(len(cols) for cols, _ in tables)), dtype=int)
+    full = np.empty((len(digits), len(outer) + cols.size), dtype=int)
     full[:, outer] = digits
-    for (cols, cand), group in zip(tables, metrics):
-        tied = group <= _within(group.min(axis=1), scale)[:, None]
-        full[:, cols] = cand[:, np.argmax(tied, axis=1)].T
+    tied = metrics <= _within(metrics.min(axis=2), scale[:, None])[:, :, None]
+    full[:, cols] = cand[:, np.argmax(tied, axis=2)].transpose(1, 2, 0)
     return full
 
 
-def _least_tied(tables, outer, owners, scale, width, leaves):
+def _least_tied(cols, cand, outer, owners, scale, width, leaves):
     """(B, n): each trial's lexicographically smallest full vector among
     its tied hypotheses, ``width`` of them at a time.  ``owners`` (L,)
     holds their trials, grouped by trial, and ``leaves(part)`` the outer
-    digits (w, n_outer) and each group's metrics (w, n_cand) of the slice
+    digits (w, n_outer) and the metrics (w, groups, n_cand) of the slice
     ``part`` of them."""
     rows, tri = [], []
     for s in range(0, len(owners), width):
         part = slice(s, s + width)
         digits, metrics = leaves(part)
-        full = _full_vectors(tables, outer, digits, metrics, scale[owners[part]])
+        full = _full_vectors(cols, cand, outer, digits, metrics, scale[owners[part]])
         row, owner = _lex_least(full, owners[part])
         rows.append(row)
         tri.append(owner)
@@ -578,7 +580,7 @@ def _k_best(child, tri):
     return np.flatnonzero(below | tied)
 
 
-def _qr_form(y, phi, pam, outer, tables, images, qnorm):
+def _qr_form(y, phi, pam, outer, cols, images, qnorm):
     """The stack's search in the QR domain: a QR of each trial's phi with
     the first layer's group columns first and the outer columns last, the
     first outer index at the bottom, so the descent fixes it first.
@@ -601,7 +603,7 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
     which a degenerate channel breaks."""
     p, m = len(pam), len(outer)
     rev = list(outer[::-1])
-    inner = [c for cols, _ in tables for c in cols]
+    inner = cols.ravel().tolist()
     k = len(inner)
     q, r = np.linalg.qr(phi[:, :, inner + rev])
     z = (q.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
@@ -617,7 +619,6 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
     metric_form = _group_form(np.concatenate([-phi[:, :, rev], y[:, :, None]], axis=2),
                               images, qnorm)
     form = np.concatenate([w_form, metric_form], axis=1)
-    starts = np.cumsum([k] + [cand.shape[1] for _, cand in tables])
     base = np.einsum("bi,bi->b", y, y) - np.einsum("bi,bi->b", z, z)
     # x_o = [levels of idx's low `half` digits; levels of its high ones],
     # each least significant first, looked up in one table of the levels
@@ -628,7 +629,7 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
     def score(idx, tri, bound, keep=False):
         """Totals (L,) of the leaves ``idx`` of trials ``tri`` (grouped by
         trial) with outer bounds ``bound``; with ``keep``, also their
-        digits (L, m) and each group's metrics (L, n_cand)."""
+        digits (L, m) and metrics (L, groups, n_cand)."""
         hi, lo = np.divmod(idx, p**half)
         x = np.ones((m + 1, len(idx)))
         x[:half] = levels[:half, lo]
@@ -639,17 +640,16 @@ def _qr_form(y, phi, pam, outer, tables, images, qnorm):
             np.matmul(form[tri[s]], x[:, s:e], out=out[:, s:e])
         # a row-wise sum, so a leaf's rounding does not depend on L
         total = base[tri] + bound + np.square(out[:k]).sum(axis=0)
-        metrics = [out[s:e] for s, e in zip(starts, starts[1:])]
-        for group in metrics:
-            total += group.min(axis=0)
+        metrics = out[k:].reshape(len(cols), -1, len(idx))
+        total += metrics.min(axis=1).sum(axis=0)
         if not keep:
             return total
-        return total, _lex_digits(idx, p, m).T, [g.T for g in metrics]
+        return total, _lex_digits(idx, p, m).T, metrics.transpose(2, 0, 1)
 
     return z_o, r_oo, levels, score
 
 
-def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
+def _bounded_search(y, phi, pam, outer, cols, cand, images, qnorm, scale):
     """(levels (B, n), survivors (B,)) of a stack: each trial's decision
     and the outer hypotheses its bounded search scored.
 
@@ -665,11 +665,11 @@ def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
     it has alone, so its radius, survivors and counter do not depend on
     the stack."""
     trials = len(y)
-    z_o, r_oo, levels, score = _qr_form(y, phi, pam, outer, tables, images, qnorm)
+    z_o, r_oo, levels, score = _qr_form(y, phi, pam, outer, cols, images, qnorm)
     seeds, tri, bound = _descend(z_o, r_oo, pam)
     limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
     survivors, tri, bound = _radius_pass(z_o, r_oo, len(pam), levels, limit)
-    width = _leaf_width(len(pam), [cols for cols, _ in tables])
+    width = _leaf_width(len(pam), cols)
     totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
                              for s in range(0, len(survivors), width)])
     least = np.full(trials, np.inf)
@@ -680,7 +680,7 @@ def _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale):
         at = tied[part]
         return score(survivors[at], tri[at], bound[at], keep=True)[1:]
 
-    best = _least_tied(tables, outer, tri[tied], scale, width, leaves)
+    best = _least_tied(cols, cand, outer, tri[tied], scale, width, leaves)
     return best, np.bincount(tri, minlength=trials)
 
 
@@ -703,31 +703,31 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndar
     """
     p, m = len(pam), len(outer)
     trials, rows = y.shape
-    tables = [(sorted(g), _group_candidates(p, len(g))) for g in groups]
-    sizes = [cand.shape[1] for _, cand in tables]
-    per_outer = sum(sizes)
-    spans = list(itertools.pairwise(np.cumsum([0] + sizes)))
+    cols = np.sort(groups, axis=1)  # (4, group size): the encoder made them equal
+    cand = _group_candidates(p, cols.shape[1])
+    per_outer = cols.shape[0] * cand.shape[1]
     # every group's candidate images side by side, and their norms
-    images = np.empty((trials, rows, per_outer))
-    for (cols, cand), (s, e) in zip(tables, spans):
-        np.matmul(phi[:, :, cols], pam[cand], out=images[:, :, s:e])
+    images = np.empty((trials, rows, len(cols), cand.shape[1]))
+    np.matmul(phi[:, :, cols].transpose(0, 2, 1, 3), pam[cand],
+              out=images.transpose(0, 2, 1, 3))
+    images = images.reshape(trials, rows, per_outer)
     qnorm = np.einsum("bij,bij->bj", images, images)
     scale = np.einsum("bi,bi->b", y, y)
-    for s, e in spans:
-        scale += qnorm[:, s:e].max(axis=1)
+    scale += qnorm.reshape(trials, len(cols), -1).max(axis=2).sum(axis=1)
     if p**m > _CHUNK:
-        best, survivors = _bounded_search(y, phi, pam, outer, tables, images, qnorm, scale)
+        best, survivors = _bounded_search(y, phi, pam, outer, cols, cand, images, qnorm, scale)
         return best, survivors * per_outer
+    x = _outer_levels(tuple(pam), m)
     resid_form = np.concatenate([-phi[:, :, outer], y[:, :, None]], axis=2)
-    form = np.concatenate([resid_form, _group_form(resid_form, images, qnorm)], axis=1)
-    out = form @ _outer_levels(tuple(pam), m)  # (B, rows + per_outer, p^m)
-    totals = np.einsum("bij,bij->bj", out[:, :rows], out[:, :rows])
-    for s, e in spans:
-        totals += out[:, rows + s:rows + e].min(axis=1)
+    resid = resid_form @ x  # (B, rows, p^m), gone before the metrics' product
+    totals = np.einsum("bij,bij->bj", resid, resid)
+    del resid
+    out = (_group_form(resid_form, images, qnorm) @ x).reshape(trials, len(cols), -1, p**m)
+    totals += out.min(axis=2).sum(axis=1)
     tri, hyp = np.nonzero(totals <= _within(totals.min(axis=1), scale)[:, None])
     outer_digits = _group_candidates(p, m).T
-    best = _least_tied(tables, outer, tri, scale, _tie_width(p, groups, m), lambda part: (
-        outer_digits[hyp[part]], [out[tri[part], rows + s:rows + e, hyp[part]] for s, e in spans]))
+    best = _least_tied(cols, cand, outer, tri, scale, _tie_width(p, groups, m), lambda part: (
+        outer_digits[hyp[part]], out[tri[part], :, :, hyp[part]]))
     return best, np.full(trials, p**m * per_outer)
 
 

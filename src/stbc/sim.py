@@ -24,7 +24,7 @@ To keep re-runs byte-identical -- the reproducibility contract -- the
 wall_time_s column is written as 0.0 unless measured timing is opted in,
 in which case byte-identity across runs no longer holds; measured wall
 time is always available on the in-memory records.  A block's time is
-charged to the point of its first trial.
+split over its points in proportion to their trials.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
     n = len(snrs)
     cw_errors, sym_errors, evals = (np.zeros(n, dtype=np.int64) for _ in range(3))
-    elapsed = [0.0] * n
+    elapsed = np.zeros(n)
     t0 = time.perf_counter()
     for points, _, _, _, evaluations, wrong in _decoded_trials(
         design, cons, encoder, cfg.decoder, cfg.n_r, snrs, cfg.trials, cfg.seed,
@@ -264,7 +264,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
         np.add.at(sym_errors, points, wrong.sum(axis=1))
         np.add.at(cw_errors, points, wrong.any(axis=1))
         now = time.perf_counter()
-        elapsed[points[0]] += now - t0
+        elapsed += (now - t0) * np.bincount(points, minlength=n) / len(points)
         t0 = now
     return [
         SimRecord(
@@ -274,7 +274,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
             symbol_errors=int(sym_errors[point]),
             symbols=design.k,
             mean_evals=int(evals[point]) / cfg.trials,
-            wall_time_s=elapsed[point],
+            wall_time_s=float(elapsed[point]),
         )
         for point, snr_db in enumerate(cfg.snr_db)
     ]

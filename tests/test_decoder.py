@@ -650,7 +650,7 @@ class TestBoundedSearch:
         # the single-chunk charge of _search_sizes: four groups of 2^24
         # candidates, each with its images, forms and product rows
         assert str(err.value) == (
-            "search tables of 24226329624 bytes exceed the limit of 1073741824"
+            "search tables of 23689464360 bytes exceed the limit of 1073741824"
         )
 
 
@@ -723,6 +723,46 @@ class TestStackedScan:
             oracle = ml_oracle(y, h, design, CONS, snr, enc)
             assert tuple(levels[i].tolist()) == alone.level_indices == oracle.level_indices, i
             assert evaluations[i] == alone.metric_evaluations
+
+
+    def test_unequal_groups_refused_before_any_table(self):
+        # the scan puts the first layer's four groups on one axis, so it
+        # relies on their equal size: the 4 x 4 rate-3/4 orthogonal
+        # design's six real weights grouped 1, 1, 2, 2 pass the
+        # cross-group condition (any partition of an orthogonal design
+        # does), and every entry point refuses them before a search
+        from stbc import decoder
+        from stbc.coding_gain import Encoder
+        from stbc.sim import SimConfig, run_error_sweep
+
+        def ostbc(x1, x2, x3):
+            c = np.conj
+            return np.array([[x1, 0, x2, -x3], [0, x1, c(x3), c(x2)],
+                             [-c(x2), -x3, c(x1), 0], [c(x3), -x2, 0, c(x1)]])
+
+        weights = tuple(ostbc(*unit * np.eye(3)[i]) for i in range(3) for unit in (1, 1j))
+        design = STBCDesign(n_t=4, T=4, weights=weights, groups=((0,), (1,), (2, 3), (4, 5)))
+        assert design._certified_split[0] == design.groups
+        y, h = np.zeros((1, 4), dtype=complex), np.ones((1, 4), dtype=complex)
+        refusals = [
+            (lambda: decode_auto(y, h, design, CONS, 1.0),
+             "first group holds 1 weights, the sign basis needs 2"),
+            (lambda: decode_auto(y, h, design, CONS, 1.0, identity_encoder(design, CONS.pam)),
+             "a 1-symbol rotation cannot encode the group (3, 4)"),
+            (lambda: decode_auto(y, h, design, CONS, 1.0, Encoder(design, np.eye(2), CONS.pam)),
+             "a 2-symbol rotation cannot encode the group (1,)"),
+            (lambda: run_error_sweep(SimConfig(design=design, n_r=1, trials=2)),
+             "first group holds 1 weights, the sign basis needs 2"),
+        ]
+
+        def search(*args):
+            raise AssertionError("a search was started")
+
+        with patch.object(decoder, "_partitioned_search", search):
+            for call, message in refusals:
+                with pytest.raises(StructureError) as err:
+                    call()
+                assert str(err.value) == message
 
 
 class TestDefaultEncoder:

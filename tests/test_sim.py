@@ -1,4 +1,6 @@
 import hashlib
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from stbc.decoder import (
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
 from stbc.errors import BudgetExceededError
-from stbc import rng
+from stbc import rng, sim
 from stbc.rng import CTX_ERROR_SWEEP, POINTS, draw_block, substream
 from stbc.sim import (
     SimConfig,
@@ -91,9 +93,9 @@ class TestErrorSweep:
             run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
 
     @pytest.mark.parametrize("a, layers, n_r, trials, snr_db", [
-        # 14 trials a block: 21 trials in blocks of 14 and 7
-        pytest.param(2, 2, 2, 7, (2.0, 9.0, 16.0), id="2-2-2-7"),
-        # 197 trials a block: 250 trials in blocks of 197 and 53
+        # 22 trials a block: 28 trials in blocks of 22 and 6
+        pytest.param(2, 2, 2, 7, (2.0, 9.0, 16.0, 23.0), id="2-2-2-7"),
+        # 238 trials a block: 250 trials in blocks of 238 and 12
         pytest.param(1, 2, 2, 50, (2.0, 9.0, 16.0, 23.0, 30.0), id="1-2-2-50"),
         # the bounded search, 16 trials a block: 20 trials in blocks of 16 and 4
         pytest.param(3, 2, 2, 4, (0.0, 5.0, 10.0, 15.0, 20.0), id="3-2-2-4"),
@@ -129,6 +131,24 @@ class TestErrorSweep:
         for trial, row in enumerate(rows):
             y, h, _ = draw_trial(design, enc, n_r, snr, substream(5, CTX_ERROR_SWEEP, 0, trial))
             assert row["metric"] == decode_auto(y, h, design, cons, snr, enc).metric
+
+    @pytest.mark.parametrize("a, layers, trials, snr_db, ticks", [
+        # one block of 150 trials over six points, timed as 3 s
+        pytest.param(1, 2, 25, (0.0, 4.0, 8.0, 12.0, 16.0, 20.0), [0.0, 3.0], id="silver"),
+        # blocks of 22 and 6 trials over four points, each trial timed as 1 s
+        pytest.param(2, 2, 7, (2.0, 9.0, 16.0, 23.0), [0.0, 22.0, 28.0], id="a2-two-layer"),
+    ])
+    def test_block_time_split_over_its_points(self, a, layers, trials, snr_db, ticks):
+        # a block that spans points shares its time among them in
+        # proportion to their trials; the clock is read once per block
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        cfg = SimConfig(design=design, n_r=2, snr_db=snr_db, trials=trials, seed=5)
+        clock = iter(ticks)
+        with patch.object(sim, "time", SimpleNamespace(perf_counter=lambda: next(clock))):
+            records = run_error_sweep(cfg)
+        share = ticks[-1] / len(snr_db)
+        assert [r.wall_time_s for r in records] == [share] * len(snr_db)
+        assert next(clock, None) is None
 
     def test_oracle_decoder_choice(self):
         cfg = silver_cfg(decoder="oracle", trials=20)
