@@ -94,7 +94,8 @@ class Encoder:
     @cached_property
     def _symbol_matrix(self) -> np.ndarray:
         b = np.eye(self.design.n_real_symbols)
-        for g in self.design.layer_groups(0):
+        structure = self.design.structure
+        for g in structure[0] if structure else ():
             if len(g) != len(self.rotation):
                 raise StructureError(f"a {len(self.rotation)}-symbol rotation cannot "
                                      f"encode the group {tuple(i + 1 for i in g)}")
@@ -106,12 +107,14 @@ class Encoder:
 def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
     """Sign basis of the first group's diagonals, scaled by sqrt(2/n_t).
 
-    Row i holds the odd-position diagonal signs of the i-th first-group
-    weight; the first row is all +sqrt(2/n_t) (the identity weight).
-    Raises StructureError when the first group is not n_t/2 +-1
-    diagonal matrices with paired diagonal entries.
+    Row i holds the odd-position diagonal signs of the i-th weight of the
+    first group of ``design.structure``; the first row is all +sqrt(2/n_t)
+    (the identity weight).  Raises StructureError when there is no such
+    group or it is not n_t/2 +-1 diagonal matrices with paired entries.
     """
-    g1 = design.weight_stack[list(design.groups[0])]
+    if design.structure is None:
+        raise StructureError("the design has no certified groups")
+    g1 = design.weight_stack[list(design.structure[0][0])]
     n = design.n_t
     if 2 * len(g1) != n:
         raise StructureError(
@@ -210,12 +213,16 @@ def default_encoder(
     alphabet: np.ndarray,
     rotation: RotationSpec | None = None,
 ) -> Encoder:
-    """Encoder with rotation W @ U; U defaults to the builtin rotation.
-    The default is made once per design and alphabet and kept on the
-    design, so repeated calls share it and its symbol matrix."""
+    """Encoder with rotation W @ U; U defaults to the builtin rotation, and
+    a design without certified groups defaults to the identity map.  The
+    default is made once per design and alphabet and kept on the design,
+    so repeated calls share it and its symbol matrix."""
     alphabet = np.asarray(alphabet, dtype=float)
     kept, key = design._default_encoders, alphabet.tobytes()
     if rotation is None and key in kept:
+        return kept[key]
+    if rotation is None and design.structure is None:
+        kept[key] = identity_encoder(design, alphabet)
         return kept[key]
     w = extract_W(design)
     spec = builtin_rotation(w.shape[0]) if rotation is None else rotation
@@ -230,11 +237,12 @@ def default_encoder(
 
 
 def identity_encoder(design: STBCDesign, alphabet: np.ndarray) -> Encoder:
-    """Unrotated encoder (stored symbols = info symbols)."""
-    gs = design.group_size
+    """Unrotated encoder (stored symbols = info symbols), sized to the
+    first group of ``design.structure``."""
+    structure = design.structure
     return Encoder(
         design=design,
-        rotation=np.eye(gs),
+        rotation=np.eye(len(structure[0][0]) if structure else 1),
         alphabet=np.asarray(alphabet, dtype=float),
     )
 
@@ -250,10 +258,10 @@ def _check_alphabet(encoder: Encoder, x: np.ndarray) -> None:
 
 def full_symbol_matrix(design: STBCDesign, encoder: Encoder) -> np.ndarray:
     """2k x 2k map from info levels to stored symbols (read-only): the
-    encoder rotation acts on each of the first layer's declared groups,
-    outer layers are raw.  The encoder keeps the matrix of its own design;
-    another design (a relabelling, say) gets a fresh one, or StructureError
-    when the rotation does not fit one of its groups."""
+    encoder rotation acts on each group of ``design.structure`` (on none
+    without it), other symbols are raw.  The encoder keeps the matrix of
+    its own design; another design (a relabelling, say) gets a fresh one,
+    or StructureError when the rotation does not fit one of its groups."""
     if design is not encoder.design:
         encoder = replace(encoder, design=design)
     return encoder._symbol_matrix
@@ -320,8 +328,8 @@ def min_determinant(
     unrotated integer baseline).
     """
     w_signs = extract_W(design) * np.sqrt(design.n_t / 2.0)  # +-1 entries
-    gs = design.group_size
-    g1 = design.weight_stack[list(design.groups[0])]
+    g1 = design.weight_stack[list(design.structure[0][0])]
+    gs = len(g1)
     rot = encoder.rotation if encoder is not None else np.eye(gs)
     if diff_levels is None:
         if encoder is not None:

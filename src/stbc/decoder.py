@@ -4,11 +4,11 @@ Both decoders minimize || Y - sqrt(snr/n_t) H S ||^2 over the information
 symbols (S the energy-normalized codeword), i.e. || y - phi x ||^2 in the
 real model y = phi x + n.
 
-* ``decode_auto`` is the one structured decoder, for every design whose
-  first layer is four certified groups: a rate-1 code is its one-layer
-  case.  It enumerates the indices outside the first layer's four
-  groups (the outer hypotheses) and, per outer hypothesis, minimizes
-  each group in closed form: 4 * M^{n_t/4} hypotheses at rate 1,
+* ``decode_auto`` is the one structured decoder, for every design with a
+  certified split ``STBCDesign.structure`` (others are refused); a rate-1
+  code is its one-layer case.  It enumerates the split's outer hypotheses
+  and, per outer hypothesis, minimizes each of its four groups in closed
+  form: 4 * M^{n_t/4} hypotheses at rate 1,
   M^{n_t(L-1)} * 4 * M^{n_t/4} (order M^{n_t(L-3/4)}) for L layers.
   More than 1 << 26 hypotheses, or search tables of more than 1 GiB for
   one trial, raise ``BudgetExceededError`` before any table is built.
@@ -75,9 +75,10 @@ scanned times one closed-form scan of every group (sum_g p^|g| per outer
 hypothesis, p the PAM levels).  Without pruning that is every outer
 hypothesis, and ``complexity_account`` -- the paper's closed form and
 the worst case -- equals the counter; with the bounded search it is
-the survivors' share of it.  Interior nodes of the bounded search (its
-QR bounds and the K-best seed) are not counted, so the account stays
-the paper's closed form rather than a count of visited tree nodes.
+the survivors' share of it.  A design without the split has only the
+oracle, and its account is the oracle's M^k.  Interior nodes of the
+bounded search (its QR bounds and the K-best seed) are not counted, so
+the account stays the paper's closed form, not a count of tree nodes.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ import numpy as np
 from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder, full_symbol_matrix
 from .designs import STBCDesign, codeword
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError, NotGroupDecodableError
 from .linalg import _lex_digits, _require_finite, _require_snr
 
 __all__ = [
@@ -208,19 +209,30 @@ def _hypotheses(p: int, groups, n_outer: int) -> int:
 def complexity_account(
     design: STBCDesign, constellation: Constellation
 ) -> ComplexityAccount:
-    """Exact hypothesis counts for each decoder on this design, from the
-    first layer's declared groups (StructureError if one straddles it)."""
-    p = len(constellation.pam)
-    groups = design.layer_groups(0)
-    n_outer = design.n_real_symbols - sum(len(g) for g in groups)
-    structured = _hypotheses(p, groups, n_outer)
+    """Exact hypothesis counts for each decoder on this design, from
+    ``design.structure``.  Without it the search is plain, one scan per
+    hypothesis: the structured count is the oracle's, of order M^k."""
+    p, n = len(constellation.pam), design.n_real_symbols
+    structured, order = p**n, n / 2.0
+    if design.structure is not None:
+        groups, outer = design.structure
+        structured = _hypotheses(p, groups, len(outer))
+        order = (len(outer) + max(len(g) for g in groups)) / 2.0
     return ComplexityAccount(
         constellation_size=constellation.size,
-        oracle_evaluations=p**design.n_real_symbols,  # == M ** design.k
+        oracle_evaluations=p**n,  # == M ** design.k
         group_evaluations=structured if design.layers == 1 else None,
         conditional_evaluations=None if design.layers == 1 else structured,
-        order_exponent=(n_outer + max(len(g) for g in groups)) / 2.0,
+        order_exponent=order,
     )
+
+
+def _structure(design: STBCDesign):
+    """``design.structure``, refusing a design that has none."""
+    if design.structure is None:
+        raise NotGroupDecodableError(
+            "the first layer is not four groups meeting the cross-group condition")
+    return design.structure
 
 
 def _effective_operator(
@@ -438,7 +450,7 @@ def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     nothing pruned, is 16 trials' bytes plus the shared bytes: ~60 MiB
     for the 4-QAM code and ~57 MiB for the 16-QAM code at ``n_r = 2`` (a
     zero channel, which prunes nothing, peaks at 55 and 54 MiB traced)."""
-    groups, outer = design._certified_split
+    groups, outer = _structure(design)
     p = len(cons.pam)
     if p ** len(outer) > _CHUNK:
         return max(1, _BUDGET // _hypotheses(p, groups, len(outer)))
@@ -741,7 +753,7 @@ def _decode_stack(Y, H, design, cons, snr, encoder):
     minimized on its own and the overall minimum is exact ML.  The scan
     count and one trial's table bytes (with the bounded search's state
     when it applies) are checked before any table is built."""
-    groups, outer = design._certified_split
+    groups, outer = _structure(design)
     p = len(cons.pam)
     scans = _hypotheses(p, groups, len(outer))
     if scans > _BUDGET:

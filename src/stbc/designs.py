@@ -10,9 +10,12 @@ satisfy the cross-group dispersion condition
     A_i A_j^H + A_j A_i^H = 0   whenever i and j sit in different groups,
 
 which is what makes per-group ML decoding exact, whatever the weight
-order.  Full-rate designs stack unitary multiples of the rate-1 layer; the
-builtin constructions lay weights out layer-major and group-contiguous
-inside each layer, the order in which the R-matrix analysis is stated.
+order.  ``STBCDesign.structure`` decides it once: the first layer's four
+groups and the outer indices when the condition holds, else None; the
+account, the encoder and the decoder all read it.  Full-rate designs
+stack unitary multiples of the rate-1 layer; the builtin constructions
+lay weights out layer-major and group-contiguous inside each layer, the
+order in which the R-matrix analysis is stated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
     DependentExtensionError,
     DesignFormatError,
     DimensionMismatchError,
-    NotGroupDecodableError,
     StructureError,
     UnsupportedSizeError,
 )
@@ -166,15 +168,16 @@ class STBCDesign:
         return out
 
     @cached_property
-    def _certified_split(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-        """(groups, outer) of the structured decoder: the first layer's four
-        declared groups, once they pass the cross-group dispersion
-        condition, and every other index in ascending order (read-only)."""
+    def structure(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray] | None:
+        """The certified split that the complexity account, the encoder and
+        the decoder read: (groups, outer), the first layer's four declared
+        groups in declared order once they meet the cross-group dispersion
+        condition and every other index in ascending order (read-only), or
+        None when they do not.  StructureError when a group straddles the
+        first layer."""
         groups = self.layer_groups(0)
         if len(groups) != 4 or _dispersion_witnesses(self.weight_stack, groups, 1e-10):
-            raise NotGroupDecodableError(
-                "the first layer is not four groups meeting the cross-group condition"
-            )
+            return None
         inner = {i for g in groups for i in g}
         outer = np.array([i for i in range(self.n_real_symbols) if i not in inner], dtype=int)
         outer.setflags(write=False)

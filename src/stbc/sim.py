@@ -77,7 +77,6 @@ __all__ = [
     "run_decode_trials",
     "verify_all",
     "emit_csv",
-    "parse_records_csv",
     "parse_config_file",
     "parse_snr_spec",
     "parse_layer_scalar",
@@ -383,28 +382,6 @@ def emit_csv(records: list[SimRecord], path, timing: bool = False) -> None:
     ))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def parse_records_csv(path) -> list[dict]:
-    """Parse :func:`emit_csv` output back into one dict per row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        vals = ln.split(",")
-        rows.append(
-            {
-                "snr_db": float(vals[0]),
-                "trials": int(vals[1]),
-                "cer": float(vals[2]),
-                "ser": float(vals[3]),
-                "mean_evals": float(vals[4]),
-                "wall_time_s": float(vals[5]),
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

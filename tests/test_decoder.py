@@ -7,7 +7,7 @@ import pytest
 
 from helpers import one_weight_per_group_design, random_trial, relabel, structured_reference
 from stbc.capacity import random_rotation_baseline
-from stbc.coding_gain import default_encoder, identity_encoder
+from stbc.coding_gain import default_encoder, identity_encoder, min_determinant
 from stbc.decoder import (
     _effective_operator,
     complexity_account,
@@ -115,6 +115,21 @@ class TestComplexityAccount:
             r = decode_auto(y, h, d, CONS, 10.0, enc)
             assert r.metric_evaluations == acc.conditional_evaluations
             assert r.level_indices == ml_oracle(y, h, d, CONS, 10.0, enc).level_indices
+
+    @pytest.mark.parametrize("design", [
+        # the a=2 rate-1 code's first layer regrouped to (1,3),(2,4),(5,7),(6,8)
+        pytest.param(STBCDesign(n_t=4, T=4, weights=build_rate1_4group(2).weights,
+                                groups=((0, 2), (1, 3), (4, 6), (5, 7))), id="a2-rate1-regrouped"),
+        pytest.param(random_rotation_baseline(silver_design()), id="silver-remix"),
+    ])
+    def test_uncertified_design_counts_the_plain_search(self, design):
+        # without certified groups the only exact search is the plain one:
+        # one scan per hypothesis, M^k, not the declared groups' count
+        assert not verify_design(design).passed and design.structure is None
+        acc = complexity_account(design, CONS)
+        structured = acc.group_evaluations if design.layers == 1 else acc.conditional_evaluations
+        assert structured == acc.oracle_evaluations == 256
+        assert acc.order_exponent == 4.0
 
     def test_group_straddling_the_first_layer_rejected(self):
         d = extend_full_rate(build_rate1_4group(2), 2)
@@ -390,6 +405,23 @@ class TestDeclaredGroups:
             assert r1.level_indices == r2.level_indices
             assert abs(r1.metric - r2.metric) < 1e-9
 
+    def test_groups_listed_layer_two_first(self):
+        # the certified a=2 two-layer code with its second layer's groups
+        # declared first has the builtin code's split, encoder and decisions
+        base = extend_full_rate(build_rate1_4group(2), 2)
+        d = relabel(base, range(16), group_order=[4, 5, 6, 7, 0, 1, 2, 3])
+        assert d.groups[0] == (8, 9) and verify_design(d).passed
+        assert d.structure[0] == base.structure[0]
+        assert d.structure[1].tolist() == base.structure[1].tolist()
+        enc = default_encoder(d, CONS.pam)
+        assert np.array_equal(enc.rotation, default_encoder(base, CONS.pam).rotation)
+        assert (min_determinant(d, enc).min_det
+                == min_determinant(base, default_encoder(base, CONS.pam)).min_det)
+        for t in range(3):
+            y, h, _ = random_trial(d, enc, 2, 8.0, seed=18, trial=t)
+            assert (decode_auto(y, h, d, CONS, 8.0).level_indices
+                    == ml_oracle(y, h, d, CONS, 8.0).level_indices)
+
     def test_uncertified_first_layer_rejected(self):
         # the two-antenna two-layer code with weights 2 and 6 swapped
         # across layers fails certification and must not be decoded
@@ -404,6 +436,33 @@ class TestDeclaredGroups:
         enc = default_encoder(silver, CONS.pam)
         with pytest.raises(NotGroupDecodableError):
             decode_auto(y, h, d, CONS, 10.0, enc)
+
+
+class TestUncertifiedDesign:
+    """A design without certified groups (``structure`` None) gets the
+    identity symbol map and only the oracle decodes it."""
+
+    def test_oracle_sweep_with_the_identity_map(self):
+        from stbc.sim import SimConfig, run_error_sweep
+
+        d = random_rotation_baseline(silver_design())
+        assert d.structure is None
+        enc = default_encoder(d, CONS.pam)
+        assert np.array_equal(full_symbol_matrix(d, enc), np.eye(d.n_real_symbols))
+        records = run_error_sweep(SimConfig(design=d, n_r=2, snr_db=(0.0, 10.0), trials=20,
+                                            seed=5, decoder="oracle"))
+        assert [r.mean_evals for r in records] == [256.0, 256.0]
+        assert default_encoder(d, CONS.pam) is enc
+
+    def test_structured_decoding_refused(self):
+        from stbc.sim import SimConfig, run_error_sweep
+
+        d = random_rotation_baseline(silver_design())
+        y, h = np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex)
+        with pytest.raises(NotGroupDecodableError):
+            decode_auto(y, h, d, CONS, 10.0)
+        with pytest.raises(NotGroupDecodableError):
+            run_error_sweep(SimConfig(design=d, n_r=2, trials=2))
 
 
 class TestBoundedSearch:
@@ -448,7 +507,7 @@ class TestBoundedSearch:
         from stbc import decoder
 
         cons = constellation(label)
-        groups, outer = design._certified_split
+        groups, outer = design.structure
         enc, kinds = self._kinds(design, cons, 3, 3.0, seed=41)
         assert len(kinds) == 4
         for kind, (y, h) in kinds.items():
@@ -517,7 +576,7 @@ class TestBoundedSearch:
 
         design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
                         "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
-        groups, outer = design._certified_split
+        groups, outer = design.structure
         ys, hs, snrs = [], [], []
         for i, (snr_db, kind) in enumerate(block):
             snr = 10.0 ** (snr_db / 10.0)
@@ -595,7 +654,7 @@ class TestBoundedSearch:
 
         design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
                         "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
-        groups, outer = design._certified_split
+        groups, outer = design.structure
         p = len(cons.pam)
         assert decoder._block_trials(design, cons, 2) * decoder._hypotheses(
             p, groups, len(outer)) <= decoder._BUDGET
@@ -624,7 +683,7 @@ class TestBoundedSearch:
 
         design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
                         "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
-        groups, outer = design._certified_split
+        groups, outer = design.structure
         enc, kinds = self._kinds(design, cons, 2, 10.0, seed=64)
         y, h = kinds["drawn"]
         one = np.zeros_like(h)
@@ -675,7 +734,7 @@ class TestStackedScan:
         from stbc import decoder
 
         design = extend_full_rate(build_rate1_4group(a), layers)
-        groups, outer = design._certified_split
+        groups, outer = design.structure
         assert 2 ** len(outer) <= decoder._CHUNK
         trial, shared = decoder._search_sizes(2, groups, len(outer), 2 * n_r * design.T)
         block = decoder._block_trials(design, CONS, n_r)
@@ -742,7 +801,7 @@ class TestStackedScan:
 
         weights = tuple(ostbc(*unit * np.eye(3)[i]) for i in range(3) for unit in (1, 1j))
         design = STBCDesign(n_t=4, T=4, weights=weights, groups=((0,), (1,), (2, 3), (4, 5)))
-        assert design._certified_split[0] == design.groups
+        assert design.structure[0] == design.groups
         y, h = np.zeros((1, 4), dtype=complex), np.ones((1, 4), dtype=complex)
         refusals = [
             (lambda: decode_auto(y, h, design, CONS, 1.0),

@@ -119,7 +119,7 @@ def test_stacked_search_equals_per_trial_decoding(code, cons_label, n_r, trials,
         levels, evaluations, _ = decoder._decode_stack(
             np.array(ys), np.array(hs), design, cons, np.array(snrs), enc)
         alone = [decode_auto(*args, design, cons, snr, enc) for *args, snr in zip(ys, hs, snrs)]
-    groups, outer = design._certified_split
+    groups, outer = design.structure
     for i, (y, h, snr) in enumerate(zip(ys, hs, snrs)):
         y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
         reference = structured_reference(y_real, phi, cons.pam, outer, groups)
@@ -156,7 +156,7 @@ def test_bounded_search_equals_structured_reference(code, snr_db, trial, kind):
     if kind == "zero channel":
         h = np.zeros_like(h)
     res = decode_auto(y, h, design, cons, snr, enc)
-    groups, outer = design._certified_split
+    groups, outer = design.structure
     y_real, phi, _ = decoder._effective_operator(y, h, design, cons, snr, enc)
     assert res.level_indices == structured_reference(y_real, phi, cons.pam, outer, groups)
     account = complexity_account(design, cons).conditional_evaluations

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -20,13 +21,13 @@ from stbc.errors import BudgetExceededError
 from stbc import rng, sim
 from stbc.rng import CTX_ERROR_SWEEP, POINTS, draw_block, substream
 from stbc.sim import (
+    CSV_COLUMNS,
     SimConfig,
     SimRecord,
     draw_trial,
     emit_csv,
     parse_config_file,
     parse_layer_scalar,
-    parse_records_csv,
     parse_snr_spec,
     run_decode_trials,
     run_error_sweep,
@@ -189,6 +190,15 @@ class TestSisoBaseline:
             uncoded_siso_sweep("4qam", (0.0,), 0, 1)
 
 
+def read_records_csv(path) -> list[dict]:
+    """emit_csv output read back with the csv module, one dict per row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        return [{key: (int if key == "trials" else float)(value) for key, value in row.items()}
+                for row in reader]
+
+
 class TestCsv:
     def _records(self):
         return [
@@ -202,7 +212,7 @@ class TestCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(self._records(), path)
-        rows = parse_records_csv(path)
+        rows = read_records_csv(path)
         for rec, row in zip(self._records(), rows):
             assert row["snr_db"] == rec.snr_db
             assert row["trials"] == rec.trials
@@ -214,7 +224,7 @@ class TestCsv:
     def test_timing_opt_in(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(self._records(), path, timing=True)
-        rows = parse_records_csv(path)
+        rows = read_records_csv(path)
         assert rows[0]["wall_time_s"] == 1.5
 
     def test_header_only_for_empty(self, tmp_path):
