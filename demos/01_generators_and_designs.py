@@ -29,7 +29,7 @@ print(verify_generators(cliff).summary())
 # ---------------------------------------------------------------------------
 design = build_rate1_4group(3)
 print(f"\nrate-1 design: {len(design.weights)} weights, rate {design.rate:g}, "
-      f"groups of {design.group_size}")
+      f"groups of {len(design.groups[0])}")
 labels = design.labels()
 for m, group in enumerate(design.groups):
     print(f"  group {m + 1}: " + ", ".join(labels[i] for i in group))

@@ -15,10 +15,12 @@ Kronecker form above, mostly zero blocks, is ever formed.
 Whenever two weight matrices
 satisfy A_i A_j^H + A_j A_i^H = 0 the corresponding columns of H_eq are
 orthogonal for every H, whatever their position, which pins structural
-zeros into the R factor of the column-ordered QR.  The zero pattern
-below is stated for the builtin layout (layer-major, group-contiguous
-weight order), in which each layer's diagonal R block collapses to
-I_4 x V with V upper triangular of size n_t/2.
+zeros into the R factor of the column-ordered QR.  The zeros claimed
+are read from the design's own groups, in any index order: the pairs of
+two different first-layer groups once ``STBCDesign.structure`` certifies
+them, and those of every later layer for the ``extend_full_rate`` codes.
+For the builtin codes each layer's diagonal R block collapses to I_4 x V,
+V upper triangular of size n_t/2.
 """
 
 from __future__ import annotations
@@ -145,23 +147,30 @@ def column_orthogonality_pairs(
 def mandated_zero_mask(design: STBCDesign) -> np.ndarray:
     """Boolean 2k x 2k mask of R entries forced to zero for every channel.
 
-    Everything strictly below the diagonal, plus -- inside each layer's
-    diagonal block -- all entries outside the I_4 x (upper triangular)
-    pattern.  Off-diagonal layer blocks carry no guaranteed zeros.
+    Everything strictly below the diagonal, plus, once ``design.structure``
+    is certified, the entries pairing two different groups of the first
+    layer: its columns come first, so each q_i lies in the span of its own
+    group's columns.  A later layer's q_i also carries the projections off
+    the earlier layers, so its own cross-group condition does not pin its
+    zeros; they are claimed only for designs built by ``extend_full_rate``
+    (``products`` present).  Off-diagonal layer blocks carry no
+    guaranteed zeros.
     """
     n = design.n_real_symbols
-    off = _cross_group_blocks(n // design.layers, design.group_size)
-    return np.tril(np.ones((n, n), dtype=bool), k=-1) | np.kron(
-        np.eye(design.layers, dtype=bool), off)
+    mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    if design.structure is not None:
+        for layer in range(design.layers if design.products is not None else 1):
+            mask |= _cross_group_pairs(n, design.layer_groups(layer))
+    return mask
 
 
-def _cross_group_blocks(per_layer: int, gs: int) -> np.ndarray:
-    """(per_layer, per_layer) mask of the blocks of one layer's diagonal R
-    block that pair two different groups of gs symbols."""
-    k = per_layer // gs
-    out = np.zeros((per_layer, per_layer), dtype=bool)
-    out[: k * gs, : k * gs] = np.kron(~np.eye(k, dtype=bool), np.ones((gs, gs), dtype=bool))
-    return out
+def _cross_group_pairs(n: int, groups) -> np.ndarray:
+    """(n, n) mask of the index pairs that lie in two different groups."""
+    label = np.full(n, -1)
+    for g, members in enumerate(groups):
+        label[list(members)] = g
+    inside = label >= 0
+    return np.outer(inside, inside) & (label[:, None] != label[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,57 +222,42 @@ def profile_over_channels(
     profiles = []
     for s in range(n_seeds):
         h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H
-        profiles.append(r_profile(equivalent_channel(h, design), tol, design))
+        profiles.append(r_profile(equivalent_channel(h, design), design, tol))
     mags = np.stack([np.abs(p.R) for p in profiles])
     always_zero = np.all(np.stack([p.zero_mask for p in profiles]), axis=0)
     return mags.mean(axis=0), mags.max(axis=0), always_zero, profiles
 
 
-def r_profile(
-    H_eq: np.ndarray,
-    tol: float = 1e-9,
-    design: STBCDesign | None = None,
-) -> RProfile:
+def r_profile(H_eq: np.ndarray, design: STBCDesign, tol: float = 1e-9) -> RProfile:
     """QR the column-normalized equivalent channel and map its zeros.
 
     Zero detection is |R(i,j)| < tol after scaling every column of H_eq
-    to unit norm.  When ``design`` is given, each layer's diagonal block
-    is additionally classified: it is flagged ``kron_identity`` when the
-    four per-group sub-blocks are equal upper-triangular copies (within
-    tol), i.e. the block factors as I_4 x V.
+    to unit norm.  Each layer is read on its declared groups
+    (``design.layer_groups``), each group's indices in ascending order:
+    V is R on the first group, ``max_cross_group`` the largest |R| above
+    the diagonal that pairs two different groups of the layer, and
+    ``max_block_mismatch`` the largest deviation of a group's block from
+    V (inf when their sizes differ).  The layer is flagged
+    ``kron_identity`` when it has four groups and both values are within
+    tol, i.e. its block factors as I_4 x V up to the index order.
     """
     H_eq = np.asarray(H_eq, dtype=float)
     norms = np.linalg.norm(H_eq, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficientError("equivalent channel has a zero column")
     _, r = gram_schmidt_qr(H_eq / norms)
-    mask = np.abs(r) < tol
-    blocks: list[LayerBlock] = []
-    if design is not None:
-        n = design.n_real_symbols
-        if r.shape[0] != n:
-            raise DimensionMismatchError(
-                f"R is {r.shape[0]}x{r.shape[0]} but the design has {n} symbols"
-            )
-        gs = design.group_size
-        per_layer = n // design.layers
-        k = per_layer // gs
-        off = _cross_group_blocks(per_layer, gs)
-        for layer in range(design.layers):
-            lo = layer * per_layer
-            block = r[lo : lo + per_layer, lo : lo + per_layer]
-            v = block[:gs, :gs]
-            cross = float(np.abs(block[off]).max(initial=0.0))
-            same = block[: k * gs, : k * gs].reshape(k, gs, k, gs)[range(k), :, range(k)]
-            mismatch = float(np.abs(same - v).max())
-            upper_ok = bool(np.abs(np.tril(v, k=-1)).max() <= tol) if gs > 1 else True
-            blocks.append(
-                LayerBlock(
-                    layer=layer,
-                    kron_identity=bool(cross <= tol and mismatch <= tol and upper_ok),
-                    V=v.copy(),
-                    max_cross_group=cross,
-                    max_block_mismatch=mismatch,
-                )
-            )
-    return RProfile(R=r, zero_mask=mask, layer_blocks=tuple(blocks), tol=tol)
+    n = design.n_real_symbols
+    if r.shape[0] != n:
+        raise DimensionMismatchError(
+            f"R is {r.shape[0]}x{r.shape[0]} but the design has {n} symbols"
+        )
+    blocks = []
+    for layer in range(design.layers):
+        groups = [sorted(g) for g in design.layer_groups(layer)]
+        v = r[np.ix_(groups[0], groups[0])]
+        cross = float(np.abs(r[np.triu(_cross_group_pairs(n, groups), 1)]).max(initial=0.0))
+        mismatch = max(float(np.abs(r[np.ix_(g, g)] - v).max()) if len(g) == len(v)
+                       else np.inf for g in groups)
+        kron = len(groups) == 4 and cross <= tol and mismatch <= tol
+        blocks.append(LayerBlock(layer, kron, v, cross, mismatch))
+    return RProfile(R=r, zero_mask=np.abs(r) < tol, layer_blocks=tuple(blocks), tol=tol)

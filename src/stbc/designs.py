@@ -12,10 +12,9 @@ satisfy the cross-group dispersion condition
 which is what makes per-group ML decoding exact, whatever the weight
 order.  ``STBCDesign.structure`` decides it once: the first layer's four
 groups and the outer indices when the condition holds, else None; the
-account, the encoder and the decoder all read it.  Full-rate designs
-stack unitary multiples of the rate-1 layer; the builtin constructions
-lay weights out layer-major and group-contiguous inside each layer, the
-order in which the R-matrix analysis is stated.
+account, the encoder, the decoder and the R-matrix analysis all read
+it.  Full-rate designs stack unitary multiples of the rate-1 layer, each
+layer holding the rate-1 groups shifted by one layer width.
 """
 
 from __future__ import annotations
@@ -124,10 +123,6 @@ class STBCDesign:
     def rate(self) -> float:
         """Complex symbols per channel use."""
         return self.k / self.T
-
-    @property
-    def group_size(self) -> int:
-        return len(self.groups[0])
 
     @property
     def energy_scale(self) -> float:
@@ -427,10 +422,9 @@ def extend_full_rate(
         mult = product_of(base.cliff, subset, scalar=layer_gain)
         products.extend(mul_signed(p, mult) for p in base.products)
 
-    q = base.group_size
-    groups = tuple(
-        tuple(range(m * q, (m + 1) * q)) for m in range(GROUPS_PER_LAYER * n_layers)
-    )
+    per = base.n_real_symbols
+    groups = tuple(tuple(i + layer * per for i in g)
+                   for layer in range(n_layers) for g in base.groups)
     mult_desc = ", ".join(
         f"layer{i + 1}={product_of(base.cliff, sub, scalar=sc).label()}"
         for i, (sc, sub) in enumerate(multipliers)
@@ -559,8 +553,12 @@ def design_from_text(text: str) -> STBCDesign:
     try:
         n_t, T = int(fields["nt"]), int(fields["T"])
         layers = int(fields.get("layers", "1"))
+        declared = int(fields.get("groups", len(groups)))
     except ValueError as err:
         raise DesignFormatError(f"malformed header value: {err}") from err
+    if declared != len(groups):
+        raise DesignFormatError(
+            f"header declares {declared} groups but the file lists {len(groups)}")
     design = STBCDesign(
         n_t=n_t,
         T=T,

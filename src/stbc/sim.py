@@ -506,7 +506,7 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     account = complexity_account(design, cons)
     p = len(cons.pam)
-    formula = p ** (design.n_real_symbols - 2 * design.n_t) * 4 * p**design.group_size
+    formula = p ** (2 * design.n_t * (layers - 1)) * 4 * p ** (design.n_t // 2)
     report.add(
         "complexity account matches the closed-form count",
         (account.group_evaluations or account.conditional_evaluations) == formula,

@@ -110,7 +110,7 @@ def test_acceptance_3_w_unitarity_and_closed_form():
     rng = np.random.default_rng(2024)
     for a in (1, 2, 3):
         design = build_rate1_4group(a)
-        gs = design.group_size
+        gs = len(design.groups[0])
         g1 = [design.weights[i] for i in design.groups[0]]
         signs = np.array([np.diag(w).real[0::2] for w in g1])
         for _ in range(1000):

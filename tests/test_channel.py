@@ -17,6 +17,7 @@ from stbc.designs import (
     build_rate1_4group,
     codeword,
     extend_full_rate,
+    verify_design,
 )
 from stbc.errors import DimensionMismatchError, RankDeficientError
 from stbc.linalg import realify, tilde_vec, vec
@@ -247,3 +248,87 @@ class TestMandatedMask:
         _, max_abs, always_zero, _ = profile_over_channels(d, 1, 25, seed=9)
         assert np.all(max_abs[mask] < 1e-9)
         assert always_zero[mask].all()
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_builtin_masks_are_the_contiguous_layout(self, a):
+        # layer-major weights, four contiguous groups of n_t/2 per layer:
+        # zero below the diagonal and wherever two different groups of one
+        # layer meet
+        base = build_rate1_4group(a)
+        for layers in range(1, min(4, base.n_t) + 1):
+            d = extend_full_rate(base, layers)
+            n = d.n_real_symbols
+            per, q = n // layers, base.n_t // 2
+            expected = np.tril(np.ones((n, n), dtype=bool), -1)
+            for i in range(n):
+                for j in range(n):
+                    if i // per == j // per and (i % per) // q != (j % per) // q:
+                        expected[i, j] = True
+            assert np.array_equal(mandated_zero_mask(d), expected)
+
+    def test_interleaved_groups_claim_only_zeros(self):
+        # the a=2 rate-1 code with groups (1,5), (2,6), (3,7), (4,8)
+        d = relabel(build_rate1_4group(2), INTERLEAVE)
+        assert d.structure is not None
+        mask = mandated_zero_mask(d)
+        assert np.triu(mask, 1).any()
+        _, max_abs, _, profiles = profile_over_channels(d, 1, 20, seed=12)
+        assert max_abs[mask].max() < 1e-9
+        assert all(p.layer_blocks[0].kron_identity for p in profiles)
+
+    @pytest.mark.parametrize("groups", [
+        None,                                   # the Haar remix, declared groups kept
+        (tuple(range(8)),),                     # one group of eight
+        ((0, 1, 2), (3,), (4, 5), (6, 7)),      # four groups of unequal size
+    ])
+    def test_uncertified_designs_claim_the_lower_triangle_only(self, groups):
+        base = build_rate1_4group(2)
+        if groups is None:
+            d = random_rotation_baseline(base)
+        else:
+            d = STBCDesign(n_t=4, T=4, weights=base.weights, groups=groups)
+        assert d.structure is None
+        assert np.array_equal(mandated_zero_mask(d), np.tril(np.ones((8, 8), dtype=bool), -1))
+        _, _, _, profiles = profile_over_channels(d, 1, 5, seed=13)
+        assert not any(p.layer_blocks[0].kron_identity for p in profiles)
+
+    def test_relabelled_two_layer_code_claims_no_later_layer(self):
+        # interleaved inside each layer; the relabelled design carries no
+        # products, so only the first layer's zeros are claimed
+        two = extend_full_rate(build_rate1_4group(2), 2)
+        d = relabel(two, INTERLEAVE + [8 + i for i in INTERLEAVE])
+        mask = mandated_zero_mask(d)
+        _, _, always_zero, _ = profile_over_channels(d, 2, 20, seed=14)
+        assert not (mask & ~always_zero).any()
+        assert np.array_equal(mask[8:, 8:], np.tril(np.ones((8, 8), dtype=bool), -1))
+        assert np.triu(mask[:8, :8], 1).any()
+
+    def test_right_multiple_layer_has_no_mandated_zeros(self):
+        # layer 2 is the base times a Haar unitary on the right: each layer
+        # meets its own cross-group condition, yet layer 2's cross-group
+        # entries of R are not zero
+        d = haar_right_multiple_design()
+        assert verify_design(d).passed
+        mask = mandated_zero_mask(d)
+        assert np.array_equal(mask[8:, 8:], np.tril(np.ones((8, 8), dtype=bool), -1))
+        _, max_abs, _, profiles = profile_over_channels(d, 2, 5, seed=15)
+        assert max_abs[mask].max() < 1e-9
+        assert max(p.layer_blocks[1].max_cross_group for p in profiles) > 0.1
+        assert not any(p.layer_blocks[1].kron_identity for p in profiles)
+
+
+INTERLEAVE = [0, 4, 1, 5, 2, 6, 3, 7]
+
+
+def haar_right_multiple_design():
+    base = build_rate1_4group(2)
+    z = np.random.default_rng(5).standard_normal((2, 4, 4))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
+    return STBCDesign(
+        n_t=4, T=4,
+        weights=base.weights + tuple(w @ u for w in base.weights),
+        groups=base.groups + tuple(tuple(i + 8 for i in g) for g in base.groups),
+        layers=2,
+        provenance="a=2 rate-1 code, layer 2 times a Haar unitary",
+    )

@@ -87,6 +87,15 @@ class TestChannelProfile:
         assert lines[0] == "row,col,mean_abs,max_abs,always_zero"
         assert len(lines) == 1 + 8 * 8
 
+    def test_profile_of_a_design_file_matches_the_builtin_code(self, tmp_path, capsys):
+        path = tmp_path / "d.txt"
+        assert run("design", "build", "--a", 2, "--layers", 2, "--out", path) == 0
+        capsys.readouterr()
+        assert run("channel", "profile", "--design", path, "--nr", 2, "--seeds", 5) == 0
+        loaded = capsys.readouterr().out
+        assert run("channel", "profile", "--a", 2, "--layers", 2, "--nr", 2, "--seeds", 5) == 0
+        assert loaded == capsys.readouterr().out
+
     def test_profile_refuses_fewer_receive_antennas_than_layers(self, tmp_path):
         out = tmp_path / "prof.csv"
         with pytest.raises(RankDeficientError, match="n_r"):

@@ -253,7 +253,7 @@ class TestMinDeterminant:
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_closed_form_matches_literal_on_random_differences(self, a):
         d = build_rate1_4group(a)
-        gs = d.group_size
+        gs = len(d.groups[0])
         for _ in range(200):
             ds = rng.standard_normal(gs)
             lit = literal_det(d, ds)

@@ -359,12 +359,20 @@ class TestDesignFiles:
         ("nt 4", "nt abc"),                  # header values
         ("T 4", "T x"),
         ("layers 1", "layers two"),
+        ("groups 4", "groups x"),
+        ("groups 4", "groups 7"),            # header disagrees with the group lines
     ])
     def test_malformed_text_raises_design_format_error(self, old, new):
         text = design_to_text(build_rate1_4group(2))
         assert old in text
         with pytest.raises(DesignFormatError):
             design_from_text(text.replace(old, new, 1))
+
+    def test_groups_header_is_optional(self):
+        d = build_rate1_4group(2)
+        text = design_to_text(d)
+        assert "\ngroups 4\n" in text
+        assert design_from_text(text.replace("\ngroups 4\n", "\n", 1)).groups == d.groups
 
     @pytest.mark.parametrize("layers, scalars", [
         ("3", "1 1 1"),   # weight 4 would belong to no layer
