@@ -36,7 +36,7 @@ import numpy as np
 from .channel import _require_tall, equivalent_channel, sample_channels
 from .designs import STBCDesign
 from .errors import RankDeficientError
-from .linalg import DEFAULT_RANK_TOL, _require_snr, gram_schmidt_qr
+from .linalg import DEFAULT_RANK_TOL, _require_count, _require_snr, gram_schmidt_qr
 from .reports import Report
 from .rng import as_generator
 
@@ -108,9 +108,12 @@ def _log2det_eye_plus(gram: np.ndarray, rho: float) -> np.ndarray:
     return 2.0 * np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
-def _check_request(snr, trials: int, positive: bool = False) -> None:
-    """Refuse, before any draw, fewer than ``MIN_TRIALS`` trials and an
-    snr that is not finite and >= 0 (> 0 with ``positive``)."""
+def _check_request(snr, trials: int, n_r: int, positive: bool = False) -> None:
+    """Refuse, before any draw, a trial or receive-antenna count that is
+    not an integer >= 1, fewer than ``MIN_TRIALS`` trials and an snr that
+    is not finite and >= 0 (> 0 with ``positive``)."""
+    _require_count(n_r, "n_r")
+    _require_count(trials, "trials")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     _require_snr(snr, positive)
@@ -138,7 +141,7 @@ def code_capacity(
 ) -> CapacityEstimate:
     """Ergodic capacity of the channel seen through the code (snr finite
     and >= 0)."""
-    _check_request(snr, trials)
+    _check_request(snr, trials, n_r)
     rng = as_generator(rng)
     rho = snr / design.n_t
     vals = []
@@ -157,7 +160,8 @@ def channel_capacity(
 ) -> CapacityEstimate:
     """Ergodic capacity of the raw n_t x n_r Rayleigh channel (snr finite
     and >= 0)."""
-    _check_request(snr, trials)
+    _require_count(n_t, "n_t")
+    _check_request(snr, trials, n_r)
     rng = as_generator(rng)
     rho = snr / n_t
     vals = []
@@ -181,8 +185,9 @@ def low_snr_condition(
     weight satisfies A_i A_i^H = (1/n_r) I.  The report records each
     weight's proportionality constant plus an empirical check that the
     coded/uncoded capacity ratio is within 5% at snr = -20 dB (paired
-    channel draws).
+    channel draws); the inputs are checked first, as ``code_capacity``'s.
     """
+    _check_request(snr, trials, n_r)
     report = Report(f"low-snr capacity condition (n_r={n_r})")
     ws = design.weight_stack
     grams = design.energy_scale**2 * (ws @ ws.conj().swapaxes(-1, -2))
@@ -244,7 +249,7 @@ def high_snr_decomposition(
     that leaves every H_eq wider than tall, before any draw.  The snr
     must be finite and > 0: the estimate through R takes its log.
     """
-    _check_request(snr, trials, positive=True)
+    _check_request(snr, trials, n_r, positive=True)
     _require_tall(design, n_r)
     rng = as_generator(rng)
     rho = snr / design.n_t

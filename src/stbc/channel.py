@@ -31,7 +31,7 @@ import numpy as np
 
 from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
-from .linalg import gram_schmidt_qr, pairwise_residual
+from .linalg import _require_count, gram_schmidt_qr, pairwise_residual
 from .rng import CTX_PROFILE, substream
 
 __all__ = [
@@ -216,8 +216,8 @@ def profile_over_channels(
     sampled channel realization.  Fewer than k / T receive antennas leave
     every H_eq with fewer rows than columns, so no channel is drawn then.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    _require_count(n_seeds, "n_seeds")
+    _require_count(n_r, "n_r")
     _require_tall(design, n_r)
     profiles = []
     for s in range(n_seeds):

@@ -77,6 +77,15 @@ def _design_from_args(args) -> "STBCDesign":
     raise SystemExit("need --design FILE or --a A")
 
 
+def _sim_config(args, snr_db, **fields) -> SimConfig:
+    """The decoded experiment of a ``decode`` or ``sim sweep`` command;
+    without ``--nr``, one receive antenna per layer."""
+    design = _design_from_args(args)
+    return SimConfig(design=design, n_r=design.layers if args.nr is None else args.nr,
+                     constellation=args.constellation, snr_db=snr_db, trials=args.trials,
+                     seed=args.seed, decoder=args.decoder, **fields)
+
+
 def _write_output(text: str, out) -> None:
     """Write ``text`` to the file ``out`` and say so, or to stdout."""
     if out:
@@ -135,12 +144,7 @@ def cmd_channel_profile(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    design = _design_from_args(args)
-    n_r = args.nr if args.nr else max(design.layers, 1)
-    rows = run_decode_trials(
-        design, n_r, args.constellation, args.snr_db, args.trials,
-        args.seed, args.decoder,
-    )
+    rows = run_decode_trials(_sim_config(args, (args.snr_db,)))
     columns = ("trial", "metric", "symbol_errors", "evaluations")
     _write_output(_csv_text(columns, ([r[c] for c in columns] for r in rows)), args.out)
     return 0
@@ -159,18 +163,8 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_sim_sweep(args) -> int:
-    design = _design_from_args(args)
-    cfg = SimConfig(
-        design=design,
-        n_r=design.layers if args.nr is None else args.nr,
-        constellation=args.constellation,
-        snr_db=parse_snr_spec(args.snr_db),
-        trials=args.trials,
-        seed=args.seed,
-        decoder=args.decoder,
-        noise_scale=args.noise_scale,
-    )
-    records = run_error_sweep(cfg)
+    records = run_error_sweep(
+        _sim_config(args, parse_snr_spec(args.snr_db), noise_scale=args.noise_scale))
     for rec in records:
         print(
             f"snr {rec.snr_db:6.1f} dB: cer {rec.cer:.5f}  ser {rec.ser:.5f}  "
@@ -228,6 +222,15 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
                        help="'1', 'pi/4' or an explicit a+bi unit scalar")
         p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
+    def add_experiment(p, trials: int):  # what _sim_config reads, and --out
+        add_design_source(p)
+        p.add_argument("--nr", type=int, help="receive antennas (default: layers)")
+        p.add_argument("--constellation", default="4qam")
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
+        p.add_argument("--out")
+
     p = sub.add_parser("clifford", help="generator matrices")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pd = csub.add_parser("dump", help="emit the generators as matrix text")
@@ -264,14 +267,8 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     pc.set_defaults(func=cmd_channel_profile)
 
     p = sub.add_parser("decode", help="per-trial decode log")
-    add_design_source(p)
-    p.add_argument("--constellation", default="4qam")
+    add_experiment(p, trials=100)
     p.add_argument("--snr-db", dest="snr_db", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--nr", type=int, default=0)
-    p.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("capacity", help="ergodic capacity")
@@ -290,14 +287,8 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     ssub = p.add_subparsers(dest="subcommand", required=True)
     ps = ssub.add_parser("sweep", help="SER/CER sweep, CSV out")
     ps.add_argument("--config", help="key=value config file (flags win)")
-    add_design_source(ps)
-    ps.add_argument("--nr", type=int, help="receive antennas (default: layers)")
-    ps.add_argument("--constellation", default="4qam")
+    add_experiment(ps, trials=1000)
     ps.add_argument("--snr-db", dest="snr_db", default="10")
-    ps.add_argument("--trials", type=int, default=1000)
-    ps.add_argument("--seed", type=int, default=seed)
-    ps.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
-    ps.add_argument("--out")
     ps.add_argument("--noise-scale", dest="noise_scale", type=float, default=1.0)
     ps.add_argument("--timing", action="store_true",
                     help="write measured wall time into the CSV "

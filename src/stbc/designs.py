@@ -283,10 +283,18 @@ def _dispersion_witnesses(ws: np.ndarray, groups, tol: float, start: int = 0) ->
 
 
 def verify_group_decodable(design: STBCDesign, tol: float = 1e-12) -> Report:
-    """Check the cross-group condition A_i A_j^H + A_j A_i^H = 0."""
-    report = Report("cross-group dispersion condition")
-    witnesses = _dispersion_witnesses(design.weight_stack, design.groups, tol)
-    report.add("all cross-group pairs", not witnesses, witnesses)
+    """Check the cross-group condition A_i A_j^H + A_j A_i^H = 0 within
+    each layer (groups of different layers need not meet it), numbering
+    witnesses from the layer's first weight."""
+    layered = design.layers > 1
+    report = Report(f"layered design certification ({design.layers} layers)" if layered
+                    else "cross-group dispersion condition")
+    per = design.n_real_symbols // design.layers
+    for layer in range(design.layers):
+        witnesses = _dispersion_witnesses(
+            design.weight_stack, design.layer_groups(layer), tol, layer * per)
+        report.add(f"layer {layer + 1}: " * layered + "all cross-group pairs",
+                   not witnesses, witnesses)
     return report
 
 
@@ -457,15 +465,8 @@ def verify_design(design: STBCDesign, tol: float = 1e-12) -> Report:
     checked layer by layer for the cross-group dispersion condition
     (the layers themselves are unitary multiples, not in normal form).
     """
-    if design.layers == 1:
-        return verify_theorem1(design, tol)
-    report = Report(f"layered design certification ({design.layers} layers)")
-    per = design.n_real_symbols // design.layers
-    for layer in range(design.layers):
-        witnesses = _dispersion_witnesses(
-            design.weight_stack, design.layer_groups(layer), tol, layer * per)
-        report.add(f"layer {layer + 1}: all cross-group pairs", not witnesses, witnesses)
-    return report
+    verify = verify_theorem1 if design.layers == 1 else verify_group_decodable
+    return verify(design, tol)
 
 
 def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:

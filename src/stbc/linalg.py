@@ -16,6 +16,7 @@ turns a complex transmission model into an equivalent real one.
 from __future__ import annotations
 
 import re
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +49,14 @@ def _require_snr(snr, positive: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(snr) & ((snr > 0) if positive else (snr >= 0))):
         raise ValueError(f"snr must be finite and {'> 0' if positive else '>= 0'}, got {snr}")
     return snr
+
+
+def _require_count(count, name: str) -> None:
+    """Refuse a count (trials, antennas, seeds) that is not an integer >= 1."""
+    if not isinstance(count, Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 def kron_power(a: np.ndarray, m: int) -> np.ndarray:

@@ -10,6 +10,10 @@ information symbols the integers call that follows.  A block of trials
 gets those values from ``rng.draw_block`` (one reused Philox), not from
 the calls themselves.
 
+One ``SimConfig`` describes a decoded experiment: ``run_error_sweep``
+tallies its points, and ``run_decode_trials`` logs each trial of a
+one-point config; both run one trial loop.
+
 Transmission, decoding and tallies are batched.  A sweep runs its trials
 point-major in blocks, which may span SNR points; each block is
 transmitted and decoded as stacked arrays (one SNR per trial) and
@@ -32,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
 
 import numpy as np
 
@@ -64,7 +67,7 @@ from .designs import (
     verify_theorem1,
 )
 from .errors import BudgetExceededError
-from .linalg import matrix_from_text, pairwise_residual
+from .linalg import _require_count, matrix_from_text, pairwise_residual
 from .reports import Report
 from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, draw_block, draws, substream
 
@@ -95,11 +98,8 @@ def _check_sweep(snr_db, trials: int, noise_scale: float, n_r: int = 1) -> None:
     integer >= 1, without SNR points, with more than ``rng.POINTS`` of
     them or a non-finite one, or with a non-finite or negative noise
     scale."""
-    for name, count in (("trials", trials), ("n_r", n_r)):
-        if not isinstance(count, Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    _require_count(trials, "trials")
+    _require_count(n_r, "n_r")
     if len(snr_db) == 0:
         raise ValueError("snr list must be non-empty")
     if len(snr_db) > POINTS:
@@ -112,7 +112,9 @@ def _check_sweep(snr_db, trials: int, noise_scale: float, n_r: int = 1) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Declarative description of one error-rate experiment."""
+    """Declarative description of one decoded experiment: an error sweep
+    (``run_error_sweep``) or, at one SNR point, a decode log
+    (``run_decode_trials``)."""
 
     design: STBCDesign
     n_r: int
@@ -203,6 +205,7 @@ def draw_trial(
     Draws the channel H, then the noise N, then the information level
     indices (into ``encoder.alphabet``) from ``rng`` (``stbc.rng.draws``).
     """
+    _require_count(n_r, "n_r")
     normals, levels = draws(rng, _normals(n_r, design.n_t, design.T), len(encoder.alphabet),
                             design.n_real_symbols)
     y, h = _transmit(design, encoder, n_r, np.array([snr]), normals[None],
@@ -210,25 +213,24 @@ def draw_trial(
     return y[0], h[0], levels
 
 
-def _decoded_trials(design, cons, encoder, decoder, n_r, snrs, trials, seed,
-                    noise_scale=1.0):
-    """Every trial of every SNR point, point-major, each drawn as from its
-    own substream (seed, CTX_ERROR_SWEEP, point, trial) and decoded in blocks
-    that may span points, one block at a time: (points, Y, H, decoded
-    levels, evaluations, wrong), a row per trial, with wrong[t, i] true
-    when either real component of complex symbol i of trial t was decoded
-    wrongly.  The oracle decodes one trial at a time."""
-    if decoder not in _DECODERS:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    block = 1 if decoder == "oracle" else _block_trials(design, cons, n_r)
-    schedule = ((point, trial) for point in range(len(snrs)) for trial in range(trials))
+def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs):
+    """Every trial of every SNR point of ``cfg`` (``snrs`` its linear
+    SNRs), point-major, each drawn as from its own substream (seed,
+    CTX_ERROR_SWEEP, point, trial) and decoded in blocks that may span
+    points, one block at a time: (points, Y, H, decoded levels,
+    evaluations, wrong), a row per trial, with wrong[t, i] true when either
+    real component of complex symbol i of trial t was decoded wrongly.
+    The oracle decodes one trial at a time."""
+    design, n_r, oracle = cfg.design, cfg.n_r, cfg.decoder == "oracle"
+    block = 1 if oracle else _block_trials(design, cons, n_r)
+    schedule = ((point, trial) for point in range(len(snrs)) for trial in range(cfg.trials))
     sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
     while part := list(islice(schedule, block)):
-        normals, levels = draw_block(seed, CTX_ERROR_SWEEP, part, *sizes)
+        normals, levels = draw_block(cfg.seed, CTX_ERROR_SWEEP, part, *sizes)
         points = np.array([point for point, _ in part])
         snr = np.asarray(snrs)[points]
-        y, h = _transmit(design, encoder, n_r, snr, normals, levels, noise_scale)
-        if decoder == "oracle":
+        y, h = _transmit(design, encoder, n_r, snr, normals, levels, cfg.noise_scale)
+        if oracle:
             result = ml_oracle(y[0], h[0], design, cons, snr[0], encoder)
             decoded = np.array([result.level_indices])
             evaluations = np.array([result.metric_evaluations])
@@ -255,10 +257,7 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     cw_errors, sym_errors, evals = (np.zeros(n, dtype=np.int64) for _ in range(3))
     elapsed = np.zeros(n)
     t0 = time.perf_counter()
-    for points, _, _, _, evaluations, wrong in _decoded_trials(
-        design, cons, encoder, cfg.decoder, cfg.n_r, snrs, cfg.trials, cfg.seed,
-        cfg.noise_scale,
-    ):
+    for points, _, _, _, evaluations, wrong in _decoded_trials(cfg, cons, encoder, snrs):
         np.add.at(evals, points, evaluations)
         np.add.at(sym_errors, points, wrong.sum(axis=1))
         np.add.at(cw_errors, points, wrong.any(axis=1))
@@ -326,28 +325,20 @@ def uncoded_siso_sweep(
     return records
 
 
-def run_decode_trials(
-    design: STBCDesign,
-    n_r: int,
-    cons_label: str,
-    snr_db: float,
-    trials: int,
-    seed: int,
-    decoder: str = "auto",
-) -> list[dict]:
-    """Per-trial decode log (metric, symbol errors, evaluations).  The
-    metric is recomputed per trial from the decoded levels, as every
-    decoder's ``DecodeResult.metric`` is.  The inputs are checked as a
-    sweep's are (``SimConfig``)."""
-    _check_sweep((snr_db,), trials, 1.0, n_r)
-    cons = constellation(cons_label)
+def run_decode_trials(cfg: SimConfig) -> list[dict]:
+    """Per-trial decode log (metric, symbol errors, evaluations) of a
+    one-point config; a config with more points is refused.  The metric
+    is recomputed per trial from the decoded levels, as every decoder's
+    ``DecodeResult.metric`` is."""
+    if len(cfg.snr_db) != 1:
+        raise ValueError(f"a decode log has one snr point, got {len(cfg.snr_db)}")
+    design = cfg.design
+    cons = constellation(cfg.constellation)
     encoder = default_encoder(design, cons.pam)
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = 10.0 ** (cfg.snr_db[0] / 10.0)
     b = full_symbol_matrix(design, encoder)
     rows = []
-    for _, ys, hs, decoded, evaluations, wrong in _decoded_trials(
-        design, cons, encoder, decoder, n_r, [snr], trials, seed
-    ):
+    for _, ys, hs, decoded, evaluations, wrong in _decoded_trials(cfg, cons, encoder, [snr]):
         for y, h, levels, count, errors in zip(ys, hs, decoded, evaluations, wrong.sum(axis=1)):
             rows.append({
                 "trial": len(rows),
@@ -408,6 +399,8 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
     ``rng.POINTS`` values."""
     spec = spec.strip()
     tokens = spec.split(":" if ":" in spec else ",")
+    if ":" in spec and len(tokens) != 3:
+        raise ValueError(f"snr range {spec!r} is not of the form A:B:STEP")
     if len(tokens) > POINTS:
         raise ValueError(f"snr spec has {len(tokens)} points; at most {POINTS}")
     values = tuple(float(tok) for tok in tokens)

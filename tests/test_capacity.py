@@ -19,10 +19,13 @@ from stbc.channel import (
     sample_channel,
     sample_channels,
 )
+from stbc.coding_gain import default_encoder
+from stbc.decoder import constellation
 from stbc.designs import STBCDesign, build_rate1_4group, extend_full_rate
 from stbc.errors import RankDeficientError
 from stbc.linalg import gram_schmidt_qr, realify
 from stbc.rng import substream
+from stbc.sim import draw_trial
 
 rng = np.random.default_rng(606)
 
@@ -270,6 +273,34 @@ class TestCapacityEstimates:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             channel_capacity(2, 1, 1.0, 50, rng=substream(0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: code_capacity(d, 0, 10.0, 100, 0), "n_r must be >= 1, got 0"),
+    (lambda d: code_capacity(d, -1, 10.0, 100, 0), "n_r must be >= 1, got -1"),
+    (lambda d: code_capacity(d, 1.0, 10.0, 100, 0), "n_r must be an integer"),
+    (lambda d: code_capacity(d, 1, 10.0, 150.0, 0), "trials must be an integer"),
+    (lambda d: channel_capacity(2, 0, 10.0, 100, 0), "n_r must be >= 1, got 0"),
+    (lambda d: channel_capacity(0, 1, 10.0, 100, 0), "n_t must be >= 1, got 0"),
+    (lambda d: channel_capacity(2, 1, 10.0, 0, 0), "trials must be >= 1, got 0"),
+    (lambda d: high_snr_decomposition(d, 0, 10.0, 100, 0), "n_r must be >= 1, got 0"),
+    (lambda d: low_snr_condition(d, 0), "n_r must be >= 1, got 0"),
+    (lambda d: profile_over_channels(d, 1, 2.5), "n_seeds must be an integer, got 2.5"),
+    (lambda d: profile_over_channels(d, 0, 3), "n_r must be >= 1, got 0"),
+    (lambda d: draw_trial(d, default_encoder(d, constellation("4qam").pam), 0, 10.0,
+                          substream(0)), "n_r must be >= 1, got 0"),
+], ids=["code-nr0", "code-nr-1", "code-nr-float", "code-trials-float", "channel-nr0",
+        "channel-nt0", "channel-trials0", "high-snr-nr0", "low-snr-nr0", "profile-seeds-float",
+        "profile-nr0", "draw-trial-nr0"])
+def test_counts_refused_as_a_sweep_refuses_them(call, match, monkeypatch):
+    # every Monte-Carlo entry point refuses a count that is not an integer
+    # >= 1 with the sweep's message; the capacity estimators before any draw
+    def no_draw(*args):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(capacity, "sample_channels", no_draw)
+    with pytest.raises(ValueError, match=match):
+        call(build_rate1_4group(1))
 
 
 class TestLowSnrCondition:

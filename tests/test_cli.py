@@ -119,6 +119,22 @@ class TestDecodeCommand:
         assert len(lines) == 11
         assert all(line.split(",")[3] == "128" for line in lines[1:])
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_receive_antennas_default_to_the_layer_count(self, tmp_path, layers):
+        # one n_r rule for decode and sim sweep: without --nr, one antenna a layer
+        default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+        args = ("decode", "--a", 1, "--layers", layers, "--snr-db", 8, "--trials", 10,
+                "--seed", 5)
+        assert run(*args, "--out", default) == 0
+        assert run(*args, "--nr", layers, "--out", given) == 0
+        assert default.read_bytes() == given.read_bytes()
+
+    def test_zero_receive_antennas_refused(self, tmp_path):
+        out = tmp_path / "dec.csv"
+        with pytest.raises(ValueError, match="n_r must be >= 1"):
+            run("decode", "--a", 1, "--snr-db", 8, "--trials", 10, "--nr", 0, "--out", out)
+        assert not out.exists()
+
 
 class TestCapacitySweep:
     def test_deterministic_csv(self, tmp_path):
@@ -131,6 +147,13 @@ class TestCapacitySweep:
         lines = a1.read_text().splitlines()
         assert lines[0] == "snr_db,mean_bits,std_err,trials"
         assert len(lines) == 3
+
+    def test_zero_receive_antennas_refused(self, tmp_path):
+        out = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="n_r must be >= 1"):
+            run("capacity", "sweep", "--a", 1, "--nr", 0, "--snr-db", "0:10:10",
+                "--trials", 150, "--out", out)
+        assert not out.exists()
 
 
 class TestSimSweep:

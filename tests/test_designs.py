@@ -117,6 +117,19 @@ class TestTheorem1:
             assert report.passed, report.summary()
             assert digest(report.summary()) == VERIFY_DESIGN_DIGESTS[layers]
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_every_layer_is_certified_group_decodable(self, a):
+        # the dispersion condition holds within each layer, not between
+        # groups of different layers; a rate-1 report is verify_theorem1's tail
+        base = build_rate1_4group(a)
+        report = verify_group_decodable(base)
+        assert report.passed and report.checks == verify_design(base).checks[-1:]
+        for layers in range(2, min(base.n_t, 4) + 1):
+            design = extend_full_rate(base, layers)
+            report = verify_group_decodable(design)
+            assert report.passed, report.summary()
+            assert report.summary() == verify_design(design).summary()
+
     def test_commuting_headers_fail_with_witness(self):
         # g1 and g1g2g3 commute, so placing them as headers of different
         # groups must trip the anticommutation condition

@@ -91,7 +91,8 @@ class TestErrorSweep:
         with pytest.raises(ValueError, match="unknown decoder"):
             silver_cfg(decoder=name)
         with pytest.raises(ValueError, match="unknown decoder"):
-            run_decode_trials(build_rate1_4group(1), 1, "4qam", 8.0, 2, 0, name)
+            run_decode_trials(SimConfig(design=build_rate1_4group(1), n_r=1, snr_db=(8.0,),
+                                        trials=2, seed=0, decoder=name))
 
     @pytest.mark.parametrize("a, layers, n_r, trials, snr_db", [
         # 22 trials a block: 28 trials in blocks of 22 and 6
@@ -127,7 +128,8 @@ class TestErrorSweep:
         got = [(r.codeword_errors, r.symbol_errors, r.mean_evals) for r in run_error_sweep(cfg)]
         assert got == want
 
-        rows = run_decode_trials(design, n_r, "4qam", snr_db[1], trials, 5)
+        rows = run_decode_trials(
+            SimConfig(design=design, n_r=n_r, snr_db=(snr_db[1],), trials=trials, seed=5))
         snr = 10.0 ** (snr_db[1] / 10.0)
         for trial, row in enumerate(rows):
             y, h, _ = draw_trial(design, enc, n_r, snr, substream(5, CTX_ERROR_SWEEP, 0, trial))
@@ -306,7 +308,17 @@ class TestParsing:
     ])
     def test_decode_log_checks_its_inputs_as_a_sweep_does(self, n_r, snr_db, trials, match):
         with pytest.raises(ValueError, match=match):
-            run_decode_trials(build_rate1_4group(1), n_r, "4qam", snr_db, trials, 0)
+            run_decode_trials(SimConfig(design=build_rate1_4group(1), n_r=n_r,
+                                        snr_db=(snr_db,), trials=trials, seed=0))
+
+    def test_decode_log_refuses_more_than_one_point(self):
+        with pytest.raises(ValueError, match="one snr point, got 2"):
+            run_decode_trials(silver_cfg(snr_db=(4.0, 8.0), trials=2))
+
+    def test_snr_range_needs_three_fields(self):
+        for spec in ("0:10", "0:10:2:4"):
+            with pytest.raises(ValueError, match="A:B:STEP"):
+                parse_snr_spec(spec)
 
     def test_snr_points_bounded_up_front(self):
         # a stream path addresses 2^16 points; more are refused before any
