@@ -54,7 +54,19 @@ one small product per leaf replaces a scan of every row of phi.  The
 pruned hypotheses all have totals above the minimum, so the decision is
 the exhaustive search's.  A block of bounded searches scans, unpruned,
 no more hypotheses than one trial may (``_block_trials``), so its worst
-case on the two codes above at n_r = 2 is under 61 MiB of search state.
+case on the two codes above at n_r = 2 is under 55 MiB of search state.
+
+Tiles (``_tile``): no product of the bounded search takes more than
+``_TILE_MACS`` (2^19) multiply-adds, half the size from which OpenBLAS
+(0.3.31, 2 CPUs) ran an (80, 17) by (17, w) product on its thread pool.
+The pool gained nothing alone on an idle host; with a second such
+process running it took 3.5-16 ms a product at 1.04M multiply-adds and
+more, against 23 us at 0.87M.  The leaves are scored, and the radius
+pass's prefixes extended, one tile at a time: 384 leaves of the 8 x 2
+code's (80, 17) leaf form, 768 of the 16-QAM code's (72, 9).  A tile is
+a multiple of 64 columns and starts a whole number of tiles after its
+trial's first leaf, so on OpenBLAS a total is the one a single product
+over the trial's leaves gives, to the bit, whatever the cap.
 
 Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
 groups' largest image energies are tied, and so are a group's candidates
@@ -116,6 +128,8 @@ _ORACLE_BUDGET = 1 << 22
 _BLOCK_BYTES = 3 << 19
 #: one trial whose search tables would need more bytes is refused
 _TABLE_BYTES = 1 << 30
+#: multiply-adds of one product of the bounded search at most (see ``_tile``)
+_TILE_MACS = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,24 +386,40 @@ def _tie_words(p: int, groups, n_outer: int) -> int:
     return n_outer + per_outer + per_outer // 8 + 2 * n + 4 * len(groups) + 8
 
 
-def _leaf_width(p: int, groups) -> int:
-    """Leaves the bounded search scores at once: their leaf products, k +
-    sum_g n_cand rows (k the group symbols), hold no more words than one
-    group's metrics over an outer chunk of a scan."""
-    sizes = [p ** len(g) for g in groups]
-    return max(1, max(sizes) * _CHUNK // (sum(len(g) for g in groups) + sum(sizes)))
+def _tile(per_column: int, cap: int) -> int:
+    """Columns of one tile of a product that takes ``per_column``
+    multiply-adds a column: at most ``cap`` multiply-adds, rounded down
+    to a multiple of 64 columns, and at least 64."""
+    return max(64, cap // per_column // 64 * 64)
+
+
+def _leaf_width(p: int, groups, n_outer: int, cap: int) -> int:
+    """Leaves the bounded search scores at once: one tile of the leaf
+    product, (k + sum_g n_cand, n_outer + 1) by the leaves' [x_o; 1] (k
+    the group symbols)."""
+    rows = sum(len(g) + p ** len(g) for g in groups)
+    return _tile(rows * (n_outer + 1), cap)
+
+
+def _radius_width(p: int, m: int, cap: int) -> int:
+    """High-half prefixes the radius pass extends at once: one tile of
+    their product with the p^(m // 2) low-half completions."""
+    return _tile(p ** (m // 2) * (m // 2), cap)
 
 
 def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
     """(trial bytes, shared bytes) of a search: what each trial of a stack
     holds at most, and what the stack holds once whatever its size (kept
-    per ``_CHUNK``, which decides the search)."""
-    return _sizes_at(p, groups, n_outer, rows, _CHUNK)
+    per ``_CHUNK`` and ``_TILE_MACS``, which decide the search and its
+    tiles)."""
+    return _sizes_at(p, groups, n_outer, rows, _CHUNK, _TILE_MACS)
 
 
 @lru_cache(maxsize=64)
-def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int, int]:
-    """``_search_sizes`` with every outer chunk ``chunk`` wide.
+def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int,
+              cap: int) -> tuple[int, int]:
+    """``_search_sizes`` with every outer chunk ``chunk`` wide and tiles
+    of at most ``cap`` multiply-adds.
 
     A single-chunk search holds per trial y, phi and the temporaries of
     its build, the groups' columns, images and norms, the residual's form
@@ -405,10 +435,11 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
     leaf forms, the K-best descent's steps, its high-half prefixes'
     residuals and bounds and, when nothing is pruned, six words and a
     bit per outer hypothesis: the survivors' indices, trials and bounds,
-    their totals with a chunk's copy, the tie mask and the tied
+    their totals with a temporary, the tie mask and the tied
     hypotheses and their trials.  The stack shares the candidate digits,
     one trial's leaf bounds with their mask, rows, completions and an
-    index temporary, and one ``_leaf_width`` chunk of leaves: their
+    index temporary, each one tile of prefixes' extensions
+    (``_radius_width``), and one ``_leaf_width`` tile of leaves: their
     digits, levels, products and squares, their full vectors with the
     sort keys of ``_lex_least`` and each group's pick."""
     outer_total = p**n_outer
@@ -434,8 +465,9 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int) -> tuple[int,
              + (2 * m + 1) * p ** (m - m // 2)  # the prefixes' residuals and bounds
              + 6 * outer_total + outer_total // 8)  # survivors and their totals
     per_leaf = 4 * m + 1 + 3 * k + per_outer + per_outer // 8 + 2 * n + 7
-    shared = (candidates + per_leaf * _leaf_width(p, groups)
-              + 5 * outer_total + outer_total // 8)  # one trial's leaf bounds
+    block = min(p ** (m - m // 2), _radius_width(p, m, cap)) * p ** (m // 2)
+    shared = (candidates + per_leaf * _leaf_width(p, groups, m, cap)
+              + 5 * block + block // 8)  # one tile of leaf bounds
     return 8 * trial, 8 * shared
 
 
@@ -447,9 +479,9 @@ def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     bounded searches holds no more outer hypotheses times group scans
     than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
     4-QAM code and of the 4-antenna rate-2 16-QAM code.  Its worst case,
-    nothing pruned, is 16 trials' bytes plus the shared bytes: ~60 MiB
-    for the 4-QAM code and ~57 MiB for the 16-QAM code at ``n_r = 2`` (a
-    zero channel, which prunes nothing, peaks at 55 and 54 MiB traced)."""
+    nothing pruned, is 16 trials' bytes plus the shared bytes: ~55 MiB
+    for the 4-QAM code and ~54 MiB for the 16-QAM code at ``n_r = 2`` (a
+    zero channel, which prunes nothing, peaks at 51 and 50 MiB traced)."""
     groups, outer = _structure(design)
     p = len(cons.pam)
     if p ** len(outer) > _CHUNK:
@@ -552,28 +584,34 @@ def _radius_pass(z, r, p, levels, limit):
     r is upper triangular, so one stacked product gives every prefix's
     residual z - r_high x_high: its bottom rows are the prefix's bound, its
     top rows the a of ||a - b||^2 = ||a||^2 - 2 a^T b + ||b||^2 that each
-    low-half completion b = r_low x_low adds.  Per trial, one product
-    extends the prefixes within the limit by every completion.  Bounds
-    grow with depth, so these are the leaves a search pruning at every
-    level keeps; their rounding differs far below the ``_within`` slack."""
+    low-half completion b = r_low x_low adds.  Per trial, products of at
+    most ``_radius_width`` prefixes each extend the prefixes within the
+    limit by every completion.  Bounds grow with depth, so these are the
+    leaves a search pruning at every level keeps; their rounding differs
+    far below the ``_within`` slack."""
     m = z.shape[1]
     half = m // 2
     low = levels[:half, :p**half]
     resid = z[:, :, None] - r[:, :, half:] @ levels  # (B, m, p^(m - half))
     head = np.square(resid[:, half:]).sum(axis=1)
-    idx, bound = [], []
+    width = _radius_width(p, m, _TILE_MACS)
+    idx, bound, owner = [], [], []
     for t, within in enumerate(limit):
-        pre = np.flatnonzero(head[t] <= within)
-        a = resid[t][:half, pre]
         b = r[t, :half, :half] @ low
-        leaf = a.T @ b
-        leaf *= -2.0
-        leaf += (head[t, pre] + np.square(a).sum(axis=0))[:, None]
-        leaf += np.square(b).sum(axis=0)
-        row, lo = np.nonzero(leaf <= within)
-        bound.append(leaf[row, lo])
-        idx.append(pre[row] * p**half + lo)
-    tri = np.repeat(np.arange(len(limit)), [len(i) for i in idx])
+        b_norm = np.square(b).sum(axis=0)
+        kept = np.flatnonzero(head[t] <= within)
+        for s in range(0, len(kept), width):
+            pre = kept[s:s + width]
+            a = resid[t][:half, pre]
+            leaf = a.T @ b
+            leaf *= -2.0
+            leaf += (head[t, pre] + np.square(a).sum(axis=0))[:, None]
+            leaf += b_norm
+            row, lo = np.nonzero(leaf <= within)
+            bound.append(leaf[row, lo])
+            idx.append(pre[row] * p**half + lo)
+            owner.append(t)
+    tri = np.repeat(owner, [len(i) for i in idx])
     return np.concatenate(idx), tri, np.concatenate(bound)
 
 
@@ -597,8 +635,8 @@ def _qr_form(y, phi, pam, outer, cols, images, qnorm):
     the first layer's group columns first and the outer columns last, the
     first outer index at the bottom, so the descent fixes it first.
     Returns the outer block (z_o (B, m), R_oo (B, m, m)) for the bounds,
-    the levels of the high half's digits (``_radius_pass``) and the leaf
-    scorer.
+    the levels of the high half's digits (``_radius_pass``), the leaf
+    scorer and its tile width (``_leaf_width``).
 
     With z = Q^T y split into its inner rows z_i and outer rows z_o, an
     outer hypothesis x_o leaves y' = y - phi_out x_o with ||y'||^2 =
@@ -637,28 +675,39 @@ def _qr_form(y, phi, pam, outer, cols, images, qnorm):
     # of m - half >= half digits: not m digits per leaf
     half = m // 2
     levels = pam[_lex_digits(np.arange(p ** (m - half)), p, m - half)[::-1]]
+    width = _leaf_width(p, cols, m, _TILE_MACS)
 
     def score(idx, tri, bound, keep=False):
         """Totals (L,) of the leaves ``idx`` of trials ``tri`` (grouped by
         trial) with outer bounds ``bound``; with ``keep``, also their
-        digits (L, m) and metrics (L, groups, n_cand)."""
-        hi, lo = np.divmod(idx, p**half)
-        x = np.ones((m + 1, len(idx)))
-        x[:half] = levels[:half, lo]
-        x[half:m] = levels[:, hi]
-        out = np.empty((form.shape[1], len(idx)))
+        digits (L, m) and metrics (L, groups, n_cand).  Each trial's run of
+        leaves is scored a tile of ``width`` at a time from its start, so a
+        tile's product has the columns one product over the run would:
+        OpenBLAS may round the columns past a product's last full kernel
+        block (its last n mod 8) differently."""
+        total = base[tri]
+        total += bound
+        metrics = np.empty((len(idx), len(cols), p ** cols.shape[1])) if keep else None
         edges = [0, *(np.flatnonzero(tri[1:] != tri[:-1]) + 1), len(tri)]
-        for s, e in zip(edges, edges[1:]):
-            np.matmul(form[tri[s]], x[:, s:e], out=out[:, s:e])
-        # a row-wise sum, so a leaf's rounding does not depend on L
-        total = base[tri] + bound + np.square(out[:k]).sum(axis=0)
-        metrics = out[k:].reshape(len(cols), -1, len(idx))
-        total += metrics.min(axis=1).sum(axis=0)
+        for start, stop in zip(edges, edges[1:]):
+            for s in range(start, stop, width):
+                e = min(s + width, stop)
+                hi, lo = np.divmod(idx[s:e], p**half)
+                x = np.ones((m + 1, e - s))
+                x[:half] = levels[:half, lo]
+                x[half:m] = levels[:, hi]
+                out = form[tri[s]] @ x
+                # a row-wise sum, so a leaf's rounding does not depend on L
+                total[s:e] += np.square(out[:k]).sum(axis=0)
+                tile = out[k:].reshape(len(cols), -1, e - s)
+                total[s:e] += tile.min(axis=1).sum(axis=0)
+                if keep:
+                    metrics[s:e] = tile.transpose(2, 0, 1)
         if not keep:
             return total
-        return total, _lex_digits(idx, p, m).T, metrics.transpose(2, 0, 1)
+        return total, _lex_digits(idx, p, m).T, metrics
 
-    return z_o, r_oo, levels, score
+    return z_o, r_oo, levels, score, width
 
 
 def _bounded_search(y, phi, pam, outer, cols, cand, images, qnorm, scale):
@@ -669,21 +718,18 @@ def _bounded_search(y, phi, pam, outer, cols, cand, images, qnorm, scale):
     least bounds per level; the least scored total of a trial's seeds,
     widened by ``_within``, is its radius.  The radius pass then keeps
     every hypothesis whose bound is within its trial's radius, so every
-    hypothesis whose total ties the least survives.  Survivors are scored
-    in chunks of leaves that may span trials, cut so that a chunk's
-    products are no larger than a scan's.  The tied survivors are scored again with their
-    group metrics and each trial takes the lexicographically smallest
-    full vector among them; a trial's seeds are scored with the shapes
-    it has alone, so its radius, survivors and counter do not depend on
-    the stack."""
+    hypothesis whose total ties the least survives, and every survivor
+    is scored, a tile at a time.  The tied survivors are scored again
+    with their group metrics and each trial
+    takes the lexicographically smallest full vector among them; a
+    trial's seeds are scored with the shapes it has alone, so its radius,
+    survivors and counter do not depend on the stack."""
     trials = len(y)
-    z_o, r_oo, levels, score = _qr_form(y, phi, pam, outer, cols, images, qnorm)
+    z_o, r_oo, levels, score, width = _qr_form(y, phi, pam, outer, cols, images, qnorm)
     seeds, tri, bound = _descend(z_o, r_oo, pam)
     limit = _within(score(seeds, tri, bound).reshape(trials, -1).min(axis=1), scale)
     survivors, tri, bound = _radius_pass(z_o, r_oo, len(pam), levels, limit)
-    width = _leaf_width(len(pam), cols)
-    totals = np.concatenate([score(survivors[s:s + width], tri[s:s + width], bound[s:s + width])
-                             for s in range(0, len(survivors), width)])
+    totals = score(survivors, tri, bound)
     least = np.full(trials, np.inf)
     np.minimum.at(least, tri, totals)
     tied = np.flatnonzero(totals <= _within(least, scale)[tri])

@@ -220,8 +220,17 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
     points, one block at a time: (points, Y, H, decoded levels,
     evaluations, wrong), a row per trial, with wrong[t, i] true when either
     real component of complex symbol i of trial t was decoded wrongly.
-    The oracle decodes one trial at a time."""
+    The oracle decodes one trial at a time.  A config whose predicted
+    hypothesis count exceeds ``EVALUATION_BUDGET`` is refused before any
+    draw."""
     design, n_r, oracle = cfg.design, cfg.n_r, cfg.decoder == "oracle"
+    per_codeword = _predicted_evals(design, cons, cfg.decoder)
+    total = per_codeword * cfg.trials * len(snrs)
+    if total > EVALUATION_BUDGET:
+        raise BudgetExceededError(
+            f"sweep needs ~{total:.3g} hypothesis evaluations "
+            f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}"
+        )
     block = 1 if oracle else _block_trials(design, cons, n_r)
     schedule = ((point, trial) for point in range(len(snrs)) for trial in range(cfg.trials))
     sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
@@ -244,13 +253,6 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     """Monte-Carlo symbol/codeword error rates over the configured sweep."""
     design = cfg.design
     cons = constellation(cfg.constellation)
-    per_codeword = _predicted_evals(design, cons, cfg.decoder)
-    total = per_codeword * cfg.trials * len(cfg.snr_db)
-    if total > EVALUATION_BUDGET:
-        raise BudgetExceededError(
-            f"sweep needs ~{total:.3g} hypothesis evaluations "
-            f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}"
-        )
     encoder = default_encoder(design, cons.pam)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
     n = len(snrs)

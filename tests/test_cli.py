@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from stbc import sim
 from stbc.cli import main
-from stbc.errors import DesignFormatError, RankDeficientError
+from stbc.errors import BudgetExceededError, DesignFormatError, RankDeficientError
 from stbc.linalg import matrix_from_text, matrix_to_text
 
 
@@ -133,6 +136,15 @@ class TestDecodeCommand:
         out = tmp_path / "dec.csv"
         with pytest.raises(ValueError, match="n_r must be >= 1"):
             run("decode", "--a", 1, "--snr-db", 8, "--trials", 10, "--nr", 0, "--out", out)
+        assert not out.exists()
+
+    def test_over_budget_refused_before_any_draw(self, tmp_path):
+        # ~4.19e12 predicted evaluations: refused as the sweep refuses it
+        out = tmp_path / "dec.csv"
+        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+            with pytest.raises(BudgetExceededError, match=r"^sweep needs ~4\.19e\+12 "):
+                run("decode", "--a", 3, "--layers", 2, "--snr-db", 10, "--trials", 10**6,
+                    "--out", out)
         assert not out.exists()
 
 

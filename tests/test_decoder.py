@@ -500,10 +500,9 @@ class TestBoundedSearch:
     ])
     def test_decision_independent_of_chunk_width(self, design, label):
         # 256 outer hypotheses: widths 1, 2, 3 and 17 take the bounded
-        # search and score its survivors in chunks of that width, the
-        # default scans all of them at once.  The rate-1 code has no outer
-        # index; with a received vector orthogonal to phi its groups tie
-        # x_g with -x_g.
+        # search, the default scans all of them at once.  The rate-1 code
+        # has no outer index; with a received vector orthogonal to phi its
+        # groups tie x_g with -x_g.
         from stbc import decoder
 
         cons = constellation(label)
@@ -672,6 +671,74 @@ class TestBoundedSearch:
                 tracemalloc.stop()
             assert evaluations.tolist() == [p ** len(outer) * 64] * block
             assert peak <= block * trial + shared
+
+    @pytest.mark.parametrize("code, leaf", [("a3-two-layer-4qam", 384),
+                                            ("a2-two-layer-16qam", 768)])
+    def test_tiles_within_the_cap(self, code, leaf):
+        # the leaf product (k + sum_g n_cand, m + 1) and the radius pass's
+        # (prefixes, half) by (half, p^half) are cut into tiles that are
+        # multiples of 64 columns (or prefixes) within _TILE_MACS
+        from stbc import decoder
+
+        design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
+                        "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
+        groups, outer = design.structure
+        p, m = len(cons.pam), len(outer)
+        rows = sum(len(g) + p ** len(g) for g in groups)
+        cap = decoder._TILE_MACS
+        assert decoder._leaf_width(p, groups, m, cap) == leaf
+        for width, per_column in ((leaf, rows * (m + 1)),
+                                  (decoder._radius_width(p, m, cap), p ** (m // 2) * (m // 2))):
+            assert width % 64 == 0
+            assert width * per_column <= decoder._TILE_MACS
+
+    @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
+    def test_totals_and_decisions_do_not_depend_on_the_tile(self, code):
+        # the narrowest tiles (64 columns), the default ones and one product
+        # per trial's run of leaves give the seeds and the survivors
+        # bit-identical totals, hence the same radii, survivors, decisions
+        # and counters, on a drawn, a zero and a one-entry channel and a
+        # zero received matrix (~60,000 survivors, whose run starts mid-tile
+        # in the stack), alone and stacked
+        from stbc import decoder
+
+        design, cons = {"a3-two-layer-4qam": (self.A3, CONS),
+                        "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
+        enc, kinds = self._kinds(design, cons, 2, 10.0, seed=71)
+        y, h = kinds["drawn"]
+        one = np.zeros_like(h)
+        one[0, 0] = h[0, 0]
+        trials = [(y, h), (y, np.zeros_like(h)), (y, one), kinds["zero received"]]
+        stacks = [[t] for t in trials] + [trials]
+        real = decoder._qr_form
+
+        def decode(stack):
+            scores, widths = [], []
+
+            def qr_form(*args):
+                *head, score, width = real(*args)
+                widths.append(width)
+
+                def recorded(*a, **kw):
+                    out = score(*a, **kw)
+                    if not kw:  # the seeds' and the survivors' totals
+                        scores.append(out.tobytes())
+                    return out
+                return (*head, recorded, width)
+
+            with patch.object(decoder, "_qr_form", qr_form):
+                levels, evaluations, _ = decoder._decode_stack(
+                    *map(np.array, zip(*stack)), design, cons, np.full(len(stack), 10.0), enc)
+            return levels.tolist(), evaluations.tolist(), scores, widths[0]
+
+        for stack in stacks:
+            got = []
+            for cap in (1, decoder._TILE_MACS, 1 << 27):
+                with patch.object(decoder, "_TILE_MACS", cap):
+                    got.append(decode(stack))
+            # the large cap scores each trial's leaves, 65,536 at most, at once
+            assert got[0][3] == 64 and got[2][3] >= 65536
+            assert got[0][:3] == got[1][:3] == got[2][:3]
 
     @pytest.mark.parametrize("code", ["a3-two-layer-4qam", "a2-two-layer-16qam"])
     def test_channel_with_one_entry(self, code):

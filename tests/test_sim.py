@@ -86,6 +86,17 @@ class TestErrorSweep:
         with pytest.raises(BudgetExceededError):
             run_error_sweep(cfg)
 
+    @pytest.mark.parametrize("entry", [run_error_sweep, run_decode_trials])
+    def test_one_budget_rule_before_any_draw(self, entry):
+        # the sweep and the decode log refuse the same config alike
+        d = extend_full_rate(build_rate1_4group(3), 2)
+        cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**6)
+        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+            with pytest.raises(BudgetExceededError) as err:
+                entry(cfg)
+        assert str(err.value) == ("sweep needs ~4.19e+12 hypothesis evaluations "
+                                  "(4194304 per codeword); budget is 2e+09")
+
     @pytest.mark.parametrize("name", ["group", "conditional", "sphere"])
     def test_unknown_decoder_rejected(self, name):
         with pytest.raises(ValueError, match="unknown decoder"):
