@@ -4,14 +4,13 @@ The coded channel's capacity per channel use is
 
     C = (1/2T) E_H log2 det( I + (snr/n_t) H_eq^T H_eq )
 
-with H_eq built from the energy-normalized generator matrix, against the
+with H_eq gathered from the energy-normalized weights' taps, against the
 plain channel benchmark C = E_H log2 det( I + (snr/n_t) H H^H ).  Trials
 run as stacked arrays, ``_BLOCK`` channel draws at a time: one draw call,
-one H_eq gather from the weights' taps (``channel.equivalent_channel``)
-and one batched Cholesky factorization per block.  Every
-eigenvalue of I + rho A^H A is at least 1, so the factorization is well
-conditioned at any snr, and log2 det is twice the log2-sum of its
-diagonal.  ``logdet_gram_qr`` (Gram-Schmidt QR of [sqrt(rho) A; I]) and
+one H_eq gather (``channel.equivalent_channel``) and one batched Cholesky
+factorization per block.  Every eigenvalue of I + rho A^H A is at least 1,
+so the factorization is well conditioned at any snr, and log2 det is twice
+the log2-sum of its diagonal.  ``logdet_gram_qr`` (Gram-Schmidt QR of [sqrt(rho) A; I]) and
 ``logdet_gram_lu`` (slogdet) are the per-matrix reference routes the
 tests compare the batched one against.
 
@@ -57,6 +56,8 @@ MIN_TRIALS = 100
 #: 0.3 MB for the a=4 rate-1 code at n_r=2 (64 x 32 H_eq), and larger
 #: blocks buy little speed for their memory
 _BLOCK = 10
+#: ``low_snr_condition``'s largest |A_i A_i^H - c_i I| for a proportional weight
+_PROPORTIONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,6 @@ def low_snr_condition(
     trials: int = 2000,
     snr: float = 1e-2,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> Report:
     """Check the low-snr capacity-preservation condition.
 
@@ -194,7 +194,7 @@ def low_snr_condition(
     c = np.trace(grams, axis1=1, axis2=2).real / design.n_t
     resid = np.abs(grams - c[:, None, None] * np.eye(design.n_t)).max(axis=(1, 2))
     witnesses = [f"weight {i + 1}: A A^H is not proportional to I"
-                 for i in np.flatnonzero(resid > tol)]
+                 for i in np.flatnonzero(resid > _PROPORTIONAL_TOL)]
     constants = c.tolist()
     proportional = not witnesses
     report.add(

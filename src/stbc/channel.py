@@ -31,7 +31,7 @@ import numpy as np
 
 from .designs import STBCDesign
 from .errors import DimensionMismatchError, RankDeficientError
-from .linalg import _require_count, gram_schmidt_qr, pairwise_residual
+from .linalg import CERT_TOL, _require_count, gram_schmidt_qr, pairwise_residual
 from .rng import CTX_PROFILE, substream
 
 __all__ = [
@@ -132,16 +132,14 @@ def _require_tall(design: STBCDesign, n_r: int) -> None:
         )
 
 
-def column_orthogonality_pairs(
-    design: STBCDesign, tol: float = 1e-12
-) -> set[tuple[int, int]]:
+def column_orthogonality_pairs(design: STBCDesign) -> set[tuple[int, int]]:
     """All 0-based index pairs (i < j) with A_i A_j^H + A_j A_i^H = 0.
 
     For every such pair the i-th and j-th columns of H_eq are orthogonal
     for every channel realization.
     """
     resid = pairwise_residual(design.weight_stack, design.weight_stack, adjoint=True)
-    return set(map(tuple, np.argwhere(np.triu(resid <= tol, 1)).tolist()))
+    return set(map(tuple, np.argwhere(np.triu(resid <= CERT_TOL, 1)).tolist()))
 
 
 def mandated_zero_mask(design: STBCDesign) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadIndexOrderError, UnsupportedSizeError
-from .linalg import kron_power, pairwise_residual
+from .linalg import CERT_TOL, kron_power, pairwise_residual
 from .reports import Report
 
 __all__ = [
@@ -243,15 +243,15 @@ def all_lambda_products(cliff: CliffordSet) -> list[SignedProduct]:
     return power_set_products(singles, n=cliff.n)
 
 
-def verify_traceless(cliff: CliffordSet, tol: float = 1e-12) -> Report:
+def verify_traceless(cliff: CliffordSet) -> Report:
     """Check that every non-identity generator product is traceless."""
     report = Report(f"tracelessness of generator products (a={cliff.a})")
     products = all_lambda_products(cliff)  # the identity leads
     traces = np.trace(np.stack([p.matrix for p in products]), axis1=1, axis2=2).tolist()
-    witnesses = [] if abs(traces[0] - cliff.n) < tol else [
+    witnesses = [] if abs(traces[0] - cliff.n) < CERT_TOL else [
         f"identity trace {traces[0]} != {cliff.n}"]
     witnesses += [f"{p.label()} has trace {t}"
-                  for p, t in zip(products[1:], traces[1:]) if abs(t) > tol]
+                  for p, t in zip(products[1:], traces[1:]) if abs(t) > CERT_TOL]
     report.add(
         f"all {len(products) - 1} non-identity products traceless",
         not witnesses,
@@ -260,28 +260,28 @@ def verify_traceless(cliff: CliffordSet, tol: float = 1e-12) -> Report:
     return report
 
 
-def verify_generators(cliff: CliffordSet, tol: float = 1e-12) -> Report:
+def verify_generators(cliff: CliffordSet) -> Report:
     """Certify anti-Hermitianness, unitarity and pairwise anticommutation."""
     report = Report(f"generator certification (a={cliff.a})")
     gens = np.stack(cliff.generators)
     gens_h = gens.conj().swapaxes(-1, -2)
 
     resid = np.abs(gens_h + gens).max(axis=(1, 2))
-    bad = [f"g{i + 1}: max |G^H + G| = {r:.2e}" for i, r in enumerate(resid) if r > tol]
+    bad = [f"g{i + 1}: max |G^H + G| = {r:.2e}" for i, r in enumerate(resid) if r > CERT_TOL]
     report.add("anti-Hermitian (G^H = -G)", not bad, bad)
 
     resid = np.abs(gens_h @ gens - np.eye(cliff.n)).max(axis=(1, 2))
-    bad = [f"g{i + 1}: max |G^H G - I| = {r:.2e}" for i, r in enumerate(resid) if r > tol]
+    bad = [f"g{i + 1}: max |G^H G - I| = {r:.2e}" for i, r in enumerate(resid) if r > CERT_TOL]
     report.add("unitary (G^H G = I)", not bad, bad)
 
     resid = pairwise_residual(gens, gens)
     bad = [f"(g{i + 1}, g{j + 1}): max |AB + BA| = {resid[i, j]:.2e}"
-           for i, j in np.argwhere(np.triu(resid > tol, 1))]
+           for i, j in np.argwhere(np.triu(resid > CERT_TOL, 1))]
     report.add("pairwise anticommutation", not bad, bad)
 
     allowed = np.array([0, 1, -1, 1j, -1j], dtype=complex)
     resid = np.abs(gens[..., None] - allowed).min(axis=-1).max(axis=(1, 2))
     bad = [f"g{i + 1} has an entry outside {{0, +-1, +-j}}"
-           for i in np.flatnonzero(resid > tol)]
+           for i in np.flatnonzero(resid > CERT_TOL)]
     report.add("entries in {0, +-1, +-j}", not bad, bad)
     return report

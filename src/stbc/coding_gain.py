@@ -39,7 +39,7 @@ from .errors import (
     StructureError,
     UnsupportedDimError,
 )
-from .linalg import _lex_digits
+from .linalg import CERT_TOL, _lex_digits
 
 __all__ = [
     "RotationSpec",
@@ -59,11 +59,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RotationSpec:
-    """An orthogonal symbol rotation plus how it was obtained/certified."""
+    """An orthogonal symbol rotation plus how it was certified."""
 
     dim: int
     U: np.ndarray
-    source: str
     certified_over: str = ""
     min_product_distance_value: float = float("nan")
 
@@ -104,7 +103,7 @@ class Encoder:
         return b
 
 
-def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
+def extract_W(design: STBCDesign) -> np.ndarray:
     """Sign basis of the first group's diagonals, scaled by sqrt(2/n_t).
 
     Row i holds the odd-position diagonal signs of the i-th weight of the
@@ -122,8 +121,9 @@ def extract_W(design: STBCDesign, tol: float = 1e-12) -> np.ndarray:
         )
     d = np.diagonal(g1, axis1=1, axis2=2)
     off = np.abs(g1 - d[:, :, None] * np.eye(n)).max(axis=(1, 2))
-    not_signs = (off > tol) | (np.abs(d.imag).max(1) > tol) | (np.abs(np.abs(d) - 1).max(1) > tol)
-    unpaired = np.abs(d.real[:, 0::2] - d.real[:, 1::2]).max(1) > tol
+    not_signs = ((off > CERT_TOL) | (np.abs(d.imag).max(1) > CERT_TOL)
+                 | (np.abs(np.abs(d) - 1).max(1) > CERT_TOL))
+    unpaired = np.abs(d.real[:, 0::2] - d.real[:, 1::2]).max(1) > CERT_TOL
     failing = np.flatnonzero(not_signs | unpaired)
     if failing.size:
         pos = failing[0]
@@ -192,20 +192,19 @@ def builtin_rotation(dim: int) -> RotationSpec:
     return RotationSpec(
         dim=dim,
         U=u,
-        source="builtin",
         certified_over=certified,
         min_product_distance_value=dist,
     )
 
 
-def rotation_from_matrix(u: np.ndarray, source: str = "user-file") -> RotationSpec:
+def rotation_from_matrix(u: np.ndarray) -> RotationSpec:
     """Wrap a user-supplied orthogonal matrix (orthogonality enforced)."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("rotation must be square")
     if np.abs(u.T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise ValueError("rotation matrix is not orthogonal")
-    return RotationSpec(dim=u.shape[0], U=u, source=source)
+    return RotationSpec(dim=u.shape[0], U=u)
 
 
 def default_encoder(
@@ -308,7 +307,7 @@ class MinDetResult:
 
 def min_determinant(
     design: STBCDesign,
-    encoder: Encoder | None = None,
+    encoder: Encoder,
     diff_levels: np.ndarray | None = None,
     budget: int = 10**7,
 ) -> MinDetResult:
@@ -324,19 +323,14 @@ def min_determinant(
     disagree beyond 1e-9 relative.
 
     ``diff_levels`` is the per-component difference alphabet; it defaults
-    to the differences of the encoder alphabet (or {-2, 0, 2} for the
-    unrotated integer baseline).
+    to the differences of the encoder alphabet.
     """
     w_signs = extract_W(design) * np.sqrt(design.n_t / 2.0)  # +-1 entries
     g1 = design.weight_stack[list(design.structure[0][0])]
     gs = len(g1)
-    rot = encoder.rotation if encoder is not None else np.eye(gs)
     if diff_levels is None:
-        if encoder is not None:
-            levels = encoder.alphabet
-            diff_levels = np.unique(np.subtract.outer(levels, levels).round(12))
-        else:
-            diff_levels = np.array([-2.0, 0.0, 2.0])
+        levels = encoder.alphabet
+        diff_levels = np.unique(np.subtract.outer(levels, levels).round(12))
     diff_levels = np.asarray(diff_levels, dtype=float)
 
     n_vec = len(diff_levels) ** gs
@@ -355,7 +349,7 @@ def min_determinant(
         dx = dx[:, np.any(dx != 0.0, axis=0)]  # drop the zero vector
         if dx.shape[1] == 0:
             continue
-        ds = rot @ dx  # stored-symbol differences
+        ds = encoder.rotation @ dx  # stored-symbol differences
         # closed form: prod over odd positions j of (sum_i sign_ij ds_i)^4
         closed = np.prod((w_signs.T @ ds) ** 4, axis=0)
         for col in range(ds.shape[1]):

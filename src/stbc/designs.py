@@ -40,7 +40,7 @@ from .errors import (
     StructureError,
     UnsupportedSizeError,
 )
-from .linalg import matrix_from_text, matrix_to_text, pairwise_residual, tilde_vec, vec
+from .linalg import CERT_TOL, matrix_from_text, matrix_to_text, pairwise_residual, tilde_vec, vec
 from .reports import Report
 
 __all__ = [
@@ -167,11 +167,11 @@ class STBCDesign:
         """The certified split that the complexity account, the encoder and
         the decoder read: (groups, outer), the first layer's four declared
         groups in declared order once they meet the cross-group dispersion
-        condition and every other index in ascending order (read-only), or
-        None when they do not.  StructureError when a group straddles the
-        first layer."""
+        condition at ``CERT_TOL``, as ``verify_group_decodable`` checks it,
+        and every other index in ascending order (read-only), or None when
+        they do not.  StructureError when a group straddles the first layer."""
         groups = self.layer_groups(0)
-        if len(groups) != 4 or _dispersion_witnesses(self.weight_stack, groups, 1e-10):
+        if len(groups) != 4 or _dispersion_witnesses(self.weight_stack, groups):
             return None
         inner = {i for g in groups for i in g}
         outer = np.array([i for i in range(self.n_real_symbols) if i not in inner], dtype=int)
@@ -266,7 +266,7 @@ def build_rate1_4group(a: int, sign: int = 1) -> STBCDesign:
     return design
 
 
-def _dispersion_witnesses(ws: np.ndarray, groups, tol: float, start: int = 0) -> list[str]:
+def _dispersion_witnesses(ws: np.ndarray, groups, start: int = 0) -> list[str]:
     """One line per pair of weights in different groups that violates the
     cross-group condition A_i A_j^H + A_j A_i^H = 0, in group-pair, then
     row-major order; weights are numbered 1-based from index ``start``."""
@@ -277,12 +277,12 @@ def _dispersion_witnesses(ws: np.ndarray, groups, tol: float, start: int = 0) ->
         witnesses += [
             f"groups ({gi + 1},{gj + 1}) weights "
             f"({rows[x] - start + 1},{cols[y] - start + 1}): residual {resid[x, y]:.2e}"
-            for x, y in np.argwhere(resid > tol)  # row-major: the nested-loop order
+            for x, y in np.argwhere(resid > CERT_TOL)  # row-major: the nested-loop order
         ]
     return witnesses
 
 
-def verify_group_decodable(design: STBCDesign, tol: float = 1e-12) -> Report:
+def verify_group_decodable(design: STBCDesign) -> Report:
     """Check the cross-group condition A_i A_j^H + A_j A_i^H = 0 within
     each layer (groups of different layers need not meet it), numbering
     witnesses from the layer's first weight."""
@@ -292,13 +292,13 @@ def verify_group_decodable(design: STBCDesign, tol: float = 1e-12) -> Report:
     per = design.n_real_symbols // design.layers
     for layer in range(design.layers):
         witnesses = _dispersion_witnesses(
-            design.weight_stack, design.layer_groups(layer), tol, layer * per)
+            design.weight_stack, design.layer_groups(layer), layer * per)
         report.add(f"layer {layer + 1}: " * layered + "all cross-group pairs",
                    not witnesses, witnesses)
     return report
 
 
-def verify_theorem1(design: STBCDesign, tol: float = 1e-12) -> Report:
+def verify_theorem1(design: STBCDesign) -> Report:
     """Certify the six normal-form conditions of a g-group design.
 
     1. first-group matrices square to +I
@@ -319,26 +319,27 @@ def verify_theorem1(design: STBCDesign, tol: float = 1e-12) -> Report:
     headers = np.array([g[0] for g in design.groups[1:]], dtype=int)
 
     resid = np.abs(ws[g1] @ ws[g1] - eye).max(axis=(1, 2))
-    bad = [f"weight {i + 1}: max |A^2 - I| = {r:.2e}" for i, r in zip(g1, resid) if r > tol]
+    bad = [f"weight {i + 1}: max |A^2 - I| = {r:.2e}" for i, r in zip(g1, resid) if r > CERT_TOL]
     report.add("1: first group squares to +I", not bad, bad)
 
     resid = np.abs(ws[headers] @ ws[headers] + eye).max(axis=(1, 2))
-    bad = [f"weight {j + 1}: max |A^2 + I| = {r:.2e}" for j, r in zip(headers, resid) if r > tol]
+    bad = [f"weight {j + 1}: max |A^2 + I| = {r:.2e}"
+           for j, r in zip(headers, resid) if r > CERT_TOL]
     report.add("2: group headers square to -I", not bad, bad)
 
     resid = pairwise_residual(ws[g1], ws[g1], sign=-1)
     bad = [f"({g1[x] + 1},{g1[y] + 1}): commutator residual {resid[x, y]:.2e}"
-           for x, y in np.argwhere(np.triu(resid > tol, 1))]
+           for x, y in np.argwhere(np.triu(resid > CERT_TOL, 1))]
     report.add("3: first group commutes pairwise", not bad, bad)
 
     resid = pairwise_residual(ws[g1], ws[headers], sign=-1)
     bad = [f"({g1[x] + 1},{headers[y] + 1}): commutator residual {resid[x, y]:.2e}"
-           for x, y in np.argwhere(resid > tol)]
+           for x, y in np.argwhere(resid > CERT_TOL)]
     report.add("4: first group commutes with headers", not bad, bad)
 
     resid = pairwise_residual(ws[headers], ws[headers])
     bad = [f"({headers[x] + 1},{headers[y] + 1}): anticommutator residual {resid[x, y]:.2e}"
-           for x, y in np.argwhere(np.triu(resid > tol, 1))]
+           for x, y in np.argwhere(np.triu(resid > CERT_TOL, 1))]
     report.add("5: headers anticommute pairwise", not bad, bad)
 
     bad = []
@@ -349,10 +350,10 @@ def verify_theorem1(design: STBCDesign, tol: float = 1e-12) -> Report:
         resid = np.abs(ws[list(group)] - ws[g1[: len(group)]] @ ws[group[0]]).max(axis=(1, 2))
         bad += [f"group {m + 1} entry {pos + 1} (weight {j + 1}): "
                 f"deviates from row rule by {r:.2e}"
-                for pos, (j, r) in enumerate(zip(group, resid)) if r > tol]
+                for pos, (j, r) in enumerate(zip(group, resid)) if r > CERT_TOL]
     report.add("6: row-generation rule", not bad, bad)
 
-    report.extend(verify_group_decodable(design, tol))
+    report.extend(verify_group_decodable(design))
     return report
 
 
@@ -458,7 +459,7 @@ def extend_full_rate(
     return design
 
 
-def verify_design(design: STBCDesign, tol: float = 1e-12) -> Report:
+def verify_design(design: STBCDesign) -> Report:
     """Certification appropriate to the design's structure.
 
     Rate-1 designs get the full normal-form check; layered designs are
@@ -466,7 +467,7 @@ def verify_design(design: STBCDesign, tol: float = 1e-12) -> Report:
     (the layers themselves are unitary multiples, not in normal form).
     """
     verify = verify_theorem1 if design.layers == 1 else verify_group_decodable
-    return verify(design, tol)
+    return verify(design)
 
 
 def codeword(design: STBCDesign, s: np.ndarray) -> np.ndarray:

@@ -32,8 +32,12 @@ __all__ = [
     "real_matrix_from_text",
 ]
 
-#: default relative rank tolerance for gram_schmidt_qr
+#: relative rank tolerance of gram_schmidt_qr and the capacity estimators
 DEFAULT_RANK_TOL = 1e-10
+
+#: the one tolerance of every exact algebraic check, ``STBCDesign.structure``
+#: included: a residual above it fails
+CERT_TOL = 1e-12
 
 
 def _require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -101,9 +105,7 @@ def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     return idx // p ** np.arange(n - 1, -1, -1)[:, None] % p
 
 
-def gram_schmidt_qr(
-    a: np.ndarray, tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR factorization by modified Gram-Schmidt, without pivoting.
 
     Returns (Q, R) with Q having orthonormal columns, R upper triangular
@@ -112,7 +114,7 @@ def gram_schmidt_qr(
     *leading* columns of A, which is what the R-matrix analysis relies on.
 
     Raises RankDeficientError when a pivot column norm falls below
-    ``tol * ||A||_F``.
+    ``DEFAULT_RANK_TOL * ||A||_F``.
     """
     a = np.array(a, dtype=float)
     _require_finite(a, "QR input")
@@ -122,7 +124,7 @@ def gram_schmidt_qr(
     scale = np.linalg.norm(a)
     if scale == 0.0:
         raise RankDeficientError("matrix is identically zero")
-    thresh = tol * scale
+    thresh = DEFAULT_RANK_TOL * scale
     q = a.copy()
     r = np.zeros((n, n))
     for i in range(n):

@@ -51,6 +51,7 @@ from .coding_gain import Encoder, default_encoder, extract_W, full_symbol_matrix
 from .channel import _complex_normal, mandated_zero_mask, profile_over_channels
 from .decoder import (
     Constellation,
+    _ORACLE_BUDGET,
     _block_trials,
     _decode_stack,
     _final_metric,
@@ -67,7 +68,7 @@ from .designs import (
     verify_theorem1,
 )
 from .errors import BudgetExceededError
-from .linalg import _require_count, matrix_from_text, pairwise_residual
+from .linalg import CERT_TOL, _require_count, matrix_from_text, pairwise_residual
 from .reports import Report
 from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, draw_block, draws, substream
 
@@ -459,10 +460,10 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         sizes = member.sum(axis=1)
         want = np.array([subset_square_sign(k) for k in sizes])[:, None, None] * np.eye(cliff.n)
         resid = np.abs((mats @ mats) / scalars**2 - want).max(axis=(1, 2))
-        bad_sq = [products[i].label() for i in np.flatnonzero(resid > 1e-12)]
+        bad_sq = [products[i].label() for i in np.flatnonzero(resid > CERT_TOL)]
         report.add("subset squares match the sign rule", not bad_sq, bad_sq)
         want = np.vectorize(products_commute)(sizes[:, None], sizes, member @ member.T)
-        got = pairwise_residual(mats, mats, sign=-1) < 1e-12
+        got = pairwise_residual(mats, mats, sign=-1) < CERT_TOL
         bad_comm = [f"{products[i].label()} vs {products[j].label()}"
                     for i, j in np.argwhere(got != want)]
         report.add(
@@ -478,7 +479,7 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     w = extract_W(base)
     resid = float(np.abs(w.T @ w - np.eye(w.shape[0])).max())
-    report.add("W orthogonality", resid < 1e-12, detail=f"residual {resid:.2e}")
+    report.add("W orthogonality", resid < CERT_TOL, detail=f"residual {resid:.2e}")
 
     cons = constellation("4qam")
     encoder = default_encoder(base, cons.pam)
@@ -512,7 +513,7 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     silver = extend_full_rate(build_rate1_4group(1), 2)
     checks = [(silver, 2, 2, 25,
                "conditional decoder == exhaustive oracle (two antennas, two layers)")]
-    if len(cons.pam) ** base.n_real_symbols <= 1 << 18:
+    if len(cons.pam) ** base.n_real_symbols <= _ORACLE_BUDGET:
         checks.insert(0, (base, 1, 1, 8, "group decoder == exhaustive oracle"))
     else:
         report.add(

@@ -139,7 +139,7 @@ class TestBuiltinRotations:
         with pytest.raises(ValueError):
             rotation_from_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
         spec = rotation_from_matrix(np.eye(2))
-        assert spec.source == "user-file"
+        assert spec.dim == 2 and np.array_equal(spec.U, np.eye(2))
 
 
 class TestEncoder:

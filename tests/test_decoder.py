@@ -23,6 +23,7 @@ from stbc.designs import (
     codeword,
     extend_full_rate,
     verify_design,
+    verify_group_decodable,
 )
 from stbc.errors import (
     BudgetExceededError,
@@ -463,6 +464,43 @@ class TestUncertifiedDesign:
             decode_auto(y, h, d, CONS, 10.0)
         with pytest.raises(NotGroupDecodableError):
             run_error_sweep(SimConfig(design=d, n_r=2, trials=2))
+
+
+class TestOneCertificationTolerance:
+    """The split the decoder and the R-matrix analysis read is exactly the
+    one certification passes: a weight nudged by 1e-14 I stays certified
+    everywhere, one nudged by 3e-11 I is certified nowhere."""
+
+    @pytest.mark.parametrize("eps", [1e-14, 3e-11])
+    @pytest.mark.parametrize("base, weight", [
+        pytest.param(lambda: build_rate1_4group(2), 4, id="a2-rate1-weight5"),
+        pytest.param(silver_design, 2, id="a1-two-layer-weight3"),
+    ])
+    def test_split_equals_certification(self, base, weight, eps):
+        from dataclasses import replace
+
+        from stbc.channel import column_orthogonality_pairs, mandated_zero_mask
+
+        d = base()
+        weights = list(d.weights)
+        weights[weight] = weights[weight] + eps * np.eye(d.n_t)
+        d = replace(d, weights=tuple(weights))
+        certified = verify_group_decodable(d).checks[0].passed
+        assert (d.structure is not None) == certified == (eps < 1e-12)
+
+        claimed = set(map(tuple, np.argwhere(np.triu(mandated_zero_mask(d), 1)).tolist()))
+        assert claimed <= column_orthogonality_pairs(d)
+        assert bool(claimed) == certified
+
+        enc = default_encoder(d, CONS.pam)
+        y, h, _ = random_trial(d, enc, 2, 10.0, seed=7, trial=0)
+        oracle = ml_oracle(y, h, d, CONS, 10.0, enc)
+        assert oracle.metric_evaluations == 2 ** d.n_real_symbols
+        if certified:
+            assert decode_auto(y, h, d, CONS, 10.0, enc).level_indices == oracle.level_indices
+        else:
+            with pytest.raises(NotGroupDecodableError):
+                decode_auto(y, h, d, CONS, 10.0, enc)
 
 
 class TestBoundedSearch:
