@@ -18,7 +18,8 @@ orthogonal for every H, whatever their position, which pins structural
 zeros into the R factor of the column-ordered QR.  The zeros claimed
 are read from the design's own groups, in any index order: the pairs of
 two different first-layer groups once ``STBCDesign.structure`` certifies
-them, and those of every later layer for the ``extend_full_rate`` codes.
+them, and those of every later layer that passes the same condition in
+the ``extend_full_rate`` codes.
 For the builtin codes each layer's diagonal R block collapses to I_4 x V,
 V upper triangular of size n_t/2.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import STBCDesign
+from .designs import STBCDesign, _dispersion_witnesses
 from .errors import DimensionMismatchError, RankDeficientError
 from .linalg import CERT_TOL, _require_count, gram_schmidt_qr, pairwise_residual
 from .rng import CTX_PROFILE, substream
@@ -150,15 +151,19 @@ def mandated_zero_mask(design: STBCDesign) -> np.ndarray:
     layer: its columns come first, so each q_i lies in the span of its own
     group's columns.  A later layer's q_i also carries the projections off
     the earlier layers, so its own cross-group condition does not pin its
-    zeros; they are claimed only for designs built by ``extend_full_rate``
-    (``products`` present).  Off-diagonal layer blocks carry no
-    guaranteed zeros.
+    zeros alone; they are claimed only for designs built by
+    ``extend_full_rate`` (``products`` present) and only when that layer
+    meets the condition, as ``verify_group_decodable`` checks it.
+    Off-diagonal layer blocks carry no guaranteed zeros.
     """
     n = design.n_real_symbols
     mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
     if design.structure is not None:
-        for layer in range(design.layers if design.products is not None else 1):
-            mask |= _cross_group_pairs(n, design.layer_groups(layer))
+        mask |= _cross_group_pairs(n, design.structure[0])
+        for layer in range(1, design.layers if design.products is not None else 1):
+            groups = design.layer_groups(layer)
+            if not _dispersion_witnesses(design.weight_stack, groups):
+                mask |= _cross_group_pairs(n, groups)
     return mask
 
 

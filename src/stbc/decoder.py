@@ -16,6 +16,14 @@ real model y = phi x + n.
   ``BudgetExceededError``); it is the reference the structured search is
   tested against and keeps its own plain loop, with the same tie rule.
 
+Inputs are checked once, at these two public entry points (``_checked``):
+a non-finite Y or H, a non-finite or negative snr and a received matrix
+without H's rows and T columns raise a ``ValueError`` subclass.  The
+stacked search behind them (``_decode_stack``) takes its inputs as
+checked, so the simulator's blocks -- drawn by ``rng.draw_block`` from
+finite normals, at SNRs its ``SimConfig`` checked -- are not scanned
+again.
+
 The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
 SNR each, into stacked y and phi.  The first layer's four groups, equal
@@ -56,17 +64,19 @@ the exhaustive search's.  A block of bounded searches scans, unpruned,
 no more hypotheses than one trial may (``_block_trials``), so its worst
 case on the two codes above at n_r = 2 is under 55 MiB of search state.
 
-Tiles (``_tile``): no product of the bounded search takes more than
-``_TILE_MACS`` (2^19) multiply-adds, half the size from which OpenBLAS
-(0.3.31, 2 CPUs) ran an (80, 17) by (17, w) product on its thread pool.
-The pool gained nothing alone on an idle host; with a second such
-process running it took 3.5-16 ms a product at 1.04M multiply-adds and
-more, against 23 us at 0.87M.  The leaves are scored, and the radius
-pass's prefixes extended, one tile at a time: 384 leaves of the 8 x 2
-code's (80, 17) leaf form, 768 of the 16-QAM code's (72, 9).  A tile is
-a multiple of 64 columns and starts a whole number of tiles after its
-trial's first leaf, so on OpenBLAS a total is the one a single product
-over the trial's leaves gives, to the bit, whatever the cap.
+Tiles (``_tile``): no product of the bounded search or of the oracle
+takes more than ``_TILE_MACS`` (2^19) multiply-adds, half the size from
+which OpenBLAS (0.3.31, 2 CPUs) ran an (80, 17) by (17, w) product on
+its thread pool.  The pool gained nothing alone on an idle host; with a
+second such process running it took 3.5-16 ms a product at 1.04M
+multiply-adds and more, against 23 us at 0.87M.  The leaves are scored,
+and the radius pass's prefixes extended, one tile at a time: 384 leaves
+of the 8 x 2 code's (80, 17) leaf form, 768 of the 16-QAM code's (72,
+9); the oracle scans 2,048 candidates at a time on the 4 x 2 rate-2
+code at n_r = 2.  A tile is a multiple of 64 columns and starts a whole
+number of tiles after its trial's first leaf (the oracle's first
+candidate), so on OpenBLAS a total is the one a single product over
+them gives, to the bit, whatever the cap.
 
 Ties (``_within``): totals within 1e-9 of |least| + ||y||^2 + the
 groups' largest image energies are tied, and so are a group's candidates
@@ -156,18 +166,23 @@ class Constellation:
 
 
 def square_qam(m: int) -> Constellation:
-    """Unit-energy square M-QAM, M in {4, 16, 64, 256, ...}."""
+    """Unit-energy square M-QAM, M in {4, 16, 64, 256, ...}, with
+    read-only ``points`` and ``pam``."""
     root = isqrt(m)
     if root * root != m or root % 2 or m < 4:
         raise ValueError(f"square QAM needs an even perfect-square size, got {m}")
     delta = np.sqrt(3.0 / (2.0 * (m - 1)))
     pam = delta * (2.0 * np.arange(root) - (root - 1))
     points = (pam[:, None] + 1j * pam[None, :]).reshape(-1)
+    for a in (pam, points):
+        a.setflags(write=False)
     return Constellation(label=f"{m}qam", points=points, pam=pam)
 
 
+@lru_cache(maxsize=16)
 def constellation(label: str) -> Constellation:
-    """Parse labels like '4qam', '16-QAM'."""
+    """Parse labels like '4qam', '16-QAM'; one shared, read-only instance
+    per label."""
     clean = label.lower().replace("-", "").replace("_", "")
     if not clean.endswith("qam"):
         raise ValueError(f"unsupported constellation {label!r} (square QAM only)")
@@ -249,6 +264,20 @@ def _structure(design: STBCDesign):
     return design.structure
 
 
+def _checked(Y, H, design: STBCDesign, snr):
+    """(Y, H, snr) of one trial as complex arrays and floats: the public
+    decoders' input check.  Non-finite entries, a non-finite or negative
+    snr and a received matrix without H's rows and T columns are
+    refused."""
+    Y = _require_finite(np.asarray(Y, dtype=complex), "received matrix")
+    H = _require_finite(np.asarray(H, dtype=complex), "channel")
+    if Y.shape != H.shape[:-1] + (design.T,):
+        raise DimensionMismatchError(
+            f"received matrix shape {Y.shape} != {H.shape[:-1] + (design.T,)}"
+        )
+    return Y, H, _require_snr(snr)
+
+
 def _effective_operator(
     Y: np.ndarray,
     H: np.ndarray,
@@ -259,17 +288,11 @@ def _effective_operator(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y_tilde, phi, b_matrix): the real model y = phi x + n, for one
     trial (Y (n_r, T), H (n_r, n_t), a scalar snr) or a stack of them
-    (Y (..., n_r, T), H (..., n_r, n_t), one snr per trial).  Non-finite
-    entries and a non-finite or negative snr are refused."""
-    Y = _require_finite(np.asarray(Y, dtype=complex), "received matrix")
-    H = _require_finite(np.asarray(H, dtype=complex), "channel")
-    if Y.shape != H.shape[:-1] + (design.T,):
-        raise DimensionMismatchError(
-            f"received matrix shape {Y.shape} != {H.shape[:-1] + (design.T,)}"
-        )
+    (Y (..., n_r, T), H (..., n_r, n_t), one snr per trial).  The inputs
+    are taken as checked (``_checked``, or the simulator's own draws)."""
     if encoder is None:
         encoder = default_encoder(design, cons.pam)
-    c = np.sqrt(_require_snr(snr) / design.n_t) * design.energy_scale
+    c = np.sqrt(snr / design.n_t) * design.energy_scale
     b = full_symbol_matrix(design, encoder)
     phi = c[..., None, None] * equivalent_channel(H, design) @ b
     # tilde(vec(Y)) per trial: columns stacked, then re/im interleaved
@@ -315,23 +338,26 @@ def ml_oracle(
 ) -> DecodeResult:
     """Globally exhaustive ML decoding over all M^k candidates (at most
     ``_ORACLE_BUDGET``): the reference the structured search is tested
-    against, a plain loop with no groups, QR or tables.  Of the candidates
-    whose metric is within ``_within`` of the least, with ||y||^2 plus the
-    largest ||phi x||^2 as its scale, it returns the lexicographically
-    smallest index vector: the structured search's tie rule."""
+    against, a plain loop with no groups, QR or tables, one ``_tile`` of
+    candidates at a time.  Of the candidates whose metric is within
+    ``_within`` of the least, with ||y||^2 plus the largest ||phi x||^2
+    as its scale, it returns the lexicographically smallest index vector:
+    the structured search's tie rule."""
     pam = cons.pam
     n = design.n_real_symbols
     total = len(pam) ** n
     if total > _ORACLE_BUDGET:
         raise BudgetExceededError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
+    Y, H, snr = _checked(Y, H, design, snr)
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
     metrics = np.empty(total)
     largest = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        image = phi @ pam[_lex_digits(idx, len(pam), n)]  # (rows, chunk)
+    width = _tile(phi.shape[0] * n, _TILE_MACS)
+    for start in range(0, total, width):
+        idx = np.arange(start, min(start + width, total))
+        image = phi @ pam[_lex_digits(idx, len(pam), n)]  # (rows, width)
         resid = y[:, None] - image
-        metrics[start:start + _CHUNK] = np.einsum("ij,ij->j", resid, resid)
+        metrics[start:start + width] = np.einsum("ij,ij->j", resid, resid)
         largest = max(largest, np.einsum("ij,ij->j", image, image).max())
     best = np.argmax(metrics <= _within(metrics.min(), y @ y + largest))
     levels = _lex_digits(np.array([best]), len(pam), n)[:, 0]
@@ -534,6 +560,8 @@ def _lex_least(full, tri):
     """(rows, trials): the lexicographically smallest row of ``full`` (L,
     n) (first real symbol most significant) of each trial present in the
     trial indices ``tri`` (L,), in ascending trial order."""
+    if np.all(tri[1:] > tri[:-1]):  # one row per trial, in order: nothing to sort
+        return full, tri
     order = np.lexsort((*full.T[::-1], tri))
     owner = tri[order]
     first = order[np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))]
@@ -827,6 +855,6 @@ def decode_auto(
     """Exact ML decoding of any design whose first layer is four certified
     groups (group search at rate 1, outer-layer conditioning otherwise):
     one trial as a stack of one."""
-    stack = np.asarray(Y, dtype=complex)[None], np.asarray(H, dtype=complex)[None]
-    levels, evaluations, b = _decode_stack(*stack, design, cons, snr, encoder)
+    Y, H, snr = _checked(Y, H, design, snr)
+    levels, evaluations, b = _decode_stack(Y[None], H[None], design, cons, snr, encoder)
     return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations[0])

@@ -221,7 +221,9 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
     points, one block at a time: (points, Y, H, decoded levels,
     evaluations, wrong), a row per trial, with wrong[t, i] true when either
     real component of complex symbol i of trial t was decoded wrongly.
-    The oracle decodes one trial at a time.  A config whose predicted
+    The oracle decodes one trial at a time; the blocks go to the
+    decoder's stacked search unchecked, as their draws are finite and
+    ``SimConfig`` checked their SNRs.  A config whose predicted
     hypothesis count exceeds ``EVALUATION_BUDGET`` is refused before any
     draw."""
     design, n_r, oracle = cfg.design, cfg.n_r, cfg.decoder == "oracle"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,23 @@ class TestMandatedMask:
         assert max_abs[mask].max() < 1e-9
         assert max(p.layer_blocks[1].max_cross_group for p in profiles) > 0.1
         assert not any(p.layer_blocks[1].kron_identity for p in profiles)
+
+    def test_uncertified_later_layer_claims_no_zeros(self):
+        # weight 7 (layer 2) nudged past the certification tolerance: the
+        # design keeps its products and its certified first layer, but
+        # fails verification, and layer 2's cross-group zeros are not
+        # claimed any more
+        d = extend_full_rate(build_rate1_4group(1), 2)
+        weights = list(d.weights)
+        weights[6] = weights[6] + 3e-11 * np.eye(d.n_t)
+        nudged = dataclasses.replace(d, weights=tuple(weights))
+        assert nudged.products is not None and nudged.structure is not None
+        assert not verify_design(nudged).passed
+        mask = mandated_zero_mask(nudged)
+        claimed = set(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
+        assert claimed <= column_orthogonality_pairs(nudged)
+        assert not claimed & {(5, 6), (6, 7)}
+        assert np.array_equal(mask[:4, :4], mandated_zero_mask(d)[:4, :4])
 
 
 INTERLEAVE = [0, 4, 1, 5, 2, 6, 3, 7]

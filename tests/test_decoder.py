@@ -56,6 +56,15 @@ class TestConstellation:
         with pytest.raises(ValueError):
             square_qam(8)
 
+    def test_one_read_only_instance_per_label(self):
+        c = constellation("4qam")
+        assert constellation("4qam") is c
+        with pytest.raises(ValueError):
+            c.pam[0] = 0.0
+        with pytest.raises(ValueError):
+            c.points[0] = 0.0
+        assert c.pam.tolist() == square_qam(4).pam.tolist()
+
     def test_symbol_index_layout(self):
         c = square_qam(4)
         # index = re_index * sqrt(M) + im_index
@@ -218,6 +227,35 @@ class TestOracleEquivalence:
             assert res.level_indices == best_lv
             assert abs(res.metric - best) < 1e-9
 
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_oracle_does_not_depend_on_the_tile(self, a):
+        # 64-candidate tiles, the default ones (the Silver code's 256
+        # candidates at once, the a=2 two-layer code's 65,536 in tiles of
+        # 2,048) and one product over all of them give bit-identical least
+        # metrics and tie scales, so the same decisions, on drawn trials
+        # and a zero channel
+        from stbc import decoder
+
+        d = extend_full_rate(build_rate1_4group(a), 2)
+        enc = default_encoder(d, CONS.pam)
+        trials = [random_trial(d, enc, 2, 10.0, seed=17, trial=t)[:2] for t in range(2)]
+        trials.append((trials[0][0], np.zeros_like(trials[0][1])))
+        within = decoder._within
+        for y, h in trials:
+            got = []
+            for cap in (1, decoder._TILE_MACS, 1 << 30):
+                seen = []
+
+                def recorded(value, scale):
+                    seen.append((float(value), float(scale)))
+                    return within(value, scale)
+
+                with patch.object(decoder, "_TILE_MACS", cap), \
+                        patch.object(decoder, "_within", recorded):
+                    res = ml_oracle(y, h, d, CONS, 10.0, enc)
+                got.append((res.level_indices, res.metric_evaluations, seen))
+            assert got[0] == got[1] == got[2]
+
 
 class TestTieBreaking:
     def test_zero_channel_all_decoders_pick_lexicographic_minimum(self):
@@ -252,6 +290,83 @@ class TestTieBreaking:
             r_orac = ml_oracle(y, h, d, CONS, snr, enc)
             assert r_orac.level_indices == r_auto.level_indices
             assert abs(r_orac.metric - r_auto.metric) < 1e-9
+
+
+class TestLexLeast:
+    """``_lex_least`` and ``_least_tied`` against a plain lexicographic
+    minimum per trial (first real symbol most significant)."""
+
+    @staticmethod
+    def _reference(full, tri):
+        rows = {}
+        for row, t in zip(map(tuple, full.tolist()), tri.tolist()):
+            rows[t] = min(rows.get(t, row), row)
+        return [rows[t] for t in sorted(rows)], sorted(rows)
+
+    @staticmethod
+    def _owners(rng, case, trials, leaves):
+        if case == "one row each":  # the early return: a strictly rising trial index
+            return np.sort(rng.choice(trials, size=leaves, replace=False))
+        return np.sort(rng.integers(0, trials, size=leaves))
+
+    @pytest.mark.parametrize("case", ["one row each", "repeated rows"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lex_least_equals_reference(self, case, seed):
+        from stbc.decoder import _lex_least
+
+        rng = np.random.default_rng([seed, 0x1e])
+        trials, n, p = 40, 9, 4
+        tri = self._owners(rng, case, trials, 25)
+        full = rng.integers(0, p, size=(len(tri), n))
+        if case == "repeated rows":  # equal rows within a trial and across trials
+            full[1::3] = full[0:-1:3]
+            full[:, :4] = full[0, :4]
+        rows, owners = _lex_least(full, tri)
+        want_rows, want_owners = self._reference(full, tri)
+        assert rows.tolist() == [list(r) for r in want_rows]
+        assert owners.tolist() == want_owners
+
+    @pytest.mark.parametrize("case", ["one row each", "repeated rows"])
+    @pytest.mark.parametrize("width", [1, 3, 1000])
+    def test_least_tied_equals_reference(self, case, width):
+        # four groups of two binary symbols and three outer symbols; each
+        # group takes its first candidate at the least metric, as argmin does
+        from stbc.decoder import _group_candidates, _least_tied
+
+        rng = np.random.default_rng([width, len(case)])
+        trials, leaves = 12, 30
+        cols = np.arange(8).reshape(4, 2)
+        outer = np.array([8, 9, 10])
+        cand = _group_candidates(2, 2)
+        owners = self._owners(rng, case, trials, 10 if case == "one row each" else leaves)
+        digits = rng.integers(0, 2, size=(len(owners), 3))
+        metrics = rng.permutation(len(owners) * 16).reshape(-1, 4, 4) / 7.0
+        metrics[:, :, 3] = metrics[:, :, 1] = metrics.min(axis=2)  # candidates 1 and 3 tie
+        if case == "repeated rows":
+            digits[1::2], metrics[1::2] = digits[:-1:2], metrics[:-1:2]
+        full = np.empty((len(owners), 11), dtype=int)
+        full[:, outer] = digits
+        for g in range(4):
+            full[:, cols[g]] = cand[:, np.argmin(metrics[:, g], axis=1)].T
+
+        got = _least_tied(cols, cand, outer, owners, np.ones(trials), width,
+                          lambda part: (digits[part], metrics[part]))
+        assert [tuple(r) for r in got.tolist()] == self._reference(full, owners)[0]
+
+    @pytest.mark.parametrize("tie_width", [5, 1 << 20])
+    def test_all_tied_zero_channel_stack(self, tie_width):
+        # every hypothesis of every trial ties: each takes the all-zero
+        # vector, whether one chunk holds the ties or many chunks span trials
+        from stbc import decoder
+
+        d = silver_design()
+        enc = default_encoder(d, CONS.pam)
+        y = np.ones((3, 2, 2), dtype=complex)
+        with patch.object(decoder, "_tie_width", lambda *args: tie_width):
+            levels, evaluations, _ = decoder._decode_stack(
+                y, np.zeros_like(y), d, CONS, np.full(3, 10.0), enc)
+        assert levels.tolist() == [[0] * 8] * 3
+        assert evaluations.tolist() == [complexity_account(d, CONS).conditional_evaluations] * 3
 
 
 class TestMetricRecomputation:

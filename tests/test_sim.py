@@ -123,7 +123,7 @@ class TestErrorSweep:
         assert any(start // trials != (min(start + block, total) - 1) // trials
                    for start in range(0, total, block))
         enc = default_encoder(design, cons.pam)
-        want = []
+        want, alone = [], []
         for point, db in enumerate(snr_db):
             snr = 10.0 ** (db / 10.0)
             cw = sym = evals = 0
@@ -131,6 +131,7 @@ class TestErrorSweep:
                 rng = substream(5, CTX_ERROR_SWEEP, point, trial)
                 y, h, levels = draw_trial(design, enc, n_r, snr, rng)
                 res = decode_auto(y, h, design, cons, snr, enc)
+                alone.append((res.level_indices, res.metric_evaluations))
                 wrong = np.reshape(np.asarray(res.level_indices) != levels, (-1, 2)).any(axis=1)
                 cw, sym = cw + int(wrong.any()), sym + int(wrong.sum())
                 evals += res.metric_evaluations
@@ -138,6 +139,14 @@ class TestErrorSweep:
         cfg = SimConfig(design=design, n_r=n_r, snr_db=snr_db, trials=trials, seed=5)
         got = [(r.codeword_errors, r.symbol_errors, r.mean_evals) for r in run_error_sweep(cfg)]
         assert got == want
+
+        # trial for trial: the simulator's blocks, decoded by _decode_stack
+        # without the public input check, decide as decode_auto does
+        snrs = [10.0 ** (db / 10.0) for db in snr_db]
+        blocks = list(sim._decoded_trials(cfg, cons, enc, snrs))
+        assert len(blocks) > 1
+        assert [(tuple(levels), int(count)) for *_, decoded, evaluations, _ in blocks
+                for levels, count in zip(decoded.tolist(), evaluations)] == alone
 
         rows = run_decode_trials(
             SimConfig(design=design, n_r=n_r, snr_db=(snr_db[1],), trials=trials, seed=5))
