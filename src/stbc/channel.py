@@ -234,8 +234,8 @@ def profile_over_channels(
 def r_profile(H_eq: np.ndarray, design: STBCDesign, tol: float = 1e-9) -> RProfile:
     """QR the column-normalized equivalent channel and map its zeros.
 
-    Zero detection is |R(i,j)| < tol after scaling every column of H_eq
-    to unit norm.  Each layer is read on its declared groups
+    Zero detection is |R(i,j)| < tol (finite and > 0) after scaling every
+    column of H_eq to unit norm.  Each layer is read on its declared groups
     (``design.layer_groups``), each group's indices in ascending order:
     V is R on the first group, ``max_cross_group`` the largest |R| above
     the diagonal that pairs two different groups of the layer, and
@@ -244,6 +244,8 @@ def r_profile(H_eq: np.ndarray, design: STBCDesign, tol: float = 1e-9) -> RProfi
     ``kron_identity`` when it has four groups and both values are within
     tol, i.e. its block factors as I_4 x V up to the index order.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     H_eq = np.asarray(H_eq, dtype=float)
     norms = np.linalg.norm(H_eq, axis=0)
     if np.any(norms == 0.0):

@@ -47,6 +47,7 @@ from .linalg import matrix_to_text, real_matrix_from_text
 from .rng import CTX_CAPACITY, substream
 from .sim import (
     SimConfig,
+    _check_sweep,
     _csv_text,
     emit_csv,
     parse_config_file,
@@ -153,6 +154,7 @@ def cmd_decode(args) -> int:
 def cmd_capacity_sweep(args) -> int:
     design = _design_from_args(args)
     snrs = parse_snr_spec(args.snr_db)
+    _check_sweep(snrs, args.trials, n_r=args.nr)
     rows = []
     for i, db in enumerate(snrs):
         est = code_capacity(design, args.nr, 10.0 ** (db / 10.0), args.trials,
@@ -188,7 +190,7 @@ def cmd_gain_min_det(args) -> int:
         with open(args.rotation, "r", encoding="utf-8") as fh:
             u = real_matrix_from_text(fh.read())
         encoder = default_encoder(design, cons.pam, rotation_from_matrix(u))
-    res = min_determinant(design, encoder, budget=args.budget)
+    res = min_determinant(design, encoder)
     print(f"minimum determinant: {res.min_det!r}")
     print(f"difference vectors searched: {res.evaluations}")
     print(f"argmin info difference: {np.array2string(res.argmin, precision=6)}")
@@ -302,7 +304,6 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
     pg.add_argument("--alphabet", default="4qam")
     pg.add_argument("--rotation", default="builtin",
                     help="'builtin', 'none' or a rotation matrix file")
-    pg.add_argument("--budget", type=int, default=10**7)
     pg.set_defaults(func=cmd_gain_min_det)
 
     p = sub.add_parser("verify-all", help="run every certification")

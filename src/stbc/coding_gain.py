@@ -56,6 +56,9 @@ __all__ = [
     "min_product_distance",
 ]
 
+#: single-group difference vectors ``min_determinant`` enumerates at most
+_DIFFERENCE_BUDGET = 10**7
+
 
 @dataclass(frozen=True, eq=False)
 class RotationSpec:
@@ -309,7 +312,6 @@ def min_determinant(
     design: STBCDesign,
     encoder: Encoder,
     diff_levels: np.ndarray | None = None,
-    budget: int = 10**7,
 ) -> MinDetResult:
     """Brute-force min det(dS dS^H) over single-group differences.
 
@@ -334,10 +336,9 @@ def min_determinant(
     diff_levels = np.asarray(diff_levels, dtype=float)
 
     n_vec = len(diff_levels) ** gs
-    if n_vec - 1 > budget:
+    if n_vec - 1 > _DIFFERENCE_BUDGET:
         raise BudgetExceededError(
-            f"{n_vec - 1} difference vectors exceed the budget of {budget}"
-        )
+            f"{n_vec - 1} difference vectors exceed the budget of {_DIFFERENCE_BUDGET}")
 
     best = np.inf
     best_arg = None

@@ -10,19 +10,20 @@ real model y = phi x + n.
   and, per outer hypothesis, minimizes each of its four groups in closed
   form: 4 * M^{n_t/4} hypotheses at rate 1,
   M^{n_t(L-1)} * 4 * M^{n_t/4} (order M^{n_t(L-3/4)}) for L layers.
-  More than 1 << 26 hypotheses, or search tables of more than 1 GiB for
-  one trial, raise ``BudgetExceededError`` before any table is built.
-* ``ml_oracle`` enumerates all M^k candidates (more than 1 << 22 raise
-  ``BudgetExceededError``); it is the reference the structured search is
-  tested against and keeps its own plain loop, with the same tie rule.
+* ``ml_oracle`` enumerates all M^k candidates; it is the reference the
+  structured search is tested against and keeps its own plain loop, with
+  the same tie rule.
 
-Inputs are checked once, at these two public entry points (``_checked``):
-a non-finite Y or H, a non-finite or negative snr and a received matrix
-without H's rows and T columns raise a ``ValueError`` subclass.  The
-stacked search behind them (``_decode_stack``) takes its inputs as
-checked, so the simulator's blocks -- drawn by ``rng.draw_block`` from
-finite normals, at SNRs its ``SimConfig`` checked -- are not scanned
-again.
+Inputs and limits are checked once.  The two public entry points check
+their inputs (``_checked``: a non-finite Y or H, a non-finite or negative
+snr and a received matrix without H's rows and T columns raise a
+``ValueError`` subclass), then admit the work: ``_admit_search`` refuses a
+design without the split, more than 1 << 26 scans and tables of more than
+1 GiB for one trial, ``_admit_oracle`` more than 1 << 22 candidates
+(``BudgetExceededError``); each returns its count per codeword.  The
+simulator admits a config before its first draw, and its blocks -- drawn
+by ``rng.draw_block`` from finite normals, at SNRs its ``SimConfig``
+checked -- go to the stacked search (``_decode_stack``) unchecked.
 
 The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
@@ -256,12 +257,31 @@ def complexity_account(
     )
 
 
-def _structure(design: STBCDesign):
-    """``design.structure``, refusing a design that has none."""
+def _admit_search(design: STBCDesign, cons: Constellation, n_r: int) -> int:
+    """Scans per codeword of the structured search on ``n_r`` receive
+    antennas, refusing a design without the split, more than ``_BUDGET``
+    scans and one trial's tables of more than ``_TABLE_BYTES``."""
     if design.structure is None:
         raise NotGroupDecodableError(
             "the first layer is not four groups meeting the cross-group condition")
-    return design.structure
+    groups, outer = design.structure
+    p = len(cons.pam)
+    scans = _hypotheses(p, groups, len(outer))
+    if scans > _BUDGET:
+        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
+    tables = sum(_sizes_at(p, groups, len(outer), 2 * n_r * design.T, _CHUNK, _TILE_MACS))
+    if tables > _TABLE_BYTES:
+        raise BudgetExceededError(
+            f"search tables of {tables} bytes exceed the limit of {_TABLE_BYTES}")
+    return scans
+
+
+def _admit_oracle(design: STBCDesign, cons: Constellation) -> int:
+    """M^k candidates per codeword of ``ml_oracle``, refusing more than ``_ORACLE_BUDGET``."""
+    total = len(cons.pam) ** design.n_real_symbols
+    if total > _ORACLE_BUDGET:
+        raise BudgetExceededError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
+    return total
 
 
 def _checked(Y, H, design: STBCDesign, snr):
@@ -343,11 +363,8 @@ def ml_oracle(
     ``_within`` of the least, with ||y||^2 plus the largest ||phi x||^2
     as its scale, it returns the lexicographically smallest index vector:
     the structured search's tie rule."""
-    pam = cons.pam
-    n = design.n_real_symbols
-    total = len(pam) ** n
-    if total > _ORACLE_BUDGET:
-        raise BudgetExceededError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
+    total = _admit_oracle(design, cons)
+    pam, n = cons.pam, design.n_real_symbols
     Y, H, snr = _checked(Y, H, design, snr)
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
     metrics = np.empty(total)
@@ -433,19 +450,13 @@ def _radius_width(p: int, m: int, cap: int) -> int:
     return _tile(p ** (m // 2) * (m // 2), cap)
 
 
-def _search_sizes(p: int, groups, n_outer: int, rows: int) -> tuple[int, int]:
-    """(trial bytes, shared bytes) of a search: what each trial of a stack
-    holds at most, and what the stack holds once whatever its size (kept
-    per ``_CHUNK`` and ``_TILE_MACS``, which decide the search and its
-    tiles)."""
-    return _sizes_at(p, groups, n_outer, rows, _CHUNK, _TILE_MACS)
-
-
 @lru_cache(maxsize=64)
 def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int,
               cap: int) -> tuple[int, int]:
-    """``_search_sizes`` with every outer chunk ``chunk`` wide and tiles
-    of at most ``cap`` multiply-adds.
+    """(trial bytes, shared bytes) of a search with every outer chunk
+    ``chunk`` wide and tiles of at most ``cap`` multiply-adds (the
+    decoder's are ``_CHUNK`` and ``_TILE_MACS``): what each trial of a
+    stack holds at most, and what the stack holds once whatever its size.
 
     A single-chunk search holds per trial y, phi and the temporaries of
     its build, the groups' columns, images and norms, the residual's form
@@ -500,7 +511,7 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int,
 def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     """Trials decoded together (at least one).  A block of single-chunk
     searches holds, in its worst case, at most ``_BLOCK_BYTES``: its
-    trials' bytes plus the shared bytes of ``_search_sizes`` (22 trials of
+    trials' bytes plus the shared bytes of ``_sizes_at`` (22 trials of
     the 4 x 4 rate-2 4-QAM code at ``n_r = 2``).  A block of
     bounded searches holds no more outer hypotheses times group scans
     than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
@@ -508,11 +519,11 @@ def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     nothing pruned, is 16 trials' bytes plus the shared bytes: ~55 MiB
     for the 4-QAM code and ~54 MiB for the 16-QAM code at ``n_r = 2`` (a
     zero channel, which prunes nothing, peaks at 51 and 50 MiB traced)."""
-    groups, outer = _structure(design)
+    groups, outer = design.structure
     p = len(cons.pam)
     if p ** len(outer) > _CHUNK:
         return max(1, _BUDGET // _hypotheses(p, groups, len(outer)))
-    trial, shared = _search_sizes(p, groups, len(outer), 2 * n_r * design.T)
+    trial, shared = _sizes_at(p, groups, len(outer), 2 * n_r * design.T, _CHUNK, _TILE_MACS)
     return max(1, (_BLOCK_BYTES - shared) // trial)
 
 
@@ -819,26 +830,14 @@ def _partitioned_search(y, phi, pam, outer, groups) -> tuple[np.ndarray, np.ndar
 
 def _decode_stack(Y, H, design, cons, snr, encoder):
     """The structured search, for a stack of trials (see
-    ``_effective_operator``): (levels (B, n), evaluations (B,), b).
+    ``_effective_operator``) on a design and constellation that
+    ``_admit_search`` admitted: (levels (B, n), evaluations (B,), b).
 
     Cross-group columns of phi are orthogonal, so for each outer
     hypothesis with residual y', || y' - sum_p phi_p x_p ||^2 = ||y'||^2
     + sum_p (||phi_p x_p||^2 - 2 <y', phi_p x_p>): each group term is
-    minimized on its own and the overall minimum is exact ML.  The scan
-    count and one trial's table bytes (with the bounded search's state
-    when it applies) are checked before any table is built."""
-    groups, outer = _structure(design)
-    p = len(cons.pam)
-    scans = _hypotheses(p, groups, len(outer))
-    if scans > _BUDGET:
-        raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
-    rows = 2 * np.shape(H)[-2] * design.T
-    trial, shared = _search_sizes(p, groups, len(outer), rows)
-    tables = trial + shared
-    if tables > _TABLE_BYTES:
-        raise BudgetExceededError(
-            f"search tables of {tables} bytes exceed the limit of {_TABLE_BYTES}"
-        )
+    minimized on its own and the overall minimum is exact ML."""
+    groups, outer = design.structure
     y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
     levels, evaluations = _partitioned_search(y, phi, cons.pam, outer, groups)
     return levels, evaluations, b
@@ -856,5 +855,6 @@ def decode_auto(
     groups (group search at rate 1, outer-layer conditioning otherwise):
     one trial as a stack of one."""
     Y, H, snr = _checked(Y, H, design, snr)
+    _admit_search(design, cons, len(H))
     levels, evaluations, b = _decode_stack(Y[None], H[None], design, cons, snr, encoder)
     return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations[0])

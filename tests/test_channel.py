@@ -222,6 +222,16 @@ class TestRProfile:
         with pytest.raises(RankDeficientError, match=r"n_r = 1 .*2-layer.*\(8, 16\)"):
             profile_over_channels(d, 1, 5)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # such a tol finds no zero entry: refused, not an all-'x' mask
+        d = build_rate1_4group(1)
+        h = sample_channel(2, 1, substream(24)).H
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            r_profile(equivalent_channel(h, d), design=d, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            profile_over_channels(d, 1, 3, tol=tol)
+
     def test_mask_text(self):
         d = build_rate1_4group(1)
         h = sample_channel(2, 1, substream(24)).H

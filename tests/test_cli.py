@@ -105,6 +105,13 @@ class TestChannelProfile:
             run("channel", "profile", "--a", 2, "--layers", 2, "--nr", 1, "--out", out)
         assert not out.exists()
 
+    def test_profile_refuses_a_tol_that_finds_no_zero(self, tmp_path):
+        out = tmp_path / "p.csv"
+        with pytest.raises(ValueError, match="tol must be finite and > 0, got nan"):
+            run("channel", "profile", "--a", 1, "--nr", 1, "--seeds", 2, "--tol", "nan",
+                "--out", out)
+        assert not out.exists()
+
     def test_profile_refuses_zero_seeds(self, tmp_path):
         out = tmp_path / "prof.csv"
         with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
@@ -147,6 +154,13 @@ class TestDecodeCommand:
                     "--out", out)
         assert not out.exists()
 
+    def test_snr_whose_linear_value_overflows_refused(self, tmp_path):
+        # 10^400 overflows a float: refused where the point enters
+        out = tmp_path / "dec.csv"
+        with pytest.raises(ValueError, match=r"finite linear snr, got \(4000\.0,\)"):
+            run("decode", "--a", 1, "--snr-db", 4000, "--trials", 10, "--out", out)
+        assert not out.exists()
+
 
 class TestCapacitySweep:
     def test_deterministic_csv(self, tmp_path):
@@ -165,6 +179,15 @@ class TestCapacitySweep:
         with pytest.raises(ValueError, match="n_r must be >= 1"):
             run("capacity", "sweep", "--a", 1, "--nr", 0, "--snr-db", "0:10:10",
                 "--trials", 150, "--out", out)
+        assert not out.exists()
+
+    def test_snr_whose_linear_value_overflows_refused(self, tmp_path):
+        # refused before the first point's trials
+        out = tmp_path / "c.csv"
+        with patch("stbc.cli.code_capacity", side_effect=AssertionError("estimated")), \
+                pytest.raises(ValueError, match=r"finite linear snr, got \(0\.0, 4000\.0\)"):
+            run("capacity", "sweep", "--a", 1, "--nr", 1, "--snr-db", "0,4000", "--trials", 100,
+                "--out", out)
         assert not out.exists()
 
 

@@ -278,9 +278,12 @@ class TestMinDeterminant:
         assert np.abs(np.array(minima) - minima[0]).max() < 1e-9
 
     def test_budget_guard(self):
-        d = build_rate1_4group(3)
-        with pytest.raises(BudgetExceededError):
-            min_determinant(d, default_encoder(d, PAM2), budget=10)
+        # a=5 rate-1 4-QAM: 3^16 - 1 single-group differences exceed the
+        # limit of 10^7, refused before any is enumerated
+        d = build_rate1_4group(5)
+        with pytest.raises(BudgetExceededError) as err:
+            min_determinant(d, default_encoder(d, PAM2))
+        assert str(err.value) == "43046720 difference vectors exceed the budget of 10000000"
 
     def test_min_product_distance_helper(self):
         u = np.eye(2)

@@ -799,7 +799,7 @@ class TestBoundedSearch:
     def test_block_state_within_its_charge(self, code):
         # a zero channel prunes nothing and ties every hypothesis, the
         # worst case of a block's search state: its traced peak stays
-        # within the trials' and the shared bytes of _search_sizes
+        # within the trials' and the shared bytes of _sizes_at
         import tracemalloc
 
         from stbc import decoder
@@ -810,7 +810,8 @@ class TestBoundedSearch:
         p = len(cons.pam)
         assert decoder._block_trials(design, cons, 2) * decoder._hypotheses(
             p, groups, len(outer)) <= decoder._BUDGET
-        trial, shared = decoder._search_sizes(p, groups, len(outer), 4 * design.T)
+        trial, shared = decoder._sizes_at(p, groups, len(outer), 4 * design.T,
+                                          decoder._CHUNK, decoder._TILE_MACS)
         enc = default_encoder(design, cons.pam)
         for block in (1, 3):
             y = np.zeros((block, 2, design.T), dtype=complex)
@@ -926,7 +927,7 @@ class TestBoundedSearch:
         y, h = np.zeros((1, d.T), dtype=complex), np.zeros((1, d.n_t), dtype=complex)
         with pytest.raises(BudgetExceededError) as err:
             decode_auto(y, h, d, constellation("64qam"), 1.0)
-        # the single-chunk charge of _search_sizes: four groups of 2^24
+        # the single-chunk charge of _sizes_at: four groups of 2^24
         # candidates, each with its images, forms and product rows
         assert str(err.value) == (
             "search tables of 23689464360 bytes exceed the limit of 1073741824"
@@ -948,7 +949,7 @@ class TestStackedScan:
     def test_block_state_within_its_charge(self, a, layers, n_r):
         # a zero channel ties every hypothesis, the worst case of a block's
         # state: a full block's traced peak stays within the trials' and
-        # the shared bytes of _search_sizes, and that charge within the cap
+        # the shared bytes of _sizes_at, and that charge within the cap
         import tracemalloc
 
         from stbc import decoder
@@ -956,7 +957,8 @@ class TestStackedScan:
         design = extend_full_rate(build_rate1_4group(a), layers)
         groups, outer = design.structure
         assert 2 ** len(outer) <= decoder._CHUNK
-        trial, shared = decoder._search_sizes(2, groups, len(outer), 2 * n_r * design.T)
+        trial, shared = decoder._sizes_at(2, groups, len(outer), 2 * n_r * design.T,
+                                          decoder._CHUNK, decoder._TILE_MACS)
         block = decoder._block_trials(design, CONS, n_r)
         assert block > 1 and block * trial + shared <= decoder._BLOCK_BYTES
         enc = default_encoder(design, CONS.pam)

@@ -15,9 +15,10 @@ from stbc.decoder import (
     decode_auto,
     full_symbol_matrix,
 )
+from stbc.capacity import random_rotation_baseline
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
-from stbc.errors import BudgetExceededError
+from stbc.errors import BudgetExceededError, NotGroupDecodableError
 from stbc import rng, sim
 from stbc.rng import CTX_ERROR_SWEEP, POINTS, draw_block, substream
 from stbc.sim import (
@@ -96,6 +97,37 @@ class TestErrorSweep:
                 entry(cfg)
         assert str(err.value) == ("sweep needs ~4.19e+12 hypothesis evaluations "
                                   "(4194304 per codeword); budget is 2e+09")
+
+    @pytest.mark.parametrize("entry", [run_error_sweep, run_decode_trials])
+    @pytest.mark.parametrize("a, layers, n_r, label, decoder, message", [
+        pytest.param(1, 2, 2, "1024qam", "auto",
+                     "134217728 hypotheses exceed the budget of 67108864", id="scans"),
+        pytest.param(2, 1, 1, "64qam", "oracle",
+                     "M^k = 16777216 exceeds the budget of 4194304", id="oracle"),
+        pytest.param(4, 1, 1, "64qam", "auto",
+                     "search tables of 23689464360 bytes exceed the limit of 1073741824",
+                     id="table-bytes"),
+    ])
+    @pytest.mark.parametrize("trials", [1, 10**8])
+    def test_per_codeword_limits_before_any_draw(self, entry, a, layers, n_r, label,
+                                                 decoder, message, trials):
+        # each decoder's admission refuses the config before its first
+        # block is drawn, with the decoder's own message, also when the
+        # trials exceed EVALUATION_BUDGET too
+        design = extend_full_rate(build_rate1_4group(a), layers)
+        cfg = SimConfig(design=design, n_r=n_r, constellation=label, snr_db=(10.0,),
+                        trials=trials, decoder=decoder)
+        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+            with pytest.raises(BudgetExceededError) as err:
+                entry(cfg)
+        assert str(err.value) == message
+
+    def test_design_without_the_split_refused_before_the_sweep_budget(self):
+        d = random_rotation_baseline(extend_full_rate(build_rate1_4group(1), 2))
+        cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**8)
+        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+            with pytest.raises(NotGroupDecodableError):
+                run_error_sweep(cfg)
 
     @pytest.mark.parametrize("name", ["group", "conditional", "sphere"])
     def test_unknown_decoder_rejected(self, name):
@@ -331,6 +363,16 @@ class TestParsing:
             run_decode_trials(SimConfig(design=build_rate1_4group(1), n_r=n_r,
                                         snr_db=(snr_db,), trials=trials, seed=0))
 
+    def test_snr_whose_linear_value_overflows_refused(self):
+        # 10^400 overflows a float; the largest accepted point converts
+        top = float(np.nextafter(10 * np.log10(np.finfo(float).max), 0))
+        assert np.isfinite(10.0 ** (top / 10.0))
+        SimConfig(design=build_rate1_4group(1), n_r=1, snr_db=(top,))
+        with pytest.raises(ValueError, match=r"finite linear snr, got \(0\.0, 4000\.0\)"):
+            SimConfig(design=build_rate1_4group(1), n_r=1, snr_db=(0.0, 4000.0))
+        with pytest.raises(ValueError, match="finite linear snr"):
+            uncoded_siso_sweep("4qam", (4000.0,), 10, 1)
+
     def test_decode_log_refuses_more_than_one_point(self):
         with pytest.raises(ValueError, match="one snr point, got 2"):
             run_decode_trials(silver_cfg(snr_db=(4.0, 8.0), trials=2))
@@ -471,6 +513,22 @@ class TestVerifyAll:
         report = verify_all(a, layers)
         assert report.passed, report.summary()
         assert digest(report.summary()) == pinned
+
+    def test_steps_over_a_limit_covered_at_smaller_a(self):
+        # n_t = 32: the rate-1 oracle's M^k = 2^64 and the minimum
+        # determinant's 3^16 - 1 differences are refused by their owners
+        # and reported, not run
+        text = verify_all(5, 1).summary()
+        assert text.startswith("== full verification (a=5, layers=1): PASS ==")
+        lines = text.splitlines()
+        assert ("[PASS] rotated minimum determinant positive (closed form agrees) "
+                "(43046720 difference vectors exceed the budget of 10000000; "
+                "covered at smaller a)") in lines
+        assert ("[PASS] complexity account matches the closed-form count (oracle: "
+                f"{2**64} = M^k hypotheses (M=4); group: {4 * 2**16}; "
+                "search order M^8)") in lines
+        assert ("[PASS] group decoder == exhaustive oracle "
+                "(oracle intractable at this size; covered at smaller a)") in lines
 
     def test_summary_lines(self):
         report = verify_all(1, 1)
