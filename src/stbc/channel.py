@@ -33,7 +33,7 @@ import numpy as np
 from .designs import STBCDesign, _dispersion_witnesses
 from .errors import DimensionMismatchError, RankDeficientError
 from .linalg import CERT_TOL, _require_count, gram_schmidt_qr, pairwise_residual
-from .rng import CTX_PROFILE, substream
+from .rng import CTX_PROFILE, _require_seed, substream
 
 __all__ = [
     "ChannelRealization",
@@ -221,6 +221,7 @@ def profile_over_channels(
     """
     _require_count(n_seeds, "n_seeds")
     _require_count(n_r, "n_r")
+    _require_seed(seed)
     _require_tall(design, n_r)
     profiles = []
     for s in range(n_seeds):

@@ -11,19 +11,25 @@ real model y = phi x + n.
   form: 4 * M^{n_t/4} hypotheses at rate 1,
   M^{n_t(L-1)} * 4 * M^{n_t/4} (order M^{n_t(L-3/4)}) for L layers.
 * ``ml_oracle`` enumerates all M^k candidates; it is the reference the
-  structured search is tested against and keeps its own plain loop, with
-  the same tie rule.
+  structured search is tested against and keeps its own plain loop per
+  trial (``_oracle_stack``), with the same tie rule.
 
+Both decoders have one shape.  An admission, ``_admit_search`` or
+``_admit_oracle``, refuses work over the decoder's limits and returns
+(count per codeword, trials per block); a stacked decode,
+``_decode_stack`` or ``_oracle_stack``, takes (Y, H, design, cons, snr,
+encoder) for a stack of trials and returns (levels, evaluations, b).
 Inputs and limits are checked once.  The two public entry points check
 their inputs (``_checked``: a non-finite Y or H, a non-finite or negative
-snr and a received matrix without H's rows and T columns raise a
-``ValueError`` subclass), then admit the work: ``_admit_search`` refuses a
-design without the split, more than 1 << 26 scans and tables of more than
-1 GiB for one trial, ``_admit_oracle`` more than 1 << 22 candidates
-(``BudgetExceededError``); each returns its count per codeword.  The
-simulator admits a config before its first draw, and its blocks -- drawn
-by ``rng.draw_block`` from finite normals, at SNRs its ``SimConfig``
-checked -- go to the stacked search (``_decode_stack``) unchecked.
+snr, a channel that is not (n_r, n_t) and a received matrix that is not
+(n_r, T) raise a ``ValueError`` subclass), admit the work, decode a
+stack of one and recompute its metric (``_decode_one``).
+``_admit_search`` refuses a design without the split, more than 1 << 26
+scans and tables of more than 1 GiB for one trial, ``_admit_oracle``
+more than 1 << 22 candidates (``BudgetExceededError``).  The simulator
+admits a config before its first draw, and its blocks -- drawn by
+``rng.draw_block`` from finite normals, at SNRs its ``SimConfig``
+checked -- go to the stacked decode unchecked.
 
 The search works on stacks of trials (``_decode_stack``): the front end
 turns (..., n_r, T) received matrices and (..., n_r, n_t) channels, one
@@ -39,7 +45,7 @@ give them all; the residual's product is reduced to its squared norm
 before the metrics' is made.  Every product is made per trial with a
 single trial's shapes, so a stacked trial decodes exactly as it does
 alone; ``decode_auto`` is the stack of one, and the simulator decodes
-sweeps in blocks sized by ``_block_trials`` from the block's whole
+sweeps in blocks sized by ``_admit_search`` from the block's whole
 search state.
 
 Codes with more outer hypotheses (the 8 x 2 rate-2 4-QAM code and the
@@ -62,7 +68,7 @@ and each group's closed-form minimum, all affine in the outer levels, so
 one small product per leaf replaces a scan of every row of phi.  The
 pruned hypotheses all have totals above the minimum, so the decision is
 the exhaustive search's.  A block of bounded searches scans, unpruned,
-no more hypotheses than one trial may (``_block_trials``), so its worst
+no more hypotheses than one trial may (``_admit_search``), so its worst
 case on the two codes above at n_r = 2 is under 55 MiB of search state.
 
 Tiles (``_tile``): no product of the bounded search or of the oracle
@@ -257,10 +263,22 @@ def complexity_account(
     )
 
 
-def _admit_search(design: STBCDesign, cons: Constellation, n_r: int) -> int:
-    """Scans per codeword of the structured search on ``n_r`` receive
-    antennas, refusing a design without the split, more than ``_BUDGET``
-    scans and one trial's tables of more than ``_TABLE_BYTES``."""
+def _admit_search(design: STBCDesign, cons: Constellation, n_r: int) -> tuple[int, int]:
+    """(scans per codeword, trials per block) of the structured search on
+    ``n_r`` receive antennas, refusing a design without the split, more
+    than ``_BUDGET`` scans and one trial's tables of more than
+    ``_TABLE_BYTES``.
+
+    A block of single-chunk searches holds, in its worst case, at most
+    ``_BLOCK_BYTES``: its trials' bytes plus the shared bytes of
+    ``_sizes_at`` (22 trials of the 4 x 4 rate-2 4-QAM code at ``n_r =
+    2``).  A block of bounded searches holds no more outer hypotheses
+    times group scans than one trial may scan (``_BUDGET``): 16 trials of
+    the 8 x 2 rate-2 4-QAM code and of the 4-antenna rate-2 16-QAM code.
+    Its worst case, nothing pruned, is 16 trials' bytes plus the shared
+    bytes: ~55 MiB for the 4-QAM code and ~54 MiB for the 16-QAM code at
+    ``n_r = 2`` (a zero channel, which prunes nothing, peaks at 51 and 50
+    MiB traced)."""
     if design.structure is None:
         raise NotGroupDecodableError(
             "the first layer is not four groups meeting the cross-group condition")
@@ -269,32 +287,39 @@ def _admit_search(design: STBCDesign, cons: Constellation, n_r: int) -> int:
     scans = _hypotheses(p, groups, len(outer))
     if scans > _BUDGET:
         raise BudgetExceededError(f"{scans} hypotheses exceed the budget of {_BUDGET}")
-    tables = sum(_sizes_at(p, groups, len(outer), 2 * n_r * design.T, _CHUNK, _TILE_MACS))
-    if tables > _TABLE_BYTES:
+    trial, shared = _sizes_at(p, groups, len(outer), 2 * n_r * design.T, _CHUNK, _TILE_MACS)
+    if trial + shared > _TABLE_BYTES:
         raise BudgetExceededError(
-            f"search tables of {tables} bytes exceed the limit of {_TABLE_BYTES}")
-    return scans
+            f"search tables of {trial + shared} bytes exceed the limit of {_TABLE_BYTES}")
+    if p ** len(outer) > _CHUNK:
+        return scans, max(1, _BUDGET // scans)
+    return scans, max(1, (_BLOCK_BYTES - shared) // trial)
 
 
-def _admit_oracle(design: STBCDesign, cons: Constellation) -> int:
-    """M^k candidates per codeword of ``ml_oracle``, refusing more than ``_ORACLE_BUDGET``."""
-    total = len(cons.pam) ** design.n_real_symbols
+def _admit_oracle(design: STBCDesign, cons: Constellation, n_r: int) -> tuple[int, int]:
+    """(M^k candidates per codeword, trials per block) of the oracle on
+    ``n_r`` receive antennas, refusing more than ``_ORACLE_BUDGET``
+    candidates.  A block's front end -- y, phi and phi's build, 2 n_r T
+    (3n + 1) words a trial -- holds at most ``_BLOCK_BYTES``; each trial
+    then scans alone."""
+    n = design.n_real_symbols
+    total = len(cons.pam) ** n
     if total > _ORACLE_BUDGET:
         raise BudgetExceededError(f"M^k = {total} exceeds the budget of {_ORACLE_BUDGET}")
-    return total
+    return total, max(1, _BLOCK_BYTES // (8 * 2 * n_r * design.T * (3 * n + 1)))
 
 
 def _checked(Y, H, design: STBCDesign, snr):
     """(Y, H, snr) of one trial as complex arrays and floats: the public
     decoders' input check.  Non-finite entries, a non-finite or negative
-    snr and a received matrix without H's rows and T columns are
-    refused."""
+    snr, a channel that is not (n_r, n_t) with n_r >= 1 and a received
+    matrix without its rows and T columns are refused."""
     Y = _require_finite(np.asarray(Y, dtype=complex), "received matrix")
     H = _require_finite(np.asarray(H, dtype=complex), "channel")
-    if Y.shape != H.shape[:-1] + (design.T,):
+    if H.shape[1:] != (design.n_t,) or Y.shape != (len(H), design.T) or not len(H):
         raise DimensionMismatchError(
-            f"received matrix shape {Y.shape} != {H.shape[:-1] + (design.T,)}"
-        )
+            f"channel {H.shape} and received matrix {Y.shape} are not (n_r, "
+            f"{design.n_t}) and (n_r, {design.T}) with n_r >= 1")
     return Y, H, _require_snr(snr)
 
 
@@ -330,22 +355,53 @@ def _final_metric(
 ) -> float:
     """Metric recomputed from scratch in the complex domain."""
     s = design.energy_scale * codeword(design, b @ info)
-    resid = np.asarray(Y, dtype=complex) - np.sqrt(snr / design.n_t) * (
-        np.asarray(H, dtype=complex) @ s
-    )
+    resid = Y - np.sqrt(snr / design.n_t) * (H @ s)
     return float(np.linalg.norm(resid) ** 2)
 
 
-def _result(
-    Y, H, design, snr, b, pam, level_indices, evaluations
-) -> DecodeResult:
-    info = pam[np.asarray(level_indices, dtype=int)]
+def _decode_one(Y, H, design, cons, snr, encoder, admit, decode) -> DecodeResult:
+    """A public decoder's four steps: check the trial (``_checked``),
+    ``admit`` the work, ``decode`` it as a stack of one and recompute its
+    metric in the complex domain."""
+    Y, H, snr = _checked(Y, H, design, snr)
+    admit(design, cons, len(H))
+    levels, evaluations, b = decode(Y[None], H[None], design, cons, snr, encoder)
+    info = cons.pam[levels[0]]
     return DecodeResult(
-        level_indices=tuple(int(v) for v in level_indices),
+        level_indices=tuple(int(v) for v in levels[0]),
         info=info,
         metric=_final_metric(Y, H, design, snr, b, info),
-        metric_evaluations=int(evaluations),
+        metric_evaluations=int(evaluations[0]),
     )
+
+
+def _oracle_stack(Y, H, design, cons, snr, encoder):
+    """The exhaustive oracle, for a stack of trials (see
+    ``_effective_operator``) on a design and constellation that
+    ``_admit_oracle`` admitted: (levels (B, n), evaluations (B,), b).
+
+    Each trial is a plain loop with no groups, QR or tables over all M^k
+    candidates, one ``_tile`` of them at a time.  Of the candidates whose
+    metric is within ``_within`` of the least, with ||y||^2 plus the
+    largest ||phi x||^2 as its scale, it takes the lexicographically
+    smallest index vector: the structured search's tie rule."""
+    pam, n = cons.pam, design.n_real_symbols
+    total = len(pam) ** n
+    ys, phis, b = _effective_operator(Y, H, design, cons, snr, encoder)
+    levels = np.empty((len(ys), n), dtype=int)
+    width = _tile(phis.shape[1] * n, _TILE_MACS)
+    for t, (y, phi) in enumerate(zip(ys, phis)):
+        metrics = np.empty(total)
+        largest = 0.0
+        for start in range(0, total, width):
+            idx = np.arange(start, min(start + width, total))
+            image = phi @ pam[_lex_digits(idx, len(pam), n)]  # (rows, width)
+            resid = y[:, None] - image
+            metrics[start:start + width] = np.einsum("ij,ij->j", resid, resid)
+            largest = max(largest, np.einsum("ij,ij->j", image, image).max())
+        best = np.argmax(metrics <= _within(metrics.min(), y @ y + largest))
+        levels[t] = _lex_digits(np.array([best]), len(pam), n)[:, 0]
+    return levels, np.full(len(ys), total), b
 
 
 def ml_oracle(
@@ -358,27 +414,8 @@ def ml_oracle(
 ) -> DecodeResult:
     """Globally exhaustive ML decoding over all M^k candidates (at most
     ``_ORACLE_BUDGET``): the reference the structured search is tested
-    against, a plain loop with no groups, QR or tables, one ``_tile`` of
-    candidates at a time.  Of the candidates whose metric is within
-    ``_within`` of the least, with ||y||^2 plus the largest ||phi x||^2
-    as its scale, it returns the lexicographically smallest index vector:
-    the structured search's tie rule."""
-    total = _admit_oracle(design, cons)
-    pam, n = cons.pam, design.n_real_symbols
-    Y, H, snr = _checked(Y, H, design, snr)
-    y, phi, b = _effective_operator(Y, H, design, cons, snr, encoder)
-    metrics = np.empty(total)
-    largest = 0.0
-    width = _tile(phi.shape[0] * n, _TILE_MACS)
-    for start in range(0, total, width):
-        idx = np.arange(start, min(start + width, total))
-        image = phi @ pam[_lex_digits(idx, len(pam), n)]  # (rows, width)
-        resid = y[:, None] - image
-        metrics[start:start + width] = np.einsum("ij,ij->j", resid, resid)
-        largest = max(largest, np.einsum("ij,ij->j", image, image).max())
-    best = np.argmax(metrics <= _within(metrics.min(), y @ y + largest))
-    levels = _lex_digits(np.array([best]), len(pam), n)[:, 0]
-    return _result(Y, H, design, snr, b, pam, levels, total)
+    against, one trial as a stack of one (``_oracle_stack``)."""
+    return _decode_one(Y, H, design, cons, snr, encoder, _admit_oracle, _oracle_stack)
 
 
 @lru_cache(maxsize=16)
@@ -506,25 +543,6 @@ def _sizes_at(p: int, groups, n_outer: int, rows: int, chunk: int,
     shared = (candidates + per_leaf * _leaf_width(p, groups, m, cap)
               + 5 * block + block // 8)  # one tile of leaf bounds
     return 8 * trial, 8 * shared
-
-
-def _block_trials(design: STBCDesign, cons: Constellation, n_r: int) -> int:
-    """Trials decoded together (at least one).  A block of single-chunk
-    searches holds, in its worst case, at most ``_BLOCK_BYTES``: its
-    trials' bytes plus the shared bytes of ``_sizes_at`` (22 trials of
-    the 4 x 4 rate-2 4-QAM code at ``n_r = 2``).  A block of
-    bounded searches holds no more outer hypotheses times group scans
-    than one trial may scan (``_BUDGET``): 16 trials of the 8 x 2 rate-2
-    4-QAM code and of the 4-antenna rate-2 16-QAM code.  Its worst case,
-    nothing pruned, is 16 trials' bytes plus the shared bytes: ~55 MiB
-    for the 4-QAM code and ~54 MiB for the 16-QAM code at ``n_r = 2`` (a
-    zero channel, which prunes nothing, peaks at 51 and 50 MiB traced)."""
-    groups, outer = design.structure
-    p = len(cons.pam)
-    if p ** len(outer) > _CHUNK:
-        return max(1, _BUDGET // _hypotheses(p, groups, len(outer)))
-    trial, shared = _sizes_at(p, groups, len(outer), 2 * n_r * design.T, _CHUNK, _TILE_MACS)
-    return max(1, (_BLOCK_BYTES - shared) // trial)
 
 
 def _within(value, scale):
@@ -853,8 +871,5 @@ def decode_auto(
 ) -> DecodeResult:
     """Exact ML decoding of any design whose first layer is four certified
     groups (group search at rate 1, outer-layer conditioning otherwise):
-    one trial as a stack of one."""
-    Y, H, snr = _checked(Y, H, design, snr)
-    _admit_search(design, cons, len(H))
-    levels, evaluations, b = _decode_stack(Y[None], H[None], design, cons, snr, encoder)
-    return _result(Y, H, design, snr, b, cons.pam, levels[0], evaluations[0])
+    one trial as a stack of one (``_decode_stack``)."""
+    return _decode_one(Y, H, design, cons, snr, encoder, _admit_search, _decode_stack)

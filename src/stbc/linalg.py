@@ -47,11 +47,11 @@ def _require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _require_snr(snr, positive: bool = False) -> np.ndarray:
-    """``snr`` (a scalar or one per trial) as floats, refused unless every
-    value is finite and >= 0, or > 0 with ``positive``."""
+    """``snr`` as a 0-d float array, refused unless it is one value,
+    finite and >= 0, or > 0 with ``positive``."""
     snr = np.asarray(snr, dtype=float)
-    if not np.all(np.isfinite(snr) & ((snr > 0) if positive else (snr >= 0))):
-        raise ValueError(f"snr must be finite and {'> 0' if positive else '>= 0'}, got {snr}")
+    if snr.ndim or not np.isfinite(snr) or not (snr > 0 if positive else snr >= 0):
+        raise ValueError(f"snr must be finite and {'>' if positive else '>='} 0, one value, got {snr}")
     return snr
 
 

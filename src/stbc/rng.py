@@ -22,6 +22,7 @@ by Lemire's method, so the levels follow from the words in one step.
 from __future__ import annotations
 
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -54,9 +55,16 @@ def _key_sequence() -> type:
     return KeySequence
 
 
-def _check_paths(context: int, points, trials) -> None:
-    """Refuse a context, or any point or trial index, that its field of
-    the key cannot hold."""
+def _require_seed(seed) -> None:
+    """Refuse a master seed that is not an integer."""
+    if not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
+def _check_key(seed, context: int, points, trials) -> None:
+    """Refuse a seed that is not an integer, and a context, or any point
+    or trial index, that its field of the key cannot hold."""
+    _require_seed(seed)
     if not 0 <= context < 1 << 16:
         raise ValueError("context out of range")
     if not (0 <= min(points) and max(points) < POINTS):
@@ -66,15 +74,17 @@ def _check_paths(context: int, points, trials) -> None:
 
 
 def _key(seed: int, context: int, point: int, trial: int) -> list[int]:
-    """The two Philox key words of a stream (see the module docstring)."""
-    return [seed & _WORD, (context << 48) | (point << 32) | trial]
+    """The two Philox key words of a stream (see the module docstring):
+    any integer seed is taken mod 2^64."""
+    return [int(seed) & _WORD, (context << 48) | (point << 32) | trial]
 
 
 def substream(
     seed: int, context: int = CTX_GENERIC, point: int = 0, trial: int = 0
 ) -> np.random.Generator:
-    """Deterministic per-(context, point, trial) generator."""
-    _check_paths(context, (point,), (trial,))
+    """Deterministic per-(context, point, trial) generator; a seed that is
+    not an integer is refused."""
+    _check_key(seed, context, (point,), (trial,))
     key = np.array(_key(seed, context, point, trial), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
@@ -100,7 +110,7 @@ def draw_block(seed: int, context: int, paths, normals: int, p: int, n: int):
     its substream."""
     if not 1 <= p <= 1 << 32:
         raise ValueError(f"level count must be in [1, 2^32], got {p}")
-    _check_paths(context, [point for point, _ in paths], [trial for _, trial in paths])
+    _check_key(seed, context, [point for point, _ in paths], [trial for _, trial in paths])
     bitgen = np.random.Philox(_key_sequence()(np.zeros(2, dtype=np.uint64)))
     gen = np.random.Generator(bitgen)
     # a fresh stream's state, its arrays as lists (the setter reads them faster)
@@ -133,7 +143,8 @@ def _levels(words: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator or an integer master seed."""
+    """Accept a Generator or an integer master seed (``substream``
+    refuses any other seed)."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return substream(int(rng))
+    return substream(rng)

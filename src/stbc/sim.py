@@ -17,11 +17,13 @@ one-point config; both run one trial loop.
 Transmission, decoding and tallies are batched.  A sweep runs its trials
 point-major in blocks, which may span SNR points; each block is
 transmitted and decoded as stacked arrays (one SNR per trial) and
-tallied per point at once.  Every stacked product is made
-per trial with the shapes a single trial uses, so a block decodes
-exactly as its trials would one at a time: the block size, chosen by the
-decoder from the bytes a block's search holds at most, never changes a
-result.  The exhaustive oracle decodes one trial at a time.
+tallied per point at once.  Both decoders run this one loop: the
+decoder's admission gives its block size, and each block takes one call
+of its stacked decode.  Every stacked product is made per trial with the
+shapes a single trial uses, and the exhaustive oracle scans each trial
+of a block alone, so a block decodes exactly as its trials would one at
+a time: the block size, chosen by the decoder from the bytes a block
+holds at most, never changes a result.
 
 The CSV schema is (snr_db, trials, cer, ser, mean_evals, wall_time_s).
 To keep re-runs byte-identical -- the reproducibility contract -- the
@@ -53,9 +55,9 @@ from .decoder import (
     Constellation,
     _admit_oracle,
     _admit_search,
-    _block_trials,
     _decode_stack,
     _final_metric,
+    _oracle_stack,
     complexity_account,
     constellation,
     decode_auto,
@@ -69,9 +71,9 @@ from .designs import (
     verify_theorem1,
 )
 from .errors import BudgetExceededError
-from .linalg import CERT_TOL, _require_count, matrix_from_text, pairwise_residual
+from .linalg import CERT_TOL, _require_count, _require_snr, matrix_from_text, pairwise_residual
 from .reports import Report
-from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, draw_block, draws, substream
+from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, _require_seed, draw_block, draws, substream
 
 __all__ = [
     "SimConfig",
@@ -92,16 +94,22 @@ CSV_COLUMNS = ("snr_db", "trials", "cer", "ser", "mean_evals", "wall_time_s")
 #: refuse sweeps whose admitted count per codeword x trials x points exceeds this
 EVALUATION_BUDGET = int(2e9)
 
-_DECODERS = {"auto", "oracle"}
+#: each decoder's admission and stacked decode (see ``stbc.decoder``)
+_DECODERS = {"auto": (_admit_search, _decode_stack), "oracle": (_admit_oracle, _oracle_stack)}
 
 
-def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1) -> None:
+def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1,
+                 seed: int = 0) -> None:
     """Refuse a sweep or decode log whose trial or receive-antenna count
-    is not an integer >= 1, without SNR points, with more than
+    is not an integer >= 1, whose seed is not an integer, whose SNR points
+    are not a sequence of real numbers, without SNR points, with more than
     ``rng.POINTS`` of them or one not finite in dB or as a linear SNR, or
     with a non-finite or negative noise scale."""
     _require_count(trials, "trials")
     _require_count(n_r, "n_r")
+    _require_seed(seed)
+    if np.ndim(snr_db) != 1 or np.asarray(snr_db).dtype.kind not in "iuf":
+        raise ValueError(f"snr_db must be a sequence of real numbers, got {snr_db!r}")
     if len(snr_db) == 0:
         raise ValueError("snr list must be non-empty")
     if len(snr_db) > POINTS:
@@ -130,7 +138,7 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        _check_sweep(self.snr_db, self.trials, self.noise_scale, self.n_r)
+        _check_sweep(self.snr_db, self.trials, self.noise_scale, self.n_r, self.seed)
         if self.decoder not in _DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -201,12 +209,13 @@ def draw_trial(
 
     Draws the channel H, then the noise N, then the information level
     indices (into ``encoder.alphabet``) from ``rng`` (``stbc.rng.draws``).
+    A non-finite or negative snr is refused, as the decoders refuse it.
     """
     _require_count(n_r, "n_r")
+    snr = _require_snr(snr)
     normals, levels = draws(rng, _normals(n_r, design.n_t, design.T), len(encoder.alphabet),
                             design.n_real_symbols)
-    y, h = _transmit(design, encoder, n_r, np.array([snr]), normals[None],
-                     levels[None], noise_scale)
+    y, h = _transmit(design, encoder, n_r, snr[None], normals[None], levels[None], noise_scale)
     return y[0], h[0], levels
 
 
@@ -217,19 +226,20 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
     points, one block at a time: (points, Y, H, decoded levels,
     evaluations, wrong), a row per trial, with wrong[t, i] true when either
     real component of complex symbol i of trial t was decoded wrongly.
-    The oracle decodes one trial at a time; the blocks go to the
-    decoder's stacked search unchecked, as their draws are finite and
-    ``SimConfig`` checked their SNRs.  Before any draw the decoder admits
-    the config, and its admitted count per codeword times its trials and
-    points is refused over ``EVALUATION_BUDGET``."""
-    design, n_r, oracle = cfg.design, cfg.n_r, cfg.decoder == "oracle"
-    per_codeword = _admit_oracle(design, cons) if oracle else _admit_search(design, cons, n_r)
+    Before any draw the decoder's admission (``_admit_oracle`` or
+    ``_admit_search``) admits the config and gives its count per codeword
+    and its trials per block; the count times the trials and points is
+    refused over ``EVALUATION_BUDGET``.  Each block then takes one call of
+    the decoder's stacked decode, unchecked, as its draws are finite and
+    ``SimConfig`` checked its SNRs."""
+    design, n_r = cfg.design, cfg.n_r
+    admit, decode = _DECODERS[cfg.decoder]
+    per_codeword, block = admit(design, cons, n_r)
     total = per_codeword * cfg.trials * len(snrs)
     if total > EVALUATION_BUDGET:
         raise BudgetExceededError(
             f"sweep needs ~{total:.3g} hypothesis evaluations "
             f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}")
-    block = 1 if oracle else _block_trials(design, cons, n_r)
     schedule = ((point, trial) for point in range(len(snrs)) for trial in range(cfg.trials))
     sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
     while part := list(islice(schedule, block)):
@@ -237,12 +247,7 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
         points = np.array([point for point, _ in part])
         snr = np.asarray(snrs)[points]
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, cfg.noise_scale)
-        if oracle:
-            result = ml_oracle(y[0], h[0], design, cons, snr[0], encoder)
-            decoded = np.array([result.level_indices])
-            evaluations = np.array([result.metric_evaluations])
-        else:
-            decoded, evaluations, _ = _decode_stack(y, h, design, cons, snr, encoder)
+        decoded, evaluations, _ = decode(y, h, design, cons, snr, encoder)
         wrong = (decoded[:, 0::2] != levels[:, 0::2]) | (decoded[:, 1::2] != levels[:, 1::2])
         yield points, y, h, decoded, evaluations, wrong
 
@@ -290,7 +295,7 @@ def uncoded_siso_sweep(
     Each trial draws as from its own substream (one ``draw_block`` per
     point, as a coded sweep draws its blocks); the ML decision
     argmin |y - c h x|^2 is made over the stacked trials of a point."""
-    _check_sweep(snr_db, trials, noise_scale)
+    _check_sweep(snr_db, trials, noise_scale, seed=seed)
     cons = constellation(cons_label)
     points = cons.points
     records = []
@@ -515,11 +520,11 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     snr = 10.0
     for code, n_r, point, trials, name in checks:
         try:
-            _admit_oracle(code, cons)
+            _admit_oracle(code, cons, n_r)
         except BudgetExceededError:
             report.add(name, True, detail="oracle intractable at this size; covered at smaller a")
             continue
-        scans = _admit_search(code, cons, n_r)
+        scans, _ = _admit_search(code, cons, n_r)
         enc = default_encoder(code, cons.pam)
         mismatches = []
         for t in range(trials):

@@ -27,6 +27,7 @@ from stbc.designs import (
 )
 from stbc.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     NotGroupDecodableError,
     StructureError,
 )
@@ -472,6 +473,29 @@ class TestGuards:
         res = decode(y, h, d, CONS, 0.0)
         assert res.level_indices == (0,) * 8 and res.metric == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("decode", [decode_auto, ml_oracle])
+    @pytest.mark.parametrize("y_shape, h_shape", [
+        ((2,), (2,)),  # one trial without its receive axis
+        ((1, 1, 2), (1, 1, 2)),  # a stack
+        ((1, 2), (1, 3)),  # a channel of the wrong width
+        ((2, 2), (1, 2)),  # a received matrix of other rows
+        ((0, 2), (0, 2)),  # no receive antenna
+    ])
+    def test_wrong_shapes_refused(self, decode, y_shape, h_shape):
+        # the error names the caller's shapes, before any admission
+        d = build_rate1_4group(1)
+        with pytest.raises(DimensionMismatchError) as err:
+            decode(np.ones(y_shape), np.ones(h_shape), d, CONS, 1.0)
+        assert f"channel {h_shape} and received matrix {y_shape}" in str(err.value)
+
+    @pytest.mark.parametrize("decode", [decode_auto, ml_oracle])
+    @pytest.mark.parametrize("snr", [[1.0, 4.0], [5.0], np.ones((1, 1))])
+    def test_snr_is_one_value(self, decode, snr):
+        # one trial takes one snr: a vector is refused, not broadcast into a stack
+        d = build_rate1_4group(1)
+        with pytest.raises(ValueError, match="snr must be finite and >= 0, one value"):
+            decode(np.ones((1, 2)), np.ones((1, 2)), d, CONS, snr)
+
     def test_group_decode_rejects_uncertified_design(self):
         d = random_rotation_baseline(build_rate1_4group(2))
         y = np.zeros((1, 4), dtype=complex)
@@ -808,7 +832,7 @@ class TestBoundedSearch:
                         "a2-two-layer-16qam": (self.A2, constellation("16qam"))}[code]
         groups, outer = design.structure
         p = len(cons.pam)
-        assert decoder._block_trials(design, cons, 2) * decoder._hypotheses(
+        assert decoder._admit_search(design, cons, 2)[1] * decoder._hypotheses(
             p, groups, len(outer)) <= decoder._BUDGET
         trial, shared = decoder._sizes_at(p, groups, len(outer), 4 * design.T,
                                           decoder._CHUNK, decoder._TILE_MACS)
@@ -959,7 +983,7 @@ class TestStackedScan:
         assert 2 ** len(outer) <= decoder._CHUNK
         trial, shared = decoder._sizes_at(2, groups, len(outer), 2 * n_r * design.T,
                                           decoder._CHUNK, decoder._TILE_MACS)
-        block = decoder._block_trials(design, CONS, n_r)
+        _, block = decoder._admit_search(design, CONS, n_r)
         assert block > 1 and block * trial + shared <= decoder._BLOCK_BYTES
         enc = default_encoder(design, CONS.pam)
         y = np.zeros((block, n_r, design.T), dtype=complex)

@@ -9,18 +9,20 @@ import pytest
 from helpers import digest
 from stbc.cli import main
 from stbc.decoder import (
-    _block_trials,
+    _admit_search,
     complexity_account,
     constellation,
     decode_auto,
     full_symbol_matrix,
+    ml_oracle,
 )
-from stbc.capacity import random_rotation_baseline
+from stbc.capacity import code_capacity, random_rotation_baseline
+from stbc.channel import profile_over_channels
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
 from stbc.errors import BudgetExceededError, NotGroupDecodableError
-from stbc import rng, sim
-from stbc.rng import CTX_ERROR_SWEEP, POINTS, draw_block, substream
+from stbc import decoder, rng, sim
+from stbc.rng import CTX_ERROR_SWEEP, POINTS, as_generator, draw_block, substream
 from stbc.sim import (
     CSV_COLUMNS,
     SimConfig,
@@ -148,7 +150,7 @@ class TestErrorSweep:
     def test_blocks_equal_per_trial_decoding(self, a, layers, n_r, trials, snr_db):
         design = extend_full_rate(build_rate1_4group(a), layers)
         cons = constellation("4qam")
-        block = _block_trials(design, cons, n_r)
+        _, block = _admit_search(design, cons, n_r)
         total = trials * len(snr_db)
         # two or more blocks, the last one partial, and a block that spans points
         assert block < total and total % block != 0
@@ -209,6 +211,60 @@ class TestErrorSweep:
         cfg = silver_cfg(decoder="oracle", trials=20)
         rec = run_error_sweep(cfg)[0]
         assert rec.mean_evals == 4**4
+
+    def test_oracle_sweep_draws_in_blocks(self):
+        # the oracle decodes the simulator's blocks: 3 points of 40 trials
+        # take fewer draw_block calls than trials
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return draw_block(*args)
+
+        cfg = silver_cfg(decoder="oracle", trials=40, snr_db=(0.0, 8.0, 16.0))
+        with patch.object(sim, "draw_block", counted):
+            run_error_sweep(cfg)
+        assert sum(calls) == 120 and len(calls) < 120
+
+    def test_oracle_csv_does_not_depend_on_the_block(self, tmp_path):
+        # blocks of 1 and of 7 trials (1,600 bytes of front end a trial on
+        # the Silver code at n_r = 2) write the same bytes as the default
+        cfg = silver_cfg(decoder="oracle", trials=100, snr_db=(0.0, 8.0, 16.0))
+        cons = constellation(cfg.constellation)
+        texts = []
+        for cap, block in ((decoder._BLOCK_BYTES, 983), (1, 1), (7 * 1600 + 1, 7)):
+            with patch.object(decoder, "_BLOCK_BYTES", cap):
+                assert decoder._admit_oracle(cfg.design, cons, cfg.n_r) == (4**4, block)
+                out = tmp_path / f"sweep{block}.csv"
+                emit_csv(run_error_sweep(cfg), out)
+            texts.append(out.read_bytes())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def test_oracle_decode_log_equals_per_trial_decoding(self):
+        cfg = silver_cfg(decoder="oracle", trials=30)
+        cons = constellation(cfg.constellation)
+        enc = default_encoder(cfg.design, cons.pam)
+        snr = 10.0 ** (cfg.snr_db[0] / 10.0)
+        for trial, row in enumerate(run_decode_trials(cfg)):
+            y, h, levels = draw_trial(cfg.design, enc, cfg.n_r, snr,
+                                      substream(cfg.seed, CTX_ERROR_SWEEP, 0, trial))
+            res = ml_oracle(y, h, cfg.design, cons, snr, enc)
+            wrong = np.reshape(np.asarray(res.level_indices) != levels, (-1, 2)).any(axis=1)
+            assert row == {"trial": trial, "metric": res.metric,
+                           "symbol_errors": int(wrong.sum()),
+                           "evaluations": res.metric_evaluations}
+
+    @pytest.mark.parametrize("snr", [-1.0, np.nan, np.inf, [1.0, 4.0]])
+    def test_draw_trial_refuses_bad_snr(self, snr):
+        d = build_rate1_4group(1)
+        enc = default_encoder(d, constellation("4qam").pam)
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            draw_trial(d, enc, 1, snr, substream(0))
+
+    @pytest.mark.parametrize("snr_db", [5.0, ("a",), "10", ((1.0, 2.0),), (1j,)])
+    def test_snr_points_must_be_real_sequence(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be a sequence of real numbers"):
+            silver_cfg(snr_db=snr_db)
 
     def test_energy_normalization(self):
         d = extend_full_rate(build_rate1_4group(2), 2)
@@ -421,6 +477,32 @@ class TestSubstream:
             substream(*args)
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, "x", None, np.float64(2.0)])
+    @pytest.mark.parametrize("entry", [
+        "SimConfig", "uncoded_siso_sweep", "profile_over_channels", "substream",
+        "draw_block", "as_generator", "code_capacity"])
+    def test_non_integer_seed_refused(self, entry, seed):
+        d = build_rate1_4group(1)
+        call = {
+            "SimConfig": lambda: silver_cfg(seed=seed),
+            "uncoded_siso_sweep": lambda: uncoded_siso_sweep("4qam", (5.0,), 3, seed),
+            "profile_over_channels": lambda: profile_over_channels(d, 1, 2, seed=seed),
+            "substream": lambda: substream(seed),
+            "draw_block": lambda: draw_block(seed, CTX_ERROR_SWEEP, [(0, 0)], 4, 2, 2),
+            "as_generator": lambda: as_generator(seed),
+            "code_capacity": lambda: code_capacity(d, 1, 10.0, 100, rng=seed),
+        }[entry]
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("seed", [-5, (1 << 64) + 3, np.int64(-5), np.uint64(7)])
+    def test_integer_seeds_wrap_to_64_bits(self, seed):
+        want = substream(int(seed) % (1 << 64))
+        assert repr(substream(seed).bit_generator.state) == repr(want.bit_generator.state)
+        assert repr(as_generator(seed).bit_generator.state) == repr(want.bit_generator.state)
+
+
 class TestDrawBlock:
     """The stream contract: a block's draws equal, row for row, those of
     ``standard_normal`` and then ``integers`` on each trial's substream."""
@@ -602,4 +684,17 @@ class TestPinnedOutputs:
         out = tmp_path / "decode.csv"
         assert main(["decode", *design_args, "--snr-db", "8", "--trials", "100",
                      "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("design_args, digest", [
+        (("--a", "1", "--layers", "2"),
+         "bcf68d1d821981deef33ff8defb76dda73a9dafc2bdf1cb9c530d8d43d11d924"),
+        (("--a", "2"),
+         "7ea7c04641f3e15ab64e933d17904a2ab8e8b93628f64a634a165e4a63efa4c1"),
+    ])
+    def test_oracle_decode_log(self, tmp_path, design_args, digest):
+        # the bytes of the oracle's log when it decoded one trial at a time
+        out = tmp_path / "decode.csv"
+        assert main(["decode", *design_args, "--snr-db", "8", "--trials", "100",
+                     "--seed", "5", "--decoder", "oracle", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
