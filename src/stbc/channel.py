@@ -33,7 +33,7 @@ import numpy as np
 from .designs import STBCDesign, _dispersion_witnesses
 from .errors import DimensionMismatchError, RankDeficientError
 from .linalg import CERT_TOL, _require_count, gram_schmidt_qr, pairwise_residual
-from .rng import CTX_PROFILE, _require_seed, substream
+from .rng import CTX_PROFILE, _require_seed, draw_schedule
 
 __all__ = [
     "ChannelRealization",
@@ -216,17 +216,21 @@ def profile_over_channels(
 
     Returns (mean |R|, max |R|, always-zero mask, per-seed profiles); an
     entry is in the always-zero mask when it stays below tol for every
-    sampled channel realization.  Fewer than k / T receive antennas leave
-    every H_eq with fewer rows than columns, so no channel is drawn then.
+    sampled channel realization.  The channels are drawn as point 0 of
+    ``CTX_PROFILE`` on the sweeps' schedule (``rng.draw_schedule``), in
+    blocks of ``rng.BLOCK_TRIALS``: channel s equals ``sample_channel`` on
+    ``substream(seed, CTX_PROFILE, 0, s)``.  Fewer than k / T receive
+    antennas leave every H_eq with fewer rows than columns, so no channel
+    is drawn then.
     """
     _require_count(n_seeds, "n_seeds")
     _require_count(n_r, "n_r")
     _require_seed(seed)
     _require_tall(design, n_r)
-    profiles = []
-    for s in range(n_seeds):
-        h = sample_channel(design.n_t, n_r, substream(seed, CTX_PROFILE, 0, s)).H
-        profiles.append(r_profile(equivalent_channel(h, design), design, tol))
+    profiles = [r_profile(equivalent_channel(h, design), design, tol)
+                for _, normals, _ in draw_schedule(seed, CTX_PROFILE, 1, n_seeds,
+                                                   2 * n_r * design.n_t, 1, 0)
+                for h in _complex_normal(normals.reshape(-1, 2, n_r, design.n_t))]
     mags = np.stack([np.abs(p.R) for p in profiles])
     always_zero = np.all(np.stack([p.zero_mask for p in profiles]), axis=0)
     return mags.mean(axis=0), mags.max(axis=0), always_zero, profiles

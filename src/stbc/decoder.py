@@ -112,6 +112,7 @@ the account stays the paper's closed form, not a count of tree nodes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -189,9 +190,10 @@ def square_qam(m: int) -> Constellation:
 @lru_cache(maxsize=16)
 def constellation(label: str) -> Constellation:
     """Parse labels like '4qam', '16-QAM'; one shared, read-only instance
-    per label."""
-    clean = label.lower().replace("-", "").replace("_", "")
-    if not clean.endswith("qam"):
+    per label.  Anything that is not ``<digits>qam`` once case, '-' and
+    '_' are dropped is refused, naming the label."""
+    clean = label.lower().replace("-", "").replace("_", "") if isinstance(label, str) else ""
+    if not re.fullmatch(r"[0-9]+qam", clean):
         raise ValueError(f"unsupported constellation {label!r} (square QAM only)")
     return square_qam(int(clean[:-3]))
 

@@ -56,8 +56,9 @@ def _require_snr(snr, positive: bool = False) -> np.ndarray:
 
 
 def _require_count(count, name: str) -> None:
-    """Refuse a count (trials, antennas, seeds) that is not an integer >= 1."""
-    if not isinstance(count, Integral):
+    """Refuse a count (trials, antennas, seeds) that is not an integer >= 1;
+    a bool is not a count."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
         raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")

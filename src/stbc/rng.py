@@ -17,11 +17,20 @@ stream.  ``draw_block`` gives those values for a block of trials from one
 reused Philox: a trial's stream depends only on its key (Philox is
 counter-based), and numpy draws each level below p from one 32-bit word
 by Lemire's method, so the levels follow from the words in one step.
+
+Every library loop that draws per trial -- the coded error sweeps, the
+uncoded SISO baseline and the channel profile -- runs one schedule,
+``draw_schedule``: its (point, trial) paths point-major, in blocks of at
+most a fixed number of trials that may span points, each block drawn by
+one ``draw_block`` call.  A coded sweep takes its block size from its
+decoder's admission, the others ``BLOCK_TRIALS``.  The capacity
+estimators draw from one sequential Generator instead.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 from numbers import Integral
 
 import numpy as np
@@ -34,6 +43,10 @@ CTX_GENERIC = 7
 #: point indices a stream path can address (16 bits), so the most SNR
 #: points one sweep may have
 POINTS = 1 << 16
+
+#: trials per block of a schedule given no block size (the SISO baseline,
+#: the channel profile)
+BLOCK_TRIALS = 1 << 10
 
 _WORD = (1 << 64) - 1
 _HALF = (1 << 32) - 1
@@ -128,6 +141,21 @@ def draw_block(seed: int, context: int, paths, normals: int, p: int, n: int):
     for i in np.flatnonzero(retry):
         levels[i] = draws(substream(seed, context, *paths[i]), normals, p, n)[1]
     return out, levels
+
+
+def draw_schedule(seed: int, context: int, points: int, trials: int, normals: int, p: int,
+                  n: int, block: int | None = None):
+    """The ``draws`` of every path (point, trial), point < ``points`` and
+    trial < ``trials``, point-major, in blocks of at most ``block`` trials
+    (``BLOCK_TRIALS`` if None) that may span points: per block, (the point
+    of each trial (B,), normals (B, normals), levels (B, n)), the draws
+    from one ``draw_block`` call.  A point or trial count the key cannot
+    hold is refused before the first draw."""
+    _check_key(seed, context, (0, points - 1), (0, trials - 1))
+    paths = ((point, trial) for point in range(points) for trial in range(trials))
+    while part := list(islice(paths, block or BLOCK_TRIALS)):
+        drawn = draw_block(seed, context, part, normals, p, n)
+        yield np.array([point for point, _ in part]), *drawn
 
 
 def _levels(words: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:

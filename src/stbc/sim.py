@@ -6,24 +6,26 @@ draws from its own counter-based substream keyed by (master seed, snr
 point index, trial index), so a sweep is bit-reproducible regardless of
 how trials are scheduled.  The contract is the values: a trial's channel
 and noise equal one standard_normal call on its substream, and its
-information symbols the integers call that follows.  A block of trials
-gets those values from ``rng.draw_block`` (one reused Philox), not from
-the calls themselves.
+information symbols the integers call that follows.  Blocks of trials
+get those values from ``rng.draw_schedule`` (one ``rng.draw_block`` call
+a block), not from the calls themselves.
 
 One ``SimConfig`` describes a decoded experiment: ``run_error_sweep``
 tallies its points, and ``run_decode_trials`` logs each trial of a
 one-point config; both run one trial loop.
 
 Transmission, decoding and tallies are batched.  A sweep runs its trials
-point-major in blocks, which may span SNR points; each block is
-transmitted and decoded as stacked arrays (one SNR per trial) and
-tallied per point at once.  Both decoders run this one loop: the
-decoder's admission gives its block size, and each block takes one call
-of its stacked decode.  Every stacked product is made per trial with the
-shapes a single trial uses, and the exhaustive oracle scans each trial
-of a block alone, so a block decodes exactly as its trials would one at
-a time: the block size, chosen by the decoder from the bytes a block
-holds at most, never changes a result.
+on the one schedule of ``rng``: point-major, in blocks that may span SNR
+points; each block is transmitted and decoded as stacked arrays (one SNR
+per trial) and tallied per point at once.  Both decoders run this one
+loop: the decoder's admission gives its block size, and each block takes
+one call of its stacked decode.  Every stacked product is made per trial
+with the shapes a single trial uses, and the exhaustive oracle scans each
+trial of a block alone, so a block decodes exactly as its trials would
+one at a time: the block size, chosen by the decoder from the bytes a
+block holds at most, never changes a result.  The uncoded SISO baseline
+draws on the same schedule, in blocks of ``rng.BLOCK_TRIALS`` trials, and
+both are tallied by one per-point tally.
 
 The CSV schema is (snr_db, trials, cer, ser, mean_evals, wall_time_s).
 To keep re-runs byte-identical -- the reproducibility contract -- the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
+from numbers import Real
 
 import numpy as np
 
@@ -73,7 +75,8 @@ from .designs import (
 from .errors import BudgetExceededError
 from .linalg import CERT_TOL, _require_count, _require_snr, matrix_from_text, pairwise_residual
 from .reports import Report
-from .rng import CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, _require_seed, draw_block, draws, substream
+from .rng import (CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, _require_seed, draw_schedule, draws,
+                  substream)
 
 __all__ = [
     "SimConfig",
@@ -104,7 +107,7 @@ def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1,
     is not an integer >= 1, whose seed is not an integer, whose SNR points
     are not a sequence of real numbers, without SNR points, with more than
     ``rng.POINTS`` of them or one not finite in dB or as a linear SNR, or
-    with a non-finite or negative noise scale."""
+    with a noise scale that is not a real number, finite and >= 0."""
     _require_count(trials, "trials")
     _require_count(n_r, "n_r")
     _require_seed(seed)
@@ -118,8 +121,8 @@ def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1,
         raise ValueError(f"snr_db values must be finite, got {tuple(snr_db)}")
     if max(snr_db) / 10.0 >= np.log10(np.finfo(float).max):
         raise ValueError(f"snr_db values must have a finite linear snr, got {tuple(snr_db)}")
-    if not (np.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    if not (isinstance(noise_scale, Real) and np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be real, finite and >= 0, got {noise_scale!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +142,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_sweep(self.snr_db, self.trials, self.noise_scale, self.n_r, self.seed)
+        constellation(self.constellation)
         if self.decoder not in _DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -222,10 +226,11 @@ def draw_trial(
 def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs):
     """Every trial of every SNR point of ``cfg`` (``snrs`` its linear
     SNRs), point-major, each drawn as from its own substream (seed,
-    CTX_ERROR_SWEEP, point, trial) and decoded in blocks that may span
-    points, one block at a time: (points, Y, H, decoded levels,
-    evaluations, wrong), a row per trial, with wrong[t, i] true when either
-    real component of complex symbol i of trial t was decoded wrongly.
+    CTX_ERROR_SWEEP, point, trial) on ``rng.draw_schedule`` and decoded
+    in its blocks, which may span points, one block at a time: (points, Y,
+    H, decoded levels, evaluations, wrong), a row per trial, with wrong[t,
+    i] true when either real component of complex symbol i of trial t was
+    decoded wrongly.
     Before any draw the decoder's admission (``_admit_oracle`` or
     ``_admit_search``) admits the config and gives its count per codeword
     and its trials per block; the count times the trials and points is
@@ -240,11 +245,9 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
         raise BudgetExceededError(
             f"sweep needs ~{total:.3g} hypothesis evaluations "
             f"({per_codeword} per codeword); budget is {EVALUATION_BUDGET:.3g}")
-    schedule = ((point, trial) for point in range(len(snrs)) for trial in range(cfg.trials))
     sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
-    while part := list(islice(schedule, block)):
-        normals, levels = draw_block(cfg.seed, CTX_ERROR_SWEEP, part, *sizes)
-        points = np.array([point for point, _ in part])
+    for points, normals, levels in draw_schedule(cfg.seed, CTX_ERROR_SWEEP, len(snrs), cfg.trials,
+                                                 *sizes, block):
         snr = np.asarray(snrs)[points]
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, cfg.noise_scale)
         decoded, evaluations, _ = decode(y, h, design, cons, snr, encoder)
@@ -252,17 +255,17 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
         yield points, y, h, decoded, evaluations, wrong
 
 
-def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
-    """Monte-Carlo symbol/codeword error rates over the configured sweep."""
-    design = cfg.design
-    cons = constellation(cfg.constellation)
-    encoder = default_encoder(design, cons.pam)
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
-    n = len(snrs)
+def _records(snr_db, trials: int, symbols: int, blocks) -> list[SimRecord]:
+    """One record per point of ``snr_db``, of ``trials`` trials of
+    ``symbols`` symbols each, tallied from ``blocks`` of (the point of
+    each trial, evaluations per trial, wrong[t, i] per trial and symbol).
+    The clock is read before the first block and after each; a block's
+    time is split over its points by their trials."""
+    n = len(snr_db)
     cw_errors, sym_errors, evals = (np.zeros(n, dtype=np.int64) for _ in range(3))
     elapsed = np.zeros(n)
     t0 = time.perf_counter()
-    for points, _, _, _, evaluations, wrong in _decoded_trials(cfg, cons, encoder, snrs):
+    for points, evaluations, wrong in blocks:
         np.add.at(evals, points, evaluations)
         np.add.at(sym_errors, points, wrong.sum(axis=1))
         np.add.at(cw_errors, points, wrong.any(axis=1))
@@ -271,16 +274,26 @@ def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
         t0 = now
     return [
         SimRecord(
-            snr_db=float(snr_db),
-            trials=cfg.trials,
+            snr_db=float(db),
+            trials=trials,
             codeword_errors=int(cw_errors[point]),
             symbol_errors=int(sym_errors[point]),
-            symbols=design.k,
-            mean_evals=int(evals[point]) / cfg.trials,
+            symbols=symbols,
+            mean_evals=int(evals[point]) / trials,
             wall_time_s=float(elapsed[point]),
         )
-        for point, snr_db in enumerate(cfg.snr_db)
+        for point, db in enumerate(snr_db)
     ]
+
+
+def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
+    """Monte-Carlo symbol/codeword error rates over the configured sweep."""
+    cons = constellation(cfg.constellation)
+    encoder = default_encoder(cfg.design, cons.pam)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
+    blocks = _decoded_trials(cfg, cons, encoder, snrs)
+    return _records(cfg.snr_db, cfg.trials, cfg.design.k,
+                    ((points, evaluations, wrong) for points, *_, evaluations, wrong in blocks))
 
 
 def uncoded_siso_sweep(
@@ -292,42 +305,32 @@ def uncoded_siso_sweep(
 ) -> list[SimRecord]:
     """Single-antenna uncoded ML baseline on the same fading model.
 
-    Each trial draws as from its own substream (one ``draw_block`` per
-    point, as a coded sweep draws its blocks); the ML decision
-    argmin |y - c h x|^2 is made over the stacked trials of a point."""
+    Each trial draws h, the noise and its level as from its own substream
+    (seed, CTX_ERROR_SWEEP, point, trial), on the coded sweeps' schedule
+    (``rng.draw_schedule``) in blocks of ``rng.BLOCK_TRIALS`` trials, so
+    its memory does not grow with ``trials``.  The ML decision argmin
+    |y - c h x|^2 is made over a block's trials at once, and the blocks
+    are tallied as a coded sweep's are."""
     _check_sweep(snr_db, trials, noise_scale, seed=seed)
     cons = constellation(cons_label)
-    points = cons.points
-    records = []
-    for point_i, db in enumerate(snr_db):
-        snr = 10.0 ** (db / 10.0)
-        c = np.sqrt(snr)
-        t0 = time.perf_counter()
-        paths = [(point_i, trial) for trial in range(trials)]
-        normals, levels = draw_block(seed, CTX_ERROR_SWEEP, paths, _normals(1, 1, 1),
-                                     cons.size, 1)
-        idx = levels[:, 0]
-        h, noise = _channel_and_noise(normals, 1, 1, 1)
-        ch = c * h[:, 0, 0]
-        # the received value keeps its per-trial scalar arithmetic: numpy's
-        # scalar and array complex products may differ in the last bit
-        y = np.array([ch[t] * points[idx[t]] + noise_scale * noise[t, 0, 0]
-                      for t in range(trials)])
-        guess = np.argmin(np.abs(y[:, None] - ch[:, None] * points) ** 2, axis=1)
-        errors = int(np.count_nonzero(guess != idx))
-        elapsed = time.perf_counter() - t0
-        records.append(
-            SimRecord(
-                snr_db=float(db),
-                trials=trials,
-                codeword_errors=errors,
-                symbol_errors=errors,
-                symbols=1,
-                mean_evals=float(cons.size),
-                wall_time_s=elapsed,
-            )
-        )
-    return records
+    gains = np.sqrt([10.0 ** (db / 10.0) for db in snr_db])
+
+    def blocks():
+        for points, normals, levels in draw_schedule(seed, CTX_ERROR_SWEEP, len(snr_db), trials,
+                                                     _normals(1, 1, 1), cons.size, 1):
+            h, noise = _channel_and_noise(normals, 1, 1, 1)
+            ch, x = gains[points] * h[:, 0, 0], cons.points[levels[:, 0]]
+            # formed in real parts, the product has the bits of numpy's
+            # scalar complex product (the pinned CSVs'); its array complex
+            # product may differ in the last bit
+            y = np.empty_like(ch)
+            y.real = ch.real * x.real - ch.imag * x.imag
+            y.imag = ch.real * x.imag + ch.imag * x.real
+            y += noise_scale * noise[:, 0, 0]
+            guess = np.argmin(np.abs(y[:, None] - ch[:, None] * cons.points) ** 2, axis=1)
+            yield points, cons.size, guess[:, None] != levels
+
+    return _records(snr_db, trials, 1, blocks())
 
 
 def run_decode_trials(cfg: SimConfig) -> list[dict]:

@@ -3,7 +3,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from stbc import sim
+from stbc import rng
 from stbc.cli import main
 from stbc.errors import BudgetExceededError, DesignFormatError, RankDeficientError
 from stbc.linalg import matrix_from_text, matrix_to_text
@@ -148,7 +148,7 @@ class TestDecodeCommand:
     def test_over_budget_refused_before_any_draw(self, tmp_path):
         # ~4.19e12 predicted evaluations: refused as the sweep refuses it
         out = tmp_path / "dec.csv"
-        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+        with patch.object(rng, "draw_block", side_effect=AssertionError("drew")):
             with pytest.raises(BudgetExceededError, match=r"^sweep needs ~4\.19e\+12 "):
                 run("decode", "--a", 3, "--layers", 2, "--snr-db", 10, "--trials", 10**6,
                     "--out", out)

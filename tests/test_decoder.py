@@ -57,6 +57,15 @@ class TestConstellation:
         with pytest.raises(ValueError):
             square_qam(8)
 
+    @pytest.mark.parametrize("label", [None, 4, "qam", "64.0qam", "bogus", "16qam4"])
+    def test_label_not_digits_qam_refused(self, label):
+        with pytest.raises(ValueError, match=rf"unsupported constellation {label!r} "):
+            constellation(label)
+
+    def test_known_bad_size_keeps_its_message(self):
+        with pytest.raises(ValueError, match="even perfect-square size, got 3"):
+            constellation("3qam")
+
     def test_one_read_only_instance_per_label(self):
         c = constellation("4qam")
         assert constellation("4qam") is c

@@ -94,7 +94,7 @@ class TestErrorSweep:
         # the sweep and the decode log refuse the same config alike
         d = extend_full_rate(build_rate1_4group(3), 2)
         cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**6)
-        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+        with patch.object(rng, "draw_block", side_effect=AssertionError("drew")):
             with pytest.raises(BudgetExceededError) as err:
                 entry(cfg)
         assert str(err.value) == ("sweep needs ~4.19e+12 hypothesis evaluations "
@@ -119,7 +119,7 @@ class TestErrorSweep:
         design = extend_full_rate(build_rate1_4group(a), layers)
         cfg = SimConfig(design=design, n_r=n_r, constellation=label, snr_db=(10.0,),
                         trials=trials, decoder=decoder)
-        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+        with patch.object(rng, "draw_block", side_effect=AssertionError("drew")):
             with pytest.raises(BudgetExceededError) as err:
                 entry(cfg)
         assert str(err.value) == message
@@ -127,7 +127,7 @@ class TestErrorSweep:
     def test_design_without_the_split_refused_before_the_sweep_budget(self):
         d = random_rotation_baseline(extend_full_rate(build_rate1_4group(1), 2))
         cfg = SimConfig(design=d, n_r=2, snr_db=(10.0,), trials=10**8)
-        with patch.object(sim, "draw_block", side_effect=AssertionError("drew")):
+        with patch.object(rng, "draw_block", side_effect=AssertionError("drew")):
             with pytest.raises(NotGroupDecodableError):
                 run_error_sweep(cfg)
 
@@ -222,9 +222,57 @@ class TestErrorSweep:
             return draw_block(*args)
 
         cfg = silver_cfg(decoder="oracle", trials=40, snr_db=(0.0, 8.0, 16.0))
-        with patch.object(sim, "draw_block", counted):
+        with patch.object(rng, "draw_block", counted):
             run_error_sweep(cfg)
         assert sum(calls) == 120 and len(calls) < 120
+
+    def test_siso_and_profile_csvs_do_not_depend_on_the_block(self, tmp_path):
+        # blocks of 1 and of 7 trials, which span the SISO's points and
+        # split the profile's seeds, write the same bytes as the default
+        sizes = []
+
+        def recorded(seed, context, paths, *sizes_of_a_trial):
+            sizes.append(len(paths))
+            return draw_block(seed, context, paths, *sizes_of_a_trial)
+
+        texts = []
+        for block in (rng.BLOCK_TRIALS, 1, 7):
+            siso, profile = tmp_path / f"siso{block}.csv", tmp_path / f"profile{block}.csv"
+            with patch.object(rng, "BLOCK_TRIALS", block), patch.object(rng, "draw_block",
+                                                                        recorded):
+                emit_csv(uncoded_siso_sweep("16qam", (0.0, 5.0, 10.0), 30, 7), siso)
+                assert main(["channel", "profile", "--a", "2", "--layers", "2", "--nr", "2",
+                             "--seeds", "25", "--out", str(profile)]) == 0
+            assert max(sizes) == min(block, 90) and sum(sizes) == 90 + 25
+            sizes.clear()
+            texts.append((siso.read_bytes(), profile.read_bytes()))
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    @pytest.mark.parametrize("entry", [
+        lambda: uncoded_siso_sweep("4qam", (0.0,), (1 << 32) + 1, 1),
+        lambda: profile_over_channels(build_rate1_4group(1), 1, (1 << 32) + 1),
+    ], ids=["siso", "profile"])
+    def test_trial_index_out_of_range_refused_before_any_draw(self, entry):
+        # trial 2^32 does not fit its key field: refused up front, not
+        # after 2^32 trials
+        with patch.object(rng, "draw_block", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="trial index out of range"):
+                entry()
+
+    def test_siso_memory_does_not_grow_with_trials(self):
+        # the baseline holds one block of trials at a time: ten times the
+        # trials take no more memory than a small margin
+        import tracemalloc
+
+        peaks = []
+        for trials in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                uncoded_siso_sweep("64qam", (10.0,), trials, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 20), peaks
 
     def test_oracle_csv_does_not_depend_on_the_block(self, tmp_path):
         # blocks of 1 and of 7 trials (1,600 bytes of front end a trial on
@@ -401,6 +449,39 @@ class TestParsing:
                 silver_cfg(noise_scale=noise_scale)
             with pytest.raises(ValueError, match="noise_scale"):
                 uncoded_siso_sweep("4qam", (0.0,), 10, 1, noise_scale=noise_scale)
+
+    @pytest.mark.parametrize("entry, name", [
+        (lambda: run_error_sweep(silver_cfg(trials=True)), "trials"),
+        (lambda: silver_cfg(n_r=True), "n_r"),
+        (lambda: uncoded_siso_sweep("4qam", (0.0,), True, 1), "trials"),
+        (lambda: profile_over_channels(build_rate1_4group(1), 1, True), "n_seeds"),
+        (lambda: profile_over_channels(build_rate1_4group(1), True, 2), "n_r"),
+        (lambda: code_capacity(build_rate1_4group(1), 1, 10.0, True, 0), "trials"),
+    ], ids=["sweep-trials", "config-n_r", "siso-trials", "profile-seeds", "profile-n_r",
+            "capacity-trials"])
+    def test_bool_count_refused(self, entry, name):
+        # bool is an Integral, but True is no count of trials or antennas
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            entry()
+
+    @pytest.mark.parametrize("noise_scale", ["x", None, 1j])
+    def test_noise_scale_not_a_real_number_refused(self, noise_scale):
+        with pytest.raises(ValueError, match="noise_scale must be real, finite"):
+            uncoded_siso_sweep("4qam", (0.0,), 10, 1, noise_scale=noise_scale)
+        with pytest.raises(ValueError, match="noise_scale must be real, finite"):
+            silver_cfg(noise_scale=noise_scale)
+
+    @pytest.mark.parametrize("label, match", [
+        ("bogus", "unsupported constellation 'bogus'"),
+        ("qam", "unsupported constellation 'qam'"),
+        ("64.0qam", "unsupported constellation '64.0qam'"),
+        (None, "unsupported constellation None"),
+        ("8qam", "even perfect-square size, got 8"),
+    ])
+    def test_config_refuses_a_bad_label(self, label, match):
+        # refused when the config is made, not when its sweep runs
+        with pytest.raises(ValueError, match=match):
+            silver_cfg(constellation=label)
 
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("n_r", 1.5), ("trials", "3")])
     def test_counts_must_be_integers(self, field, value):
@@ -684,6 +765,18 @@ class TestPinnedOutputs:
         out = tmp_path / "decode.csv"
         assert main(["decode", *design_args, "--snr-db", "8", "--trials", "100",
                      "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        (("--a", "3", "--layers", "2", "--nr", "2", "--seeds", "40"),
+         "0cd8891baab9515e267cdf1be626a226f9e53d81093f7a426eb7d115468d06a5"),
+        (("--a", "2", "--nr", "1", "--seeds", "25", "--seed", "9"),
+         "cb6150496bd430f8be277a79d61192d6fe3e83be6efe4ec46b4c4741aad280a8"),
+    ])
+    def test_channel_profile_csv(self, tmp_path, args, digest):
+        # the bytes of the profile when it drew one channel per substream
+        out = tmp_path / "profile.csv"
+        assert main(["channel", "profile", *args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("design_args, digest", [
