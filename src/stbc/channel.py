@@ -27,6 +27,7 @@ V upper triangular of size n_t/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -216,7 +217,8 @@ def profile_over_channels(
 
     Returns (mean |R|, max |R|, always-zero mask, per-seed profiles); an
     entry is in the always-zero mask when it stays below tol for every
-    sampled channel realization.  The channels are drawn as point 0 of
+    sampled channel realization.  ``tol`` is checked as ``r_profile``
+    checks it, before any draw.  The channels are drawn as point 0 of
     ``CTX_PROFILE`` on the sweeps' schedule (``rng.draw_schedule``), in
     blocks of ``rng.BLOCK_TRIALS``: channel s equals ``sample_channel`` on
     ``substream(seed, CTX_PROFILE, 0, s)``.  Fewer than k / T receive
@@ -226,6 +228,7 @@ def profile_over_channels(
     _require_count(n_seeds, "n_seeds")
     _require_count(n_r, "n_r")
     _require_seed(seed)
+    _require_tol(tol)
     _require_tall(design, n_r)
     profiles = [r_profile(equivalent_channel(h, design), design, tol)
                 for _, normals, _ in draw_schedule(seed, CTX_PROFILE, 1, n_seeds,
@@ -234,6 +237,12 @@ def profile_over_channels(
     mags = np.stack([np.abs(p.R) for p in profiles])
     always_zero = np.all(np.stack([p.zero_mask for p in profiles]), axis=0)
     return mags.mean(axis=0), mags.max(axis=0), always_zero, profiles
+
+
+def _require_tol(tol) -> None:
+    """Refuse a zero tolerance that is not a real number, finite and > 0."""
+    if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def r_profile(H_eq: np.ndarray, design: STBCDesign, tol: float = 1e-9) -> RProfile:
@@ -249,8 +258,7 @@ def r_profile(H_eq: np.ndarray, design: STBCDesign, tol: float = 1e-9) -> RProfi
     ``kron_identity`` when it has four groups and both values are within
     tol, i.e. its block factors as I_4 x V up to the index order.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _require_tol(tol)
     H_eq = np.asarray(H_eq, dtype=float)
     norms = np.linalg.norm(H_eq, axis=0)
     if np.any(norms == 0.0):

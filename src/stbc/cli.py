@@ -34,7 +34,7 @@ from .coding_gain import (
     min_determinant,
     rotation_from_matrix,
 )
-from .decoder import constellation
+from .decoder import _DECODERS, constellation
 from .designs import (
     build_rate1_4group,
     design_to_text,
@@ -230,7 +230,7 @@ def build_parser(sweep_defaults: dict[str, str] | None = None) -> argparse.Argum
         p.add_argument("--constellation", default="4qam")
         p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--seed", type=int, default=seed)
-        p.add_argument("--decoder", default="auto", choices=("auto", "oracle"))
+        p.add_argument("--decoder", default="auto", choices=tuple(_DECODERS))
         p.add_argument("--out")
 
     p = sub.add_parser("clifford", help="generator matrices")

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadIndexOrderError, UnsupportedSizeError
-from .linalg import CERT_TOL, kron_power, pairwise_residual
+from .errors import BadIndexOrderError
+from .linalg import CERT_TOL, _require_size, kron_power, pairwise_residual
 from .reports import Report
 
 __all__ = [
@@ -106,8 +106,7 @@ def build_generators(a: int, sign: int = 1) -> CliffordSet:
     exactly) so the three-anticommuting-matrix requirement of the code
     constructions can be met for two antennas as well.
     """
-    if not 1 <= a <= MAX_A:
-        raise UnsupportedSizeError(f"a must be in 1..{MAX_A}, got {a}")
+    _require_size(a, "a", MAX_A)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     eye2 = np.eye(2, dtype=complex)

@@ -19,11 +19,13 @@ Both decoders have one shape.  An admission, ``_admit_search`` or
 (count per codeword, trials per block); a stacked decode,
 ``_decode_stack`` or ``_oracle_stack``, takes (Y, H, design, cons, snr,
 encoder) for a stack of trials and returns (levels, evaluations, b).
-Inputs and limits are checked once.  The two public entry points check
-their inputs (``_checked``: a non-finite Y or H, a non-finite or negative
-snr, a channel that is not (n_r, n_t) and a received matrix that is not
-(n_r, T) raise a ``ValueError`` subclass), admit the work, decode a
-stack of one and recompute its metric (``_decode_one``).
+``_DECODERS`` names each pair; ``SimConfig``, the simulator's trial
+loop and the CLI's ``--decoder`` read it.  Inputs and limits are
+checked once.  The two public entry points check their inputs
+(``_checked``: a non-finite Y or H, a non-finite or negative snr, a
+channel that is not (n_r, n_t) and a received matrix that is not (n_r,
+T) raise a ``ValueError`` subclass), admit the work, decode a stack of
+one and recompute its metric (``_decode_one``).
 ``_admit_search`` refuses a design without the split, more than 1 << 26
 scans and tables of more than 1 GiB for one trial, ``_admit_oracle``
 more than 1 << 22 candidates (``BudgetExceededError``).  The simulator
@@ -173,9 +175,10 @@ class Constellation:
             raise ValueError(f"constellation power {power} != 1")
 
 
+@lru_cache(maxsize=16)
 def square_qam(m: int) -> Constellation:
-    """Unit-energy square M-QAM, M in {4, 16, 64, 256, ...}, with
-    read-only ``points`` and ``pam``."""
+    """Unit-energy square M-QAM, M in {4, 16, 64, 256, ...}: one shared
+    instance per size, with read-only ``points`` and ``pam``."""
     root = isqrt(m)
     if root * root != m or root % 2 or m < 4:
         raise ValueError(f"square QAM needs an even perfect-square size, got {m}")
@@ -187,11 +190,11 @@ def square_qam(m: int) -> Constellation:
     return Constellation(label=f"{m}qam", points=points, pam=pam)
 
 
-@lru_cache(maxsize=16)
 def constellation(label: str) -> Constellation:
     """Parse labels like '4qam', '16-QAM'; one shared, read-only instance
-    per label.  Anything that is not ``<digits>qam`` once case, '-' and
-    '_' are dropped is refused, naming the label."""
+    per size (``square_qam``).  Anything that is not ``<digits>qam`` once
+    case, '-' and '_' are dropped is refused, naming the label, before
+    any cache sees it."""
     clean = label.lower().replace("-", "").replace("_", "") if isinstance(label, str) else ""
     if not re.fullmatch(r"[0-9]+qam", clean):
         raise ValueError(f"unsupported constellation {label!r} (square QAM only)")
@@ -875,3 +878,7 @@ def decode_auto(
     groups (group search at rate 1, outer-layer conditioning otherwise):
     one trial as a stack of one (``_decode_stack``)."""
     return _decode_one(Y, H, design, cons, snr, encoder, _admit_search, _decode_stack)
+
+
+#: each decoder's admission and stacked decode, by its ``SimConfig`` name
+_DECODERS = {"auto": (_admit_search, _decode_stack), "oracle": (_admit_oracle, _oracle_stack)}

@@ -38,9 +38,9 @@ from .errors import (
     DesignFormatError,
     DimensionMismatchError,
     StructureError,
-    UnsupportedSizeError,
 )
-from .linalg import CERT_TOL, matrix_from_text, matrix_to_text, pairwise_residual, tilde_vec, vec
+from .linalg import (CERT_TOL, _require_size, matrix_from_text, matrix_to_text, pairwise_residual,
+                     tilde_vec, vec)
 from .reports import Report
 
 __all__ = [
@@ -415,10 +415,7 @@ def extend_full_rate(
     """
     if base.layers != 1 or base.products is None:
         raise ValueError("base must be a constructed rate-1 design")
-    if not 1 <= n_layers <= base.n_t:
-        raise UnsupportedSizeError(
-            f"n_layers must be in 1..{base.n_t}, got {n_layers}"
-        )
+    _require_size(n_layers, "n_layers", base.n_t)
     if abs(abs(complex(layer_scalar)) - 1.0) > 1e-12:
         raise ValueError("layer_scalar must have unit modulus")
     if n_layers == 1:

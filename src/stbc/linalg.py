@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import RankDeficientError
+from .errors import RankDeficientError, UnsupportedSizeError
 
 __all__ = [
     "realify",
@@ -62,6 +62,15 @@ def _require_count(count, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
+
+
+def _require_size(size, name: str, high: int) -> None:
+    """Refuse a size (an antenna exponent, a layer count) that is not an
+    integer in 1..high -- a bool is not one -- with ``UnsupportedSizeError``."""
+    if isinstance(size, bool) or not isinstance(size, Integral):
+        raise UnsupportedSizeError(f"{name} must be an integer, got {size!r}")
+    if not 1 <= size <= high:
+        raise UnsupportedSizeError(f"{name} must be in 1..{high}, got {size}")
 
 
 def kron_power(a: np.ndarray, m: int) -> np.ndarray:

@@ -18,13 +18,15 @@ reused Philox: a trial's stream depends only on its key (Philox is
 counter-based), and numpy draws each level below p from one 32-bit word
 by Lemire's method, so the levels follow from the words in one step.
 
-Every library loop that draws per trial -- the coded error sweeps, the
-uncoded SISO baseline and the channel profile -- runs one schedule,
-``draw_schedule``: its (point, trial) paths point-major, in blocks of at
-most a fixed number of trials that may span points, each block drawn by
-one ``draw_block`` call.  A coded sweep takes its block size from its
-decoder's admission, the others ``BLOCK_TRIALS``.  The capacity
-estimators draw from one sequential Generator instead.
+Every library loop that draws per trial -- the coded error sweeps and
+decode logs, ``verify_all``'s decoder checks (all through
+``sim._decoded_trials``), the uncoded SISO baseline and the channel
+profile -- runs one schedule, ``draw_schedule``: its (point, trial)
+paths point-major, in blocks of at most a fixed number of trials that
+may span points, each block drawn by one ``draw_block`` call.  A decoded
+run takes its block size from its decoder's admission, the others
+``BLOCK_TRIALS``.  The capacity estimators draw from one sequential
+Generator instead.
 """
 
 from __future__ import annotations

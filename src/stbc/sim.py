@@ -11,8 +11,11 @@ get those values from ``rng.draw_schedule`` (one ``rng.draw_block`` call
 a block), not from the calls themselves.
 
 One ``SimConfig`` describes a decoded experiment: ``run_error_sweep``
-tallies its points, and ``run_decode_trials`` logs each trial of a
-one-point config; both run one trial loop.
+tallies its points, ``run_decode_trials`` logs each trial of a one-point
+config, and ``verify_all`` decodes one config with each decoder and
+compares them trial for trial.  All three run one trial loop,
+``_decoded_trials(cfg)``, the only library code that draws and decodes
+trials; ``draw_trial`` is the per-trial reference for tests and demos.
 
 Transmission, decoding and tallies are batched.  A sweep runs its trials
 on the one schedule of ``rng``: point-major, in blocks that may span SNR
@@ -38,7 +41,7 @@ split over its points in proportion to their trials.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 
 import numpy as np
@@ -53,18 +56,7 @@ from .clifford import (
 )
 from .coding_gain import Encoder, default_encoder, extract_W, full_symbol_matrix, min_determinant
 from .channel import _complex_normal, mandated_zero_mask, profile_over_channels
-from .decoder import (
-    Constellation,
-    _admit_oracle,
-    _admit_search,
-    _decode_stack,
-    _final_metric,
-    _oracle_stack,
-    complexity_account,
-    constellation,
-    decode_auto,
-    ml_oracle,
-)
+from .decoder import _DECODERS, _final_metric, complexity_account, constellation
 from .designs import (
     STBCDesign,
     build_rate1_4group,
@@ -75,8 +67,7 @@ from .designs import (
 from .errors import BudgetExceededError
 from .linalg import CERT_TOL, _require_count, _require_snr, matrix_from_text, pairwise_residual
 from .reports import Report
-from .rng import (CTX_ERROR_SWEEP, CTX_PROFILE, POINTS, _require_seed, draw_schedule, draws,
-                  substream)
+from .rng import CTX_ERROR_SWEEP, POINTS, _require_seed, draw_schedule, draws
 
 __all__ = [
     "SimConfig",
@@ -96,9 +87,6 @@ CSV_COLUMNS = ("snr_db", "trials", "cer", "ser", "mean_evals", "wall_time_s")
 
 #: refuse sweeps whose admitted count per codeword x trials x points exceeds this
 EVALUATION_BUDGET = int(2e9)
-
-#: each decoder's admission and stacked decode (see ``stbc.decoder``)
-_DECODERS = {"auto": (_admit_search, _decode_stack), "oracle": (_admit_oracle, _oracle_stack)}
 
 
 def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1,
@@ -141,6 +129,8 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.design, STBCDesign):
+            raise ValueError(f"design must be an STBCDesign, got {type(self.design).__name__}")
         _check_sweep(self.snr_db, self.trials, self.noise_scale, self.n_r, self.seed)
         constellation(self.constellation)
         if self.decoder not in _DECODERS:
@@ -223,21 +213,25 @@ def draw_trial(
     return y[0], h[0], levels
 
 
-def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs):
-    """Every trial of every SNR point of ``cfg`` (``snrs`` its linear
-    SNRs), point-major, each drawn as from its own substream (seed,
-    CTX_ERROR_SWEEP, point, trial) on ``rng.draw_schedule`` and decoded
-    in its blocks, which may span points, one block at a time: (points, Y,
-    H, decoded levels, evaluations, wrong), a row per trial, with wrong[t,
-    i] true when either real component of complex symbol i of trial t was
-    decoded wrongly.
-    Before any draw the decoder's admission (``_admit_oracle`` or
-    ``_admit_search``) admits the config and gives its count per codeword
-    and its trials per block; the count times the trials and points is
-    refused over ``EVALUATION_BUDGET``.  Each block then takes one call of
-    the decoder's stacked decode, unchecked, as its draws are finite and
+def _decoded_trials(cfg: SimConfig):
+    """Every trial of every SNR point of ``cfg``, point-major, each drawn
+    as from its own substream (seed, CTX_ERROR_SWEEP, point, trial) on
+    ``rng.draw_schedule``, sent with the design's default encoder and
+    decoded in its blocks, which may span points, one block at a time:
+    (points, Y, H, decoded levels, evaluations, wrong), a row per trial,
+    with wrong[t, i] true when either real component of complex symbol i
+    of trial t was decoded wrongly.  Configs that differ only in the
+    decoder, or in codes of one n_t, T and 2k, draw alike trial for trial.
+    Before any draw the decoder's admission (``decoder._DECODERS``)
+    admits the config and gives its count per codeword and its trials
+    per block; the count times the trials and points is refused over
+    ``EVALUATION_BUDGET``.  Each block then takes one call of the
+    decoder's stacked decode, unchecked, as its draws are finite and
     ``SimConfig`` checked its SNRs."""
     design, n_r = cfg.design, cfg.n_r
+    cons = constellation(cfg.constellation)
+    encoder = default_encoder(design, cons.pam)
+    snrs = np.array([10.0 ** (db / 10.0) for db in cfg.snr_db])
     admit, decode = _DECODERS[cfg.decoder]
     per_codeword, block = admit(design, cons, n_r)
     total = per_codeword * cfg.trials * len(snrs)
@@ -248,7 +242,7 @@ def _decoded_trials(cfg: SimConfig, cons: Constellation, encoder: Encoder, snrs)
     sizes = (_normals(n_r, design.n_t, design.T), len(encoder.alphabet), design.n_real_symbols)
     for points, normals, levels in draw_schedule(cfg.seed, CTX_ERROR_SWEEP, len(snrs), cfg.trials,
                                                  *sizes, block):
-        snr = np.asarray(snrs)[points]
+        snr = snrs[points]
         y, h = _transmit(design, encoder, n_r, snr, normals, levels, cfg.noise_scale)
         decoded, evaluations, _ = decode(y, h, design, cons, snr, encoder)
         wrong = (decoded[:, 0::2] != levels[:, 0::2]) | (decoded[:, 1::2] != levels[:, 1::2])
@@ -288,12 +282,8 @@ def _records(snr_db, trials: int, symbols: int, blocks) -> list[SimRecord]:
 
 def run_error_sweep(cfg: SimConfig) -> list[SimRecord]:
     """Monte-Carlo symbol/codeword error rates over the configured sweep."""
-    cons = constellation(cfg.constellation)
-    encoder = default_encoder(cfg.design, cons.pam)
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
-    blocks = _decoded_trials(cfg, cons, encoder, snrs)
-    return _records(cfg.snr_db, cfg.trials, cfg.design.k,
-                    ((points, evaluations, wrong) for points, *_, evaluations, wrong in blocks))
+    return _records(cfg.snr_db, cfg.trials, cfg.design.k, (
+        (points, evaluations, wrong) for points, *_, evaluations, wrong in _decoded_trials(cfg)))
 
 
 def uncoded_siso_sweep(
@@ -341,16 +331,15 @@ def run_decode_trials(cfg: SimConfig) -> list[dict]:
     if len(cfg.snr_db) != 1:
         raise ValueError(f"a decode log has one snr point, got {len(cfg.snr_db)}")
     design = cfg.design
-    cons = constellation(cfg.constellation)
-    encoder = default_encoder(design, cons.pam)
+    pam = constellation(cfg.constellation).pam
     snr = 10.0 ** (cfg.snr_db[0] / 10.0)
-    b = full_symbol_matrix(design, encoder)
+    b = full_symbol_matrix(design, default_encoder(design, pam))
     rows = []
-    for _, ys, hs, decoded, evaluations, wrong in _decoded_trials(cfg, cons, encoder, [snr]):
+    for _, ys, hs, decoded, evaluations, wrong in _decoded_trials(cfg):
         for y, h, levels, count, errors in zip(ys, hs, decoded, evaluations, wrong.sum(axis=1)):
             rows.append({
                 "trial": len(rows),
-                "metric": _final_metric(y, h, design, snr, b, cons.pam[levels]),
+                "metric": _final_metric(y, h, design, snr, b, pam[levels]),
                 "symbol_errors": int(errors),
                 "evaluations": int(count),
             })
@@ -443,15 +432,27 @@ def parse_layer_scalar(spec: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _decisions(cfg: SimConfig):
+    """(decoded levels (trials, n), evaluations (trials,)) of every trial
+    of a one-point config, from the trial loop."""
+    blocks = [(decoded, evaluations) for *_, decoded, evaluations, _ in _decoded_trials(cfg)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     """Run every certification the package offers for one configuration.
 
     Exhaustive algebra checks run for a <= 3; a step whose owner refuses
     it over a limit (the oracle's, the minimum determinant's) passes as
-    covered at smaller a.
+    covered at smaller a.  Each decoder check decodes one config on the
+    trial loop (``_decoded_trials``) with the oracle, then the structured
+    search, and compares the levels trial for trial and each count with
+    ``complexity_account``.  The energy check draws nothing.
     """
     report = Report(f"full verification (a={a}, layers={layers})")
     cliff = build_generators(a)
+    base = build_rate1_4group(a)
+    design = extend_full_rate(base, layers)
     report.extend(verify_generators(cliff))
 
     if a <= 3:
@@ -479,7 +480,6 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     else:
         report.add("exhaustive algebra checks", True, detail="skipped for a > 3")
 
-    base = build_rate1_4group(a)
     report.extend(verify_theorem1(base))
 
     w = extract_W(base)
@@ -496,7 +496,6 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         report.add(name, md.min_det > 0 and md.max_disagreement < 1e-9,
                    detail=f"min det {md.min_det:.6g} over {md.evaluations} differences")
 
-    design = extend_full_rate(base, layers)
     _, largest, _, profiles = profile_over_channels(design, layers, 3, 1e-9, seed)
     worst = float(largest[mandated_zero_mask(design)].max())
     kron_ok = all(blk.kron_identity for prof in profiles for blk in prof.layer_blocks)
@@ -515,37 +514,35 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
         detail=account.describe(),
     )
 
-    # (code, n_r, CTX_PROFILE point, trials, check name)
+    # (code, n_r, trials, check name)
     silver = extend_full_rate(build_rate1_4group(1), 2)
-    checks = [(base, 1, 1, 8, "group decoder == exhaustive oracle"),
-              (silver, 2, 2, 25,
+    checks = [(base, 1, 8, "group decoder == exhaustive oracle"),
+              (silver, 2, 25,
                "conditional decoder == exhaustive oracle (two antennas, two layers)")]
-    snr = 10.0
-    for code, n_r, point, trials, name in checks:
+    for code, n_r, trials, name in checks:
+        cfg = SimConfig(design=code, n_r=n_r, snr_db=(10.0,), trials=trials, seed=seed,
+                        decoder="oracle")
         try:
-            _admit_oracle(code, cons, n_r)
+            want, _ = _decisions(cfg)
         except BudgetExceededError:
             report.add(name, True, detail="oracle intractable at this size; covered at smaller a")
             continue
-        scans, _ = _admit_search(code, cons, n_r)
-        enc = default_encoder(code, cons.pam)
+        got, counts = _decisions(replace(cfg, decoder="auto"))
+        account = complexity_account(code, cons)
+        scans = account.group_evaluations or account.conditional_evaluations
         mismatches = []
         for t in range(trials):
-            y, h, _ = draw_trial(code, enc, n_r, snr, substream(seed, CTX_PROFILE, point, t))
-            r1 = decode_auto(y, h, code, cons, snr, enc)
-            r2 = ml_oracle(y, h, code, cons, snr, enc)
-            if r1.level_indices != r2.level_indices or abs(r1.metric - r2.metric) > 1e-9:
+            if (got[t] != want[t]).any():
                 mismatches.append(f"trial {t}")
-            if r1.metric_evaluations != scans:
+            if counts[t] != scans:
                 mismatches.append(f"trial {t}: counter")
         report.add(name, not mismatches, mismatches)
 
-    rng = substream(seed, CTX_PROFILE, 3, 0)
+    # the levels are i.i.d. with zero mean, so E||S||^2 is the mean squared
+    # level times the energy of the codeword of each unit level
     b = full_symbol_matrix(design, default_encoder(design, cons.pam))
-    levels = rng.integers(0, p, size=(1000, design.n_real_symbols))
-    s = (b @ cons.pam[levels][..., None])[..., 0]
-    energies = np.linalg.norm(design.energy_scale * codeword(design, s), axis=(1, 2)) ** 2
-    mean_energy = float(np.mean(energies))
+    unit = design.energy_scale * codeword(design, b.T)
+    mean_energy = float(np.mean(cons.pam**2) * np.sum(np.abs(unit) ** 2))
     target = design.n_t * design.T
     report.add(
         "codeword energy normalization",

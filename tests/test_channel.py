@@ -232,6 +232,19 @@ class TestRProfile:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             profile_over_channels(d, 1, 3, tol=tol)
 
+    @pytest.mark.parametrize("tol", [-1, float("nan"), 0, "x", None, 1j])
+    def test_bad_tol_refused_before_any_draw(self, tol, monkeypatch):
+        # the profile checked tol only in r_profile, after its first draw;
+        # a tol that is not a number failed with a bare TypeError
+        import stbc.rng
+
+        def no_draws(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(stbc.rng, "draw_block", no_draws)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            profile_over_channels(build_rate1_4group(1), 1, 3, tol=tol)
+
     def test_mask_text(self):
         d = build_rate1_4group(1)
         h = sample_channel(2, 1, substream(24)).H

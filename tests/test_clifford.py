@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestBuildGenerators:
     def test_unsupported_size(self, a):
         with pytest.raises(UnsupportedSizeError):
             build_generators(a)
+
+    @pytest.mark.parametrize("a", [2.0, "2", None, True])
+    def test_size_not_an_integer_refused(self, a):
+        # a float, a string or None failed with a bare TypeError, and True
+        # built the a = 1 set titled a=True
+        with pytest.raises(UnsupportedSizeError,
+                           match=re.escape(f"a must be an integer, got {a!r}")):
+            build_generators(a)
+
+    def test_range_message_kept_for_integers(self):
+        with pytest.raises(UnsupportedSizeError, match=r"a must be in 1\.\.5, got 6"):
+            build_generators(6)
 
 
 class TestSquareSign:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from unittest.mock import patch
 
@@ -62,6 +63,14 @@ class TestConstellation:
         with pytest.raises(ValueError, match=rf"unsupported constellation {label!r} "):
             constellation(label)
 
+    @pytest.mark.parametrize("label", [["4qam"], {"a": 1}, {"4qam"}])
+    def test_unhashable_label_refused(self, label):
+        # the label is checked before the cache, which would raise a bare
+        # TypeError: unhashable type
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unsupported constellation {label!r} ")):
+            constellation(label)
+
     def test_known_bad_size_keeps_its_message(self):
         with pytest.raises(ValueError, match="even perfect-square size, got 3"):
             constellation("3qam")
@@ -69,6 +78,7 @@ class TestConstellation:
     def test_one_read_only_instance_per_label(self):
         c = constellation("4qam")
         assert constellation("4qam") is c
+        assert constellation("4-QAM") is c
         with pytest.raises(ValueError):
             c.pam[0] = 0.0
         with pytest.raises(ValueError):

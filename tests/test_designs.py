@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestRate1Construction:
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedSizeError):
             build_rate1_4group(0)
+
+    @pytest.mark.parametrize("a", [2.0, True])
+    def test_size_not_an_integer_refused(self, a):
+        with pytest.raises(UnsupportedSizeError,
+                           match=re.escape(f"a must be an integer, got {a!r}")):
+            build_rate1_4group(a)
 
 
 #: ``verify_design`` summaries of the builtin codes by layer count (their
@@ -216,6 +223,17 @@ class TestExtension:
         base = build_rate1_4group(1)
         with pytest.raises(UnsupportedSizeError):
             extend_full_rate(base, 3)
+
+    @pytest.mark.parametrize("n_layers", [2.0, "2", True])
+    def test_layer_count_not_an_integer_refused(self, n_layers):
+        # 2.0 and '2' failed with a bare TypeError, and True returned the base
+        with pytest.raises(UnsupportedSizeError,
+                           match=re.escape(f"n_layers must be an integer, got {n_layers!r}")):
+            extend_full_rate(build_rate1_4group(1), n_layers)
+
+    def test_layer_range_message_kept_for_integers(self):
+        with pytest.raises(UnsupportedSizeError, match=r"n_layers must be in 1\.\.2, got 3"):
+            extend_full_rate(build_rate1_4group(1), 3)
 
     def test_non_unit_scalar_rejected(self):
         with pytest.raises(ValueError):

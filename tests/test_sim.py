@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -18,9 +20,10 @@ from stbc.decoder import (
 )
 from stbc.capacity import code_capacity, random_rotation_baseline
 from stbc.channel import profile_over_channels
+from stbc.clifford import build_generators
 from stbc.coding_gain import default_encoder
 from stbc.designs import build_rate1_4group, codeword, extend_full_rate
-from stbc.errors import BudgetExceededError, NotGroupDecodableError
+from stbc.errors import BudgetExceededError, NotGroupDecodableError, UnsupportedSizeError
 from stbc import decoder, rng, sim
 from stbc.rng import CTX_ERROR_SWEEP, POINTS, as_generator, draw_block, substream
 from stbc.sim import (
@@ -177,7 +180,7 @@ class TestErrorSweep:
         # trial for trial: the simulator's blocks, decoded by _decode_stack
         # without the public input check, decide as decode_auto does
         snrs = [10.0 ** (db / 10.0) for db in snr_db]
-        blocks = list(sim._decoded_trials(cfg, cons, enc, snrs))
+        blocks = list(sim._decoded_trials(cfg))
         assert len(blocks) > 1
         assert [(tuple(levels), int(count)) for *_, decoded, evaluations, _ in blocks
                 for levels, count in zip(decoded.tolist(), evaluations)] == alone
@@ -327,6 +330,46 @@ class TestErrorSweep:
                 np.linalg.norm(d.energy_scale * codeword(d, s)) ** 2
             )
         assert abs(np.mean(energies) / (d.n_t * d.T) - 1.0) < 0.01
+
+
+class TestPairedDraws:
+    """Two sweeps at one seed whose codes share n_t, T and 2k draw the same
+    normals and levels trial for trial, whatever their block sizes."""
+
+    @staticmethod
+    def _drawn(cfg):
+        """(normals, levels, blocks) that ``cfg``'s sweep drew."""
+        blocks = []
+
+        def record(*args):
+            blocks.append(draw_block(*args))
+            return blocks[-1]
+
+        with patch.object(rng, "draw_block", side_effect=record):
+            run_error_sweep(cfg)
+        normals, levels = (np.concatenate(part) for part in zip(*blocks))
+        return normals, levels, len(blocks)
+
+    def test_codes_of_one_shape(self):
+        plain = silver_cfg(snr_db=(0.0, 10.0), trials=40, seed=3)
+        rotated = replace(plain, design=extend_full_rate(
+            build_rate1_4group(1), 2, layer_scalar=parse_layer_scalar("pi/4")))
+        assert not np.allclose(plain.design.weights, rotated.design.weights)
+        normals, levels, _ = self._drawn(plain)
+        assert len(levels) == 80
+        other_normals, other_levels, _ = self._drawn(rotated)
+        assert np.array_equal(normals, other_normals)
+        assert np.array_equal(levels, other_levels)
+
+    def test_auto_and_oracle(self):
+        # 600 trials: three blocks of the structured search (238 a block),
+        # one of the oracle
+        cfg = silver_cfg(snr_db=(0.0, 10.0), trials=300, seed=3)
+        normals, levels, blocks = self._drawn(cfg)
+        other_normals, other_levels, other_blocks = self._drawn(replace(cfg, decoder="oracle"))
+        assert (blocks, other_blocks) == (3, 1)
+        assert np.array_equal(normals, other_normals)
+        assert np.array_equal(levels, other_levels)
 
 
 class TestSisoBaseline:
@@ -482,6 +525,27 @@ class TestParsing:
         # refused when the config is made, not when its sweep runs
         with pytest.raises(ValueError, match=match):
             silver_cfg(constellation=label)
+
+    @pytest.mark.parametrize("label", [["4qam"], {"a": 1}, {"4qam"}])
+    def test_unhashable_label_refused(self, label):
+        # refused by the label check, not the constellation cache's bare
+        # TypeError: unhashable type
+        match = re.escape(f"unsupported constellation {label!r} ")
+        with pytest.raises(ValueError, match=match):
+            silver_cfg(constellation=label)
+        with pytest.raises(ValueError, match=match):
+            uncoded_siso_sweep(label, (0.0,), 10, 1)
+
+    @pytest.mark.parametrize("entry, snr_db", [(run_error_sweep, (0.0, 10.0)),
+                                               (run_decode_trials, (8.0,))],
+                             ids=["sweep", "decode-log"])
+    @pytest.mark.parametrize("design", [None, "x", build_generators(1)],
+                             ids=["none", "str", "clifford-set"])
+    def test_config_refuses_what_is_not_a_design(self, entry, snr_db, design):
+        # a sweep of such a config failed with an AttributeError
+        with pytest.raises(ValueError, match=f"design must be an STBCDesign, got "
+                                             f"{type(design).__name__}$"):
+            entry(SimConfig(design=design, n_r=1, snr_db=snr_db, trials=2))
 
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("n_r", 1.5), ("trials", "3")])
     def test_counts_must_be_integers(self, field, value):
@@ -697,6 +761,64 @@ class TestVerifyAll:
         report = verify_all(1, 1)
         text = report.summary()
         assert "PASS" in text and "FAIL" not in text
+
+    @pytest.mark.parametrize("a,layers,pinned", [
+        pytest.param(1, 2, "a094af67e7225e0615ff1f6f2458867073da890b6fb164b5144249f53acbe8ac",
+                     id="1-2"),
+        pytest.param(2, 1, "354bdbb9566e56fdbf7cd8ff66a2f2754df62e5f440ef7a2a3bb7983d1464ad7",
+                     id="2-1"),
+    ])
+    def test_draws_nothing_beside_the_trial_loop(self, a, layers, pinned):
+        # the decoder checks draw on the sweeps' schedule, and the energy
+        # check is exact: no substream, no per-trial draw
+        with patch.object(rng, "substream", side_effect=AssertionError("substream")), \
+                patch.object(sim, "draw_trial", side_effect=AssertionError("draw_trial")):
+            report = verify_all(a, layers)
+        assert digest(report.summary()) == pinned
+
+    CHECKS = ("group decoder == exhaustive oracle",
+              "conditional decoder == exhaustive oracle (two antennas, two layers)")
+
+    @staticmethod
+    def _changed(name, change):
+        """The decoder table with ``name``'s stacked decode followed by
+        ``change(levels, evaluations)``, which edits a block in place."""
+        admit, decode = decoder._DECODERS[name]
+
+        def changed(*args):
+            levels, evaluations, b = decode(*args)
+            change(levels, evaluations)
+            return levels, evaluations, b
+
+        return patch.dict(decoder._DECODERS, {name: (admit, changed)})
+
+    def _witnesses(self, report):
+        return {check.name: check.witnesses for check in report.checks
+                if check.name in self.CHECKS}
+
+    def test_a_changed_decision_fails_and_names_its_trial(self):
+        # each check decodes its trials in one block; the oracle's
+        # decision on trial 5 gets another first level
+        def flip(levels, _):
+            levels[5, 0] = 1 - levels[5, 0]
+
+        with self._changed("oracle", flip):
+            report = verify_all(1, 2)
+        assert not report.passed
+        assert self._witnesses(report) == {name: ["trial 5"] for name in self.CHECKS}
+
+    def test_a_changed_count_fails_as_a_counter(self):
+        def count_one_more(_, evaluations):
+            evaluations[2] += 1
+
+        with self._changed("auto", count_one_more):
+            report = verify_all(1, 2)
+        assert not report.passed
+        assert self._witnesses(report) == {name: ["trial 2: counter"] for name in self.CHECKS}
+
+    def test_layer_count_not_an_integer_refused(self):
+        with pytest.raises(UnsupportedSizeError, match="n_layers must be an integer, got 2.0"):
+            verify_all(2, layers=2.0)
 
 
 class TestPinnedOutputs:
