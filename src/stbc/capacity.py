@@ -6,8 +6,9 @@ The coded channel's capacity per channel use is
 
 with H_eq gathered from the energy-normalized weights' taps, against the
 plain channel benchmark C = E_H log2 det( I + (snr/n_t) H H^H ).  Trials
-run as stacked arrays, ``_BLOCK`` channel draws at a time: one draw call,
-one H_eq gather (``channel.equivalent_channel``) and one batched Cholesky
+run as stacked arrays, ``_BLOCK`` channel draws at a time, in one block
+loop (``_capacities``) for both: one draw call, one H_eq gather
+(``channel.equivalent_channel``) for the code, and one batched Cholesky
 factorization per block.  Every eigenvalue of I + rho A^H A is at least 1,
 so the factorization is well conditioned at any snr, and log2 det is twice
 the log2-sum of its diagonal.  ``logdet_gram_qr`` (Gram-Schmidt QR of [sqrt(rho) A; I]) and
@@ -35,7 +36,7 @@ import numpy as np
 from .channel import _require_tall, equivalent_channel, sample_channels
 from .designs import STBCDesign
 from .errors import RankDeficientError
-from .linalg import DEFAULT_RANK_TOL, _require_count, _require_snr, gram_schmidt_qr
+from .linalg import DEFAULT_RANK_TOL, _require_integer, _require_snr, gram_schmidt_qr
 from .reports import Report
 from .rng import as_generator
 
@@ -113,15 +114,11 @@ def _check_request(snr, trials: int, n_r: int, positive: bool = False) -> None:
     """Refuse, before any draw, a trial or receive-antenna count that is
     not an integer >= 1, fewer than ``MIN_TRIALS`` trials and an snr that
     is not finite and >= 0 (> 0 with ``positive``)."""
-    _require_count(n_r, "n_r")
-    _require_count(trials, "trials")
+    _require_integer(n_r, "n_r", 1)
+    _require_integer(trials, "trials", 1)
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     _require_snr(snr, positive)
-
-
-def _block_counts(trials: int):
-    return (min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK))
 
 
 def _estimate(snr: float, vals: np.ndarray) -> CapacityEstimate:
@@ -133,6 +130,17 @@ def _estimate(snr: float, vals: np.ndarray) -> CapacityEstimate:
     )
 
 
+def _capacities(snr, trials: int, n_r: int, n_t: int, rng, grams) -> np.ndarray:
+    """log2 det(I + (snr/n_t) G) of ``trials`` Gram matrices G, drawn by
+    ``grams(count, generator)`` ``_BLOCK`` at a time from one generator
+    made of ``rng``, once ``_check_request`` has passed: the one block
+    loop of the coded and the raw channel's capacity."""
+    _check_request(snr, trials, n_r)
+    rng = as_generator(rng)
+    return np.concatenate([_log2det_eye_plus(grams(min(_BLOCK, trials - start), rng), snr / n_t)
+                           for start in range(0, trials, _BLOCK)])
+
+
 def code_capacity(
     design: STBCDesign,
     n_r: int,
@@ -142,14 +150,12 @@ def code_capacity(
 ) -> CapacityEstimate:
     """Ergodic capacity of the channel seen through the code (snr finite
     and >= 0)."""
-    _check_request(snr, trials, n_r)
-    rng = as_generator(rng)
-    rho = snr / design.n_t
-    vals = []
-    for count in _block_counts(trials):
-        heq = _normalized_equivalent_channels(design, n_r, count, rng)
-        vals.append(_log2det_eye_plus(heq.mT @ heq, rho))
-    return _estimate(snr, np.concatenate(vals) / (2.0 * design.T))
+
+    def grams(count, gen):
+        heq = _normalized_equivalent_channels(design, n_r, count, gen)
+        return heq.mT @ heq
+
+    return _estimate(snr, _capacities(snr, trials, n_r, design.n_t, rng, grams) / (2.0 * design.T))
 
 
 def channel_capacity(
@@ -161,15 +167,13 @@ def channel_capacity(
 ) -> CapacityEstimate:
     """Ergodic capacity of the raw n_t x n_r Rayleigh channel (snr finite
     and >= 0)."""
-    _require_count(n_t, "n_t")
-    _check_request(snr, trials, n_r)
-    rng = as_generator(rng)
-    rho = snr / n_t
-    vals = []
-    for count in _block_counts(trials):
-        h = sample_channels(n_t, n_r, count, rng)
-        vals.append(_log2det_eye_plus(h @ h.conj().mT, rho))
-    return _estimate(snr, np.concatenate(vals))
+    _require_integer(n_t, "n_t", 1)
+
+    def grams(count, gen):
+        h = sample_channels(n_t, n_r, count, gen)
+        return h @ h.conj().mT
+
+    return _estimate(snr, _capacities(snr, trials, n_r, n_t, rng, grams))
 
 
 def low_snr_condition(
@@ -183,9 +187,10 @@ def low_snr_condition(
 
     The code keeps the channel's low-snr capacity when every normalized
     weight satisfies A_i A_i^H = (1/n_r) I.  The report records each
-    weight's proportionality constant plus an empirical check that the
-    coded/uncoded capacity ratio is within 5% at snr = -20 dB (paired
-    channel draws); the inputs are checked first, as ``code_capacity``'s.
+    weight's proportionality constant plus an empirical check, named by
+    the snr it uses (-20 dB by default), that the coded/uncoded capacity
+    ratio is within 5% there (paired channel draws); the inputs are
+    checked first, as ``code_capacity``'s.
     """
     _check_request(snr, trials, n_r)
     report = Report(f"low-snr capacity condition (n_r={n_r})")
@@ -215,7 +220,7 @@ def low_snr_condition(
         chan = channel_capacity(design.n_t, n_r, snr, trials, seed)
         ratio = code.mean / chan.mean
         report.add(
-            "capacity ratio -> 1 at -20 dB (within 5%)",
+            f"capacity ratio -> 1 at {code.snr_db:g} dB (within 5%)",
             abs(ratio - 1.0) <= 0.05,
             [] if abs(ratio - 1.0) <= 0.05 else [f"ratio {ratio:.4f}"],
             detail=f"ratio {ratio:.4f}",
@@ -272,8 +277,7 @@ def high_snr_decomposition(
                 f"{resampled} channel draws gave a rank-deficient "
                 f"{heq.shape[-2]} x {heq.shape[-1]} equivalent channel"
             )
-        if not full.all():
-            heq, pivots = heq[full], pivots[full]
+        heq, pivots = heq[full], pivots[full]
         via_r.append(n_r * np.log2(rho) + np.sum(np.log2(pivots**2), axis=-1) / two_t)
         exact.append(_log2det_eye_plus(heq.mT @ heq, rho) / two_t)
         accepted += len(heq)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .designs import STBCDesign, _dispersion_witnesses
 from .errors import DimensionMismatchError, RankDeficientError
-from .linalg import CERT_TOL, _require_count, gram_schmidt_qr, pairwise_residual
-from .rng import CTX_PROFILE, _require_seed, draw_schedule
+from .linalg import CERT_TOL, _require_integer, gram_schmidt_qr, pairwise_residual
+from .rng import CTX_PROFILE, draw_schedule
 
 __all__ = [
     "ChannelRealization",
@@ -225,9 +225,8 @@ def profile_over_channels(
     antennas leave every H_eq with fewer rows than columns, so no channel
     is drawn then.
     """
-    _require_count(n_seeds, "n_seeds")
-    _require_count(n_r, "n_r")
-    _require_seed(seed)
+    _require_integer(n_seeds, "n_seeds", 1)
+    _require_integer(n_r, "n_r", 1)
     _require_tol(tol)
     _require_tall(design, n_r)
     profiles = [r_profile(equivalent_channel(h, design), design, tol)

@@ -10,7 +10,7 @@ Subcommands mirror the library modules:
     stbc decode            -- per-trial Monte-Carlo decode log
     stbc capacity sweep    -- ergodic-capacity sweep, CSV out
     stbc sim sweep         -- symbol/codeword error-rate sweep, CSV out
-    stbc gain min-det      -- brute-force minimum determinant
+    stbc gain min-det      -- brute-force minimum determinant (rate-1 designs)
     stbc verify-all        -- every certification in one report
 
 The default master seed comes from the STBC_SEED environment variable
@@ -181,6 +181,8 @@ def cmd_sim_sweep(args) -> int:
 
 def cmd_gain_min_det(args) -> int:
     design = _design_from_args(args)
+    if design.layers > 1:  # one first-layer group's determinant is no certificate of the code
+        raise SystemExit(f"gain min-det certifies rate-1 designs only, got {design.layers} layers")
     cons = constellation(args.alphabet)
     if args.rotation == "none":
         encoder = identity_encoder(design, cons.pam)

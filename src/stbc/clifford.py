@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadIndexOrderError
-from .linalg import CERT_TOL, _require_size, kron_power, pairwise_residual
+from .linalg import CERT_TOL, _integer_refusal, _require_size, kron_power, pairwise_residual
 from .reports import Report
 
 __all__ = [
@@ -104,11 +104,13 @@ def build_generators(a: int, sign: int = 1) -> CliffordSet:
 
     For a = 1 the returned list additionally contains IMSWAP (= G_1 G_2
     exactly) so the three-anticommuting-matrix requirement of the code
-    constructions can be met for two antennas as well.
+    constructions can be met for two antennas as well.  ``sign`` must be
+    the integer +1 or -1 (a bool or a float is refused), ``a`` an integer
+    in 1..MAX_A.
     """
     _require_size(a, "a", MAX_A)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if _integer_refusal(sign, "sign") or sign not in (1, -1):
+        raise ValueError(f"sign must be the integer +1 or -1, got {sign!r}")
     eye2 = np.eye(2, dtype=complex)
     gens: list[np.ndarray] = [sign * 1j * kron_power(DIAGSIGN, a)]
     for k in range(1, a + 1):

@@ -18,7 +18,12 @@ orthogonal rotation of nonvanishing product distance therefore makes the
 minimum determinant proportional to min |prod_j (U dx)_j|^4 > 0.  The
 shipped rotations are certified candidates: their product distance is
 checked by brute-force enumeration over a bounded difference set at
-build time, never assumed.
+build time, never assumed.  Every rotation -- builtin, user-supplied
+(``rotation_from_matrix``) or an encoder's W U -- passes the one
+orthogonality rule, ``linalg._orthogonality_refusal``: finite, real,
+square, |U^T U - I| <= ``CERT_TOL``.  A NaN or inf rotation is refused
+there, so ``min_determinant`` never reports a minimum over NaN
+determinants; ``encode`` refuses a NaN info symbol likewise.
 
 :func:`full_symbol_matrix` is the one map from info levels to stored
 real symbols; encoding, decoding and the simulator all use it.
@@ -39,7 +44,7 @@ from .errors import (
     StructureError,
     UnsupportedDimError,
 )
-from .linalg import CERT_TOL, _lex_digits
+from .linalg import CERT_TOL, _lex_digits, _orthogonality_refusal, _require_finite
 
 __all__ = [
     "RotationSpec",
@@ -78,7 +83,8 @@ class Encoder:
     ``alphabet``) to the stored real symbols; it is the design's sign
     basis W composed with an orthogonal rotation U, so stored symbols
     keep the info vector's norm and the difference determinant reduces
-    to U's product distance.
+    to U's product distance.  A rotation the orthogonality rule refuses
+    and a non-finite alphabet raise ValueError.
     """
 
     design: STBCDesign
@@ -86,12 +92,11 @@ class Encoder:
     alphabet: np.ndarray
 
     def __post_init__(self):
-        r = self.rotation
-        eye = np.eye(r.shape[0])
-        if np.abs(r.T @ r - eye).max() > 1e-10:
-            raise ValueError("encoder rotation is not orthogonal")
+        if refusal := _orthogonality_refusal(self.rotation, "encoder rotation"):
+            raise ValueError(refusal)
         if self.alphabet.ndim != 1 or self.alphabet.size < 2:
             raise ValueError("alphabet must be a 1-D array of >= 2 levels")
+        _require_finite(self.alphabet, "alphabet")
 
     @cached_property
     def _symbol_matrix(self) -> np.ndarray:
@@ -181,8 +186,8 @@ def builtin_rotation(dim: int) -> RotationSpec:
         )
     else:
         raise UnsupportedDimError(f"no builtin rotation for dimension {dim}")
-    if np.abs(u.T @ u - np.eye(dim)).max() > 1e-12:
-        raise AssertionError(f"builtin rotation for dim {dim} is not orthogonal")
+    if refusal := _orthogonality_refusal(u, f"builtin rotation for dim {dim}"):
+        raise AssertionError(refusal)
     if dim == 1:
         dist, certified = 2.0, "{+-2} (2 vectors)"
     else:
@@ -201,13 +206,11 @@ def builtin_rotation(dim: int) -> RotationSpec:
 
 
 def rotation_from_matrix(u: np.ndarray) -> RotationSpec:
-    """Wrap a user-supplied orthogonal matrix (orthogonality enforced)."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("rotation must be square")
-    if np.abs(u.T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise ValueError("rotation matrix is not orthogonal")
-    return RotationSpec(dim=u.shape[0], U=u)
+    """Wrap a user-supplied rotation, refused (``ValueError``) unless it
+    is a real, finite, square matrix orthogonal to ``CERT_TOL``."""
+    if refusal := _orthogonality_refusal(u, "rotation"):
+        raise ValueError(refusal)
+    return RotationSpec(dim=len(u), U=np.asarray(u, dtype=float))
 
 
 def default_encoder(
@@ -249,15 +252,6 @@ def identity_encoder(design: STBCDesign, alphabet: np.ndarray) -> Encoder:
     )
 
 
-def _check_alphabet(encoder: Encoder, x: np.ndarray) -> None:
-    dist = np.abs(x[..., None] - encoder.alphabet).min(axis=-1)
-    if dist.max() > 1e-9:
-        bad = np.unravel_index(int(np.argmax(dist)), dist.shape)
-        raise AlphabetError(
-            f"info symbol {x[bad]!r} is not in the declared alphabet"
-        )
-
-
 def full_symbol_matrix(design: STBCDesign, encoder: Encoder) -> np.ndarray:
     """2k x 2k map from info levels to stored symbols (read-only): the
     encoder rotation acts on each group of ``design.structure`` (on none
@@ -275,11 +269,14 @@ def encode(encoder: Encoder, info: np.ndarray) -> np.ndarray:
 
     ``info`` holds 2k reals indexed like the real symbols (a (4 L, n_t/2)
     array is read row by row, one group per row for group-contiguous
-    designs).
+    designs).  A symbol that is not in ``encoder.alphabet`` (to 1e-9), a
+    NaN included, raises AlphabetError.
     """
     design = encoder.design
     x = _symbol_vector(design, info)
-    _check_alphabet(encoder, x)
+    dist = np.abs(x[:, None] - encoder.alphabet).min(axis=1)
+    if not dist.max() <= 1e-9:  # a NaN symbol fails too
+        raise AlphabetError(f"info symbol {x[np.argmax(dist)]!r} is not in the declared alphabet")
     return full_symbol_matrix(design, encoder) @ x
 
 

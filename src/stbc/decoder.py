@@ -125,7 +125,7 @@ from .channel import equivalent_channel
 from .coding_gain import Encoder, default_encoder, full_symbol_matrix
 from .designs import STBCDesign, codeword
 from .errors import BudgetExceededError, DimensionMismatchError, NotGroupDecodableError
-from .linalg import _lex_digits, _require_finite, _require_snr
+from .linalg import _integer_refusal, _lex_digits, _require_finite, _require_snr
 
 __all__ = [
     "Constellation",
@@ -171,14 +171,22 @@ class Constellation:
 
     def __post_init__(self):
         power = float(np.mean(np.abs(self.points) ** 2))
-        if abs(power - 1.0) > 1e-12:
+        if not abs(power - 1.0) <= 1e-12:  # a NaN point fails too
             raise ValueError(f"constellation power {power} != 1")
 
 
-@lru_cache(maxsize=16)
 def square_qam(m: int) -> Constellation:
     """Unit-energy square M-QAM, M in {4, 16, 64, 256, ...}: one shared
-    instance per size, with read-only ``points`` and ``pam``."""
+    instance per size, with read-only ``points`` and ``pam``.  A size the
+    integer rule refuses is refused before the cache sees it (4.0 would
+    hit 4's entry)."""
+    if refusal := _integer_refusal(m, "size"):
+        raise ValueError(refusal)
+    return _square_qam(int(m))
+
+
+@lru_cache(maxsize=16)
+def _square_qam(m: int) -> Constellation:
     root = isqrt(m)
     if root * root != m or root % 2 or m < 4:
         raise ValueError(f"square QAM needs an even perfect-square size, got {m}")
@@ -585,8 +593,6 @@ def _least_tied(cols, cand, outer, owners, scale, width, leaves):
         row, owner = _lex_least(full, owners[part])
         rows.append(row)
         tri.append(owner)
-    if len(rows) == 1:  # one chunk held every tied hypothesis
-        return rows[0]
     return _lex_least(np.concatenate(rows), np.concatenate(tri))[0]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from numbers import Number
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .errors import (
     DimensionMismatchError,
     StructureError,
 )
-from .linalg import (CERT_TOL, _require_size, matrix_from_text, matrix_to_text, pairwise_residual,
-                     tilde_vec, vec)
+from .linalg import (CERT_TOL, _integer_refusal, _require_size, matrix_from_text, matrix_to_text,
+                     pairwise_residual, tilde_vec, vec)
 from .reports import Report
 
 __all__ = [
@@ -85,8 +86,9 @@ class STBCDesign:
     cliff: CliffordSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n_t < 1 or self.T < 1:
-            raise DesignFormatError("n_t and T must be positive")
+        for name in ("n_t", "T", "layers"):
+            if refusal := _integer_refusal(getattr(self, name), name, 1):
+                raise DesignFormatError(refusal)
         if not self.weights:
             raise DesignFormatError("a design needs at least one weight matrix")
         for w in self.weights:
@@ -99,7 +101,7 @@ class STBCDesign:
         flat = sorted(i for g in self.groups for i in g)
         if flat != list(range(len(self.weights))):
             raise DesignFormatError("groups must partition the weight indices exactly once")
-        if self.layers < 1 or len(self.weights) % self.layers:
+        if len(self.weights) % self.layers:
             raise DesignFormatError(
                 f"{self.layers} layers do not split {len(self.weights)} weights evenly"
             )
@@ -409,15 +411,16 @@ def extend_full_rate(
 
     Layer L's weights are layer_scalar * (base weights) @ M_L with M_L the
     layer multiplier chosen by :func:`_extension_multipliers`
-    (layer_scalar applies to layers >= 2 only).  The result transmits
+    (layer_scalar, a number of unit modulus, applies to layers >= 2 only;
+    NaN is refused).  The result transmits
     ``n_layers`` complex symbols per channel use and keeps every layer
     individually 4-group decodable; one layer is ``base`` itself.
     """
     if base.layers != 1 or base.products is None:
         raise ValueError("base must be a constructed rate-1 design")
     _require_size(n_layers, "n_layers", base.n_t)
-    if abs(abs(complex(layer_scalar)) - 1.0) > 1e-12:
-        raise ValueError("layer_scalar must have unit modulus")
+    if not (isinstance(layer_scalar, Number) and abs(abs(complex(layer_scalar)) - 1.0) <= 1e-12):
+        raise ValueError(f"layer_scalar must be a number of unit modulus, got {layer_scalar!r}")
     if n_layers == 1:
         return base
 

@@ -11,6 +11,13 @@ Everything in here operates on plain numpy arrays.  Complex matrices are
 
 They satisfy tilde_vec(X @ s) == realify(X) @ tilde_vec(s), which is what
 turns a complex transmission model into an equivalent real one.
+
+The module also holds the package's two input rules, each in one copy:
+``_integer_refusal`` (a size, count, seed or sign is an integer, a numpy
+one too but never a bool, within its range) and ``_orthogonality_refusal``
+(a rotation is a finite, real, square matrix with |U^T U - I| <=
+``CERT_TOL``, compared so that NaN fails).  Each returns the refusal text
+and its caller raises it with its own error class.
 """
 
 from __future__ import annotations
@@ -55,22 +62,43 @@ def _require_snr(snr, positive: bool = False) -> np.ndarray:
     return snr
 
 
-def _require_count(count, name: str) -> None:
-    """Refuse a count (trials, antennas, seeds) that is not an integer >= 1;
-    a bool is not a count."""
-    if isinstance(count, bool) or not isinstance(count, Integral):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
+def _integer_refusal(value, name: str, low: int | None = None,
+                     high: int | None = None) -> str:
+    """The one integer rule: '' when ``value`` is an integer (a numpy one
+    too, never a bool) within [low, high], else the refusal text naming
+    ``name``, which each caller raises with its own error class."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        return f"{name} must be an integer, got {value!r}"
+    if high is not None and not low <= value <= high:
+        return f"{name} must be in {low}..{high}, got {value}"
+    return f"{name} must be >= {low}, got {value}" if low is not None and value < low else ""
+
+
+def _require_integer(value, name: str, low: int | None = None) -> None:
+    """Refuse, with ``ValueError``, a value the integer rule refuses: a
+    count (trials, antennas, seeds) with ``low`` 1, a seed with no bound."""
+    if refusal := _integer_refusal(value, name, low):
+        raise ValueError(refusal)
 
 
 def _require_size(size, name: str, high: int) -> None:
-    """Refuse a size (an antenna exponent, a layer count) that is not an
-    integer in 1..high -- a bool is not one -- with ``UnsupportedSizeError``."""
-    if isinstance(size, bool) or not isinstance(size, Integral):
-        raise UnsupportedSizeError(f"{name} must be an integer, got {size!r}")
-    if not 1 <= size <= high:
-        raise UnsupportedSizeError(f"{name} must be in 1..{high}, got {size}")
+    """Refuse, with ``UnsupportedSizeError``, a size (an antenna exponent,
+    a layer count) that is not an integer in 1..high."""
+    if refusal := _integer_refusal(size, name, 1, high):
+        raise UnsupportedSizeError(refusal)
+
+
+def _orthogonality_refusal(u, name: str) -> str:
+    """The one orthogonality rule: '' when ``u`` is a finite, real, square
+    matrix with every entry of |U^T U - I| at most ``CERT_TOL``, else the
+    refusal text naming ``name``, which each caller raises with its own
+    error class.  The comparison is written so that a NaN fails it."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size or u.dtype.kind not in "iuf":
+        return f"{name} must be a real square matrix, got {u.dtype} of shape {u.shape}"
+    if not (np.all(np.isfinite(u)) and np.all(np.abs(u.T @ u - np.eye(len(u))) <= CERT_TOL)):
+        return f"{name} is not a finite orthogonal matrix (|U^T U - I| <= {CERT_TOL:g})"
+    return ""
 
 
 def kron_power(a: np.ndarray, m: int) -> np.ndarray:

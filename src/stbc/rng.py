@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import islice
-from numbers import Integral
 
 import numpy as np
+
+from .linalg import _require_integer
 
 CTX_ERROR_SWEEP = 1
 CTX_CAPACITY = 2
@@ -70,16 +71,11 @@ def _key_sequence() -> type:
     return KeySequence
 
 
-def _require_seed(seed) -> None:
-    """Refuse a master seed that is not an integer."""
-    if not isinstance(seed, Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-
-
 def _check_key(seed, context: int, points, trials) -> None:
-    """Refuse a seed that is not an integer, and a context, or any point
-    or trial index, that its field of the key cannot hold."""
-    _require_seed(seed)
+    """Refuse a seed that is not an integer (a bool is not one), and a
+    context, or any point or trial index, that its field of the key
+    cannot hold."""
+    _require_integer(seed, "seed")
     if not 0 <= context < 1 << 16:
         raise ValueError("context out of range")
     if not (0 <= min(points) and max(points) < POINTS):

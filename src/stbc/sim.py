@@ -65,9 +65,10 @@ from .designs import (
     verify_theorem1,
 )
 from .errors import BudgetExceededError
-from .linalg import CERT_TOL, _require_count, _require_snr, matrix_from_text, pairwise_residual
+from .linalg import (CERT_TOL, _orthogonality_refusal, _require_integer, _require_snr,
+                     matrix_from_text, pairwise_residual)
 from .reports import Report
-from .rng import CTX_ERROR_SWEEP, POINTS, _require_seed, draw_schedule, draws
+from .rng import CTX_ERROR_SWEEP, POINTS, draw_schedule, draws
 
 __all__ = [
     "SimConfig",
@@ -96,9 +97,9 @@ def _check_sweep(snr_db, trials: int, noise_scale: float = 1.0, n_r: int = 1,
     are not a sequence of real numbers, without SNR points, with more than
     ``rng.POINTS`` of them or one not finite in dB or as a linear SNR, or
     with a noise scale that is not a real number, finite and >= 0."""
-    _require_count(trials, "trials")
-    _require_count(n_r, "n_r")
-    _require_seed(seed)
+    _require_integer(trials, "trials", 1)
+    _require_integer(n_r, "n_r", 1)
+    _require_integer(seed, "seed")
     if np.ndim(snr_db) != 1 or np.asarray(snr_db).dtype.kind not in "iuf":
         raise ValueError(f"snr_db must be a sequence of real numbers, got {snr_db!r}")
     if len(snr_db) == 0:
@@ -205,7 +206,7 @@ def draw_trial(
     indices (into ``encoder.alphabet``) from ``rng`` (``stbc.rng.draws``).
     A non-finite or negative snr is refused, as the decoders refuse it.
     """
-    _require_count(n_r, "n_r")
+    _require_integer(n_r, "n_r", 1)
     snr = _require_snr(snr)
     normals, levels = draws(rng, _normals(n_r, design.n_t, design.T), len(encoder.alphabet),
                             design.n_real_symbols)
@@ -309,14 +310,8 @@ def uncoded_siso_sweep(
         for points, normals, levels in draw_schedule(seed, CTX_ERROR_SWEEP, len(snr_db), trials,
                                                      _normals(1, 1, 1), cons.size, 1):
             h, noise = _channel_and_noise(normals, 1, 1, 1)
-            ch, x = gains[points] * h[:, 0, 0], cons.points[levels[:, 0]]
-            # formed in real parts, the product has the bits of numpy's
-            # scalar complex product (the pinned CSVs'); its array complex
-            # product may differ in the last bit
-            y = np.empty_like(ch)
-            y.real = ch.real * x.real - ch.imag * x.imag
-            y.imag = ch.real * x.imag + ch.imag * x.real
-            y += noise_scale * noise[:, 0, 0]
+            ch = gains[points] * h[:, 0, 0]
+            y = ch * cons.points[levels[:, 0]] + noise_scale * noise[:, 0, 0]
             guess = np.argmin(np.abs(y[:, None] - ch[:, None] * cons.points) ** 2, axis=1)
             yield points, cons.size, guess[:, None] != levels
 
@@ -417,14 +412,17 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
 
 
 def parse_layer_scalar(spec: str) -> complex:
-    """'1', 'pi/4' (meaning e^{j pi/4}) or an explicit 'a+bi' literal
-    (``extend_full_rate`` checks its modulus)."""
+    """'1', 'pi/4' (meaning e^{j pi/4}) or one explicit 'a+bi' literal
+    (``extend_full_rate`` checks its modulus); a spec of more than one
+    entry is refused."""
     spec = spec.strip().lower()
     if spec in ("1", "none", ""):
         return 1.0 + 0j
     if spec == "pi/4":
         return complex(np.exp(1j * np.pi / 4.0))
-    return complex(matrix_from_text(spec)[0, 0])
+    if (value := matrix_from_text(spec)).shape != (1, 1):
+        raise ValueError(f"a layer scalar is one number, got {spec!r}")
+    return complex(value[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +445,10 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
     covered at smaller a.  Each decoder check decodes one config on the
     trial loop (``_decoded_trials``) with the oracle, then the structured
     search, and compares the levels trial for trial and each count with
-    ``complexity_account``.  The energy check draws nothing.
+    ``complexity_account``.  The energy check draws nothing.  A seed
+    that is not an integer is refused before anything is built.
     """
+    _require_integer(seed, "seed")
     report = Report(f"full verification (a={a}, layers={layers})")
     cliff = build_generators(a)
     base = build_rate1_4group(a)
@@ -484,7 +484,8 @@ def verify_all(a: int, layers: int = 1, seed: int = 0) -> Report:
 
     w = extract_W(base)
     resid = float(np.abs(w.T @ w - np.eye(w.shape[0])).max())
-    report.add("W orthogonality", resid < CERT_TOL, detail=f"residual {resid:.2e}")
+    report.add("W orthogonality", not _orthogonality_refusal(w, "W"),
+               detail=f"residual {resid:.2e}")
 
     cons = constellation("4qam")
     name = "rotated minimum determinant positive (closed form agrees)"
